@@ -26,6 +26,7 @@ import numpy as np
 from . import bundles, classical, orbifold, oscillator, polarizations
 from .classical import OscillatorParams
 from .errors import BundleqmError
+from .sections import FLOAT_FORMAT, write_rows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -96,7 +97,7 @@ class RunConfig:
 def format_float(x: float) -> str:
     if isinstance(x, bool) or not isinstance(x, float):
         return str(x)
-    return f"{x:.17g}"
+    return FLOAT_FORMAT % x
 
 
 def canonical_json(obj, indent: int = 0) -> str:
@@ -135,9 +136,7 @@ def write_pgm(path, field2d: np.ndarray, ascii_mode: bool = False) -> None:
     ny, nx = pixels.shape
     if ascii_mode:
         with open(path, "w") as fh:
-            fh.write(f"P2\n{nx} {ny}\n255\n")
-            for row in pixels:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
+            write_rows(fh, f"P2\n{nx} {ny}\n255", pixels, field="%d", sep=" ")
     else:
         with open(path, "wb") as fh:
             fh.write(f"P5\n{nx} {ny}\n255\n".encode())
@@ -180,9 +179,8 @@ def cmd_simulate(config: RunConfig, z0: complex, charge: int, periods: float,
                          "periods": periods, "samples": samples})
     path = out / "trajectory.csv"
     with open(path, "w") as fh:
-        fh.write("t,x,p,re_z,im_z\n")
-        for row in zip(times, xs, ps, zs.real, zs.imag):
-            fh.write(",".join(format_float(float(v)) for v in row) + "\n")
+        write_rows(fh, "t,x,p,re_z,im_z",
+                   np.column_stack([times, xs, ps, zs.real, zs.imag]))
     try:
         print(f"winding number: {classical.winding_number(zs)}")
     except BundleqmError as exc:

@@ -61,5 +61,9 @@ class OriginSingularError(BundleqmError):
     """Cone metric evaluated at the orbifold point for n >= 2."""
 
 
+class GridFormatError(BundleqmError):
+    """A grid file is truncated, has a bad header, or its rows are malformed."""
+
+
 class ResolutionInsufficientError(BundleqmError):
     """Grid too coarse: measured eigenvalue off by more than 5%."""

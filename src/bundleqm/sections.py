@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import GridTooSmallError
+from .errors import ChargeMismatchError, GridFormatError, GridTooSmallError
 
 _BINARY_MAGIC = b"BQGS"
 _BINARY_VERSION = 1
@@ -163,30 +164,97 @@ class DoubledSection:
 
 
 # ---------------------------------------------------------------------------
+# Text rows.
+#
+# Every float in a text artifact is written with 17 significant digits, which
+# round-trips any float64 exactly.  Rows are formatted ROW_CHUNK at a time with
+# one `%` operation per block, which keeps the transient text to a few MB.
+# ---------------------------------------------------------------------------
+
+FLOAT_FORMAT = "%.17g"
+ROW_CHUNK = 4096
+
+
+def write_rows(fh, header: str, rows: np.ndarray, field: str = FLOAT_FORMAT,
+               sep: str = ",") -> None:
+    """Write `header` and a newline, then each row of the 2D `rows` as
+    `field`-formatted values joined by `sep`, one line per row."""
+    fh.write(header + "\n")
+    row_fmt = sep.join([field] * rows.shape[1]) + "\n"
+    for start in range(0, rows.shape[0], ROW_CHUNK):
+        block = rows[start:start + ROW_CHUNK]
+        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+# ---------------------------------------------------------------------------
 # GridSection import/export.
 #
-# CSV: header "x,p,re,im", one row per grid point, x-major order.
+# CSV: header "x,p,re,im,charge", one row per grid point, x-major order; the
+# charge column repeats the section's charge (1 or -1) on every row.  Files
+# with the earlier header "x,p,re,im" still load; they carry no charge.
 # Binary: 16-byte header (magic "BQGS", u16 version, i16 charge, u32 nx,
 # u32 np), then x axis, p axis, and interleaved re/im values, all little-
 # endian float64, row-major.
 # ---------------------------------------------------------------------------
 
+_CSV_HEADER = "x,p,re,im,charge"
+_CSV_HEADER_NO_CHARGE = "x,p,re,im"
+
+
+def _resolve_charge(file_charge, charge, path) -> int:
+    """The charge of a loaded grid: the file's (None when it holds none),
+    which a `charge` given by the caller must agree with."""
+    if charge is None:
+        return +1 if file_charge is None else file_charge
+    charge = check_charge(charge)
+    if file_charge is not None and charge != file_charge:
+        raise ChargeMismatchError(
+            f"{path}: file holds charge {file_charge:+d}, caller expected {charge:+d}")
+    return charge
+
+
 def write_grid_csv(section: GridSection, path) -> None:
-    X, P = section.meshgrid()
-    cols = np.column_stack([X.ravel(), P.ravel(),
-                            section.values.real.ravel(), section.values.imag.ravel()])
+    nx, np_ = section.nx, section.np_
+    rows = np.empty((nx * np_, 5))
+    rows[:, 0] = np.repeat(section.x, np_)
+    rows[:, 1] = np.tile(section.p, nx)
+    rows[:, 2] = section.values.real.ravel()
+    rows[:, 3] = section.values.imag.ravel()
+    rows[:, 4] = section.charge
     with open(path, "w") as fh:
-        fh.write("x,p,re,im\n")
-        for row in cols:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_rows(fh, _CSV_HEADER, rows)
 
 
-def read_grid_csv(path, charge: int = +1) -> GridSection:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:
+    """Load a CSV grid.  The charge comes from the file; a `charge` given here
+    must agree with it (files without a charge column take `charge`, else +1)."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header not in (_CSV_HEADER, _CSV_HEADER_NO_CHARGE):
+            raise GridFormatError(f"{path}: unrecognised grid CSV header {header!r}")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise GridFormatError(f"{path}: malformed grid CSV rows: {exc}") from None
+    ncols = len(header.split(","))
+    if data.shape[0] == 0 or data.shape[1] != ncols:
+        raise GridFormatError(f"{path}: expected rows of {ncols} columns, "
+                              f"got an array of shape {data.shape}")
+    file_charge = None
+    if ncols == 5:
+        q = data[:, 4]
+        if not (np.all(q == q[0]) and q[0] in (1.0, -1.0)):
+            raise GridFormatError(f"{path}: charge column must hold one value, "
+                                  f"1 or -1, on every row")
+        file_charge = int(q[0])
     x = np.unique(data[:, 0])
     p = np.unique(data[:, 1])
+    if not (np.array_equal(data[:, 0], np.repeat(x, p.size))
+            and np.array_equal(data[:, 1], np.tile(p, x.size))):
+        raise GridFormatError(f"{path}: rows are not a full grid in x-major order")
     values = (data[:, 2] + 1j * data[:, 3]).reshape(x.size, p.size)
-    return GridSection(x=x, p=p, values=values, charge=charge)
+    return GridSection(x=x, p=p, values=values,
+                       charge=_resolve_charge(file_charge, charge, path))
 
 
 def write_grid_binary(section: GridSection, path) -> None:
@@ -202,18 +270,28 @@ def write_grid_binary(section: GridSection, path) -> None:
         fh.write(interleaved.astype("<f8").tobytes())
 
 
-def read_grid_binary(path) -> GridSection:
+def read_grid_binary(path, charge: Optional[int] = None) -> GridSection:
+    """Load a binary grid; a `charge` given here must agree with the file's."""
     with open(path, "rb") as fh:
-        magic, version, charge, nx, np_ = struct.unpack("<4sHhII", fh.read(16))
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"not a bundleqm grid file: bad magic {magic!r}")
-        if version != _BINARY_VERSION:
-            raise ValueError(f"unsupported grid file version {version}")
-        x = np.frombuffer(fh.read(8 * nx), dtype="<f8")
-        p = np.frombuffer(fh.read(8 * np_), dtype="<f8")
-        raw = np.frombuffer(fh.read(16 * nx * np_), dtype="<f8").reshape(nx, np_, 2)
-        return GridSection(x=x.copy(), p=p.copy(),
-                           values=raw[..., 0] + 1j * raw[..., 1], charge=charge)
+        buf = fh.read()
+    if len(buf) < 16:
+        raise GridFormatError(f"{path}: {len(buf)} bytes is shorter than the grid header")
+    magic, version, file_charge, nx, np_ = struct.unpack_from("<4sHhII", buf)
+    if magic != _BINARY_MAGIC:
+        raise GridFormatError(f"{path}: not a bundleqm grid file: bad magic {magic!r}")
+    if version != _BINARY_VERSION:
+        raise GridFormatError(f"{path}: unsupported grid file version {version}")
+    if file_charge not in (1, -1):
+        raise GridFormatError(f"{path}: header charge {file_charge} is not 1 or -1")
+    size = 16 + 8 * (nx + np_) + 16 * nx * np_
+    if len(buf) != size:
+        raise GridFormatError(f"{path}: {len(buf)} bytes, but a {nx} x {np_} grid "
+                              f"file has {size}")
+    body = np.frombuffer(buf, dtype="<f8", offset=16)
+    x, p = body[:nx], body[nx:nx + np_]
+    raw = body[nx + np_:].reshape(nx, np_, 2)
+    return GridSection(x=x.copy(), p=p.copy(), values=raw[..., 0] + 1j * raw[..., 1],
+                       charge=_resolve_charge(file_charge, charge, path))
 
 
 def save_grid(section: GridSection, path) -> None:
@@ -224,7 +302,8 @@ def save_grid(section: GridSection, path) -> None:
         write_grid_binary(section, path)
 
 
-def load_grid(path, charge: int = +1) -> GridSection:
+def load_grid(path, charge: Optional[int] = None) -> GridSection:
+    """Read CSV or binary by extension; see read_grid_csv for `charge`."""
     if str(path).lower().endswith(".csv"):
         return read_grid_csv(path, charge=charge)
-    return read_grid_binary(path)
+    return read_grid_binary(path, charge=charge)

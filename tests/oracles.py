@@ -100,3 +100,16 @@ def loop_integral_trapezoid(pts):
     inv = 1.0 / pts
     mid = 0.5 * (inv[1:] + inv[:-1])
     return complex(np.sum(mid * np.diff(pts)))
+
+
+def format_rows_reference(header, rows):
+    """Text rows as the package once wrote them: one f-string per value."""
+    lines = [header] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def pgm_p2_reference(pixels):
+    """ASCII PGM text as the package once wrote it: one str() per pixel."""
+    ny, nx = pixels.shape
+    body = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in pixels)
+    return f"P2\n{nx} {ny}\n255\n" + body
