@@ -6,8 +6,9 @@ commutation relation.  Charge q_v = +1 sections feel +iA, charge -1 sections
 -iA.  Gauge automorphisms exp(alpha J) shift A by d(alpha) and carry the
 connection between the coordinate, momentum and intermediate gauges.
 
-Derivatives are second-order central differences (one-sided O(h^2) stencils
-at grid edges); averaged diagnostics use interior cells only.
+Derivatives are the second-order central differences of sections.diff_axis
+(one-sided O(h^2) stencils at grid edges); averaged diagnostics use interior
+cells only.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .classical import OscillatorParams
 from .errors import DivisionNearZeroError, GridTooSmallError, WrongPolarizationError
 from .sections import (DoubledSection, GridSection, LineSection, check_charge,
-                       load_grid, save_grid)
+                       diff_axis, load_grid, save_grid)
 
 __all__ = [
     "GaugeConnection", "vacuum_connection", "gauge_transform",
@@ -72,18 +73,6 @@ def gauge_transform(conn: GaugeConnection, alpha: Callable,
     )
 
 
-def _diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Central differences, one-sided O(h^2) at the two edge cells."""
-    if values.shape[axis] < 3:
-        raise GridTooSmallError("need at least 3 samples along the derivative axis")
-    f = np.moveaxis(values, axis, 0)
-    g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
-    return np.moveaxis(g, 0, axis)
-
-
 def covariant_derivative(sec: GridSection, direction: str,
                          conn: GaugeConnection) -> GridSection:
     """grad = d + i q_v A along x or p, by central differences."""
@@ -91,10 +80,10 @@ def covariant_derivative(sec: GridSection, direction: str,
         raise ValueError(f"direction must be 'x' or 'p', got {direction!r}")
     X, P = sec.meshgrid()
     if direction == "x":
-        deriv = _diff_axis(sec.values, sec.hx, axis=0)
+        deriv = diff_axis(sec.values, sec.hx, axis=0)
         a = conn.a_x(X, P)
     else:
-        deriv = _diff_axis(sec.values, sec.hp, axis=1)
+        deriv = diff_axis(sec.values, sec.hp, axis=1)
         a = conn.a_p(X, P)
     return sec.like(deriv + 1j * sec.charge * a * sec.values)
 
@@ -117,10 +106,6 @@ def curvature_numeric(conn: GaugeConnection, probe: GridSection,
     return complex(np.mean(comm[sl] / inner))
 
 
-def _line_diff(sec: LineSection) -> np.ndarray:
-    return _diff_axis(sec.values, sec.h, axis=0)
-
-
 def _require_axis(sec: LineSection, axis: str) -> None:
     if sec.axis != axis:
         raise WrongPolarizationError(
@@ -130,29 +115,24 @@ def _require_axis(sec: LineSection, axis: str) -> None:
 def canonical_operators(rep: str, charge: int):
     """Operators (x_hat, p_hat) on polarized 1D sections.
 
-    Coordinate representation (both charges): x_hat = x*, p_hat = -i d/dx.
-    Momentum representation: charge +1 gives (i d/dp, p*), charge -1 the
-    antiparticle mirror (-i d/dp, -p*).
+    Coordinate representation (both charges): x_hat = x*, p_hat = -i d/dx,
+    the unshifted translate_operator(0.0).  Momentum representation: charge
+    +1 gives (i d/dp, p*), charge -1 the antiparticle mirror (-i d/dp, -p*).
     """
     check_charge(charge)
     if rep == "coordinate":
-        def x_hat(sec: LineSection) -> LineSection:
-            _require_axis(sec, "x")
-            return sec.like(sec.coords * sec.values)
-
-        def p_hat(sec: LineSection) -> LineSection:
-            _require_axis(sec, "x")
-            return sec.like(-1j * _line_diff(sec))
-    elif rep == "momentum":
-        def x_hat(sec: LineSection) -> LineSection:
-            _require_axis(sec, "p")
-            return sec.like(1j * charge * _line_diff(sec))
-
-        def p_hat(sec: LineSection) -> LineSection:
-            _require_axis(sec, "p")
-            return sec.like(charge * sec.coords * sec.values)
-    else:
+        return translate_operator(0.0)
+    if rep != "momentum":
         raise ValueError(f"rep must be 'coordinate' or 'momentum', got {rep!r}")
+
+    def x_hat(sec: LineSection) -> LineSection:
+        _require_axis(sec, "p")
+        return sec.like(1j * charge * diff_axis(sec.values, sec.h, axis=0))
+
+    def p_hat(sec: LineSection) -> LineSection:
+        _require_axis(sec, "p")
+        return sec.like(charge * sec.coords * sec.values)
+
     return x_hat, p_hat
 
 
@@ -160,7 +140,8 @@ def translate_operator(x0: float):
     """Coordinate operators conjugated by exp(p x0 J): x_hat shifts by -x0.
 
     Returns the pair (x_hat, p_hat); p_hat is unchanged and the CCR is
-    preserved.  x0 = 0 reproduces canonical_operators("coordinate", .).
+    preserved.  x0 = 0 is the coordinate representation itself (x - 0.0 is
+    exact, so x_hat is then bit-for-bit x*).
     """
     def x_hat(sec: LineSection) -> LineSection:
         _require_axis(sec, "x")
@@ -168,7 +149,7 @@ def translate_operator(x0: float):
 
     def p_hat(sec: LineSection) -> LineSection:
         _require_axis(sec, "x")
-        return sec.like(-1j * _line_diff(sec))
+        return sec.like(-1j * diff_axis(sec.values, sec.h, axis=0))
 
     return x_hat, p_hat
 

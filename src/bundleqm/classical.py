@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OpenCurveError, UndersampledError, ZeroCrossingError, ZeroPointError
-from .sections import check_charge
+from .sections import check_charge, check_finite
 
 TWO_PI = 2.0 * np.pi
 
@@ -125,22 +125,33 @@ def trajectory_times(periods: float, samples: int, params: OscillatorParams) -> 
     return np.linspace(0.0, periods * TWO_PI / params.omega, samples)
 
 
+def closed_loop_ratios(samples, min_points: int, tol_rel: float = 1e-9) -> np.ndarray:
+    """Validate a sampled closed loop about 0 and return z[1:] / z[:-1].
+
+    The loop needs at least min_points finite samples, none within tol_rel
+    (relative to the largest modulus) of 0, and first ~ last sample.
+    """
+    z = np.asarray(samples, dtype=complex)
+    if z.size < min_points:
+        raise OpenCurveError(f"need at least {min_points} samples")
+    check_finite(z, "loop samples")
+    r = np.abs(z)
+    scale = np.max(r)
+    tol = tol_rel * scale
+    if scale == 0.0 or np.any(r < tol):
+        raise ZeroCrossingError("curve sample within tolerance of 0")
+    if abs(z[0] - z[-1]) > tol:
+        raise OpenCurveError("curve endpoints differ beyond closure tolerance")
+    return z[1:] / z[:-1]
+
+
 def winding_number(samples, tol_rel: float = 1e-9) -> int:
     """Total unwrapped phase of a closed sampled curve, in turns.
 
     The curve must be closed (first ~ last sample), stay away from 0, and be
     sampled finely enough that every angular step is below pi.
     """
-    z = np.asarray(samples, dtype=complex)
-    if z.size < 2:
-        raise OpenCurveError("need at least 2 samples")
-    scale = np.max(np.abs(z))
-    tol = tol_rel * scale
-    if np.any(np.abs(z) < tol) or scale == 0.0:
-        raise ZeroCrossingError("curve sample within tolerance of 0")
-    if abs(z[0] - z[-1]) > tol:
-        raise OpenCurveError("curve endpoints differ beyond closure tolerance")
-    steps = np.angle(z[1:] / z[:-1])
+    steps = np.angle(closed_loop_ratios(samples, 2, tol_rel))
     if np.any(np.abs(steps) >= np.pi * (1.0 - 1e-12)):
         raise UndersampledError("angular step reached pi; sample the curve more finely")
     turns = float(np.sum(steps) / TWO_PI)

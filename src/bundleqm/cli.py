@@ -42,9 +42,6 @@ class RunConfig:
     m: float = 1.0
     omega: float = 1.0
     grid_half_width: float = 8.0
-    grid_points: int = 257
-    fock_truncation: int = 32
-    quad_order: int = 128
     tolerances: dict = field(default_factory=dict)
     output_dir: str = "out"
     frequency_sign: int = +1
@@ -52,14 +49,8 @@ class RunConfig:
     def __post_init__(self):
         if not (self.m > 0 and self.omega > 0):
             raise ConfigError("m and omega must be positive")
-        if self.grid_points < 3:
-            raise ConfigError("grid_points must be >= 3")
         if self.grid_half_width <= 0:
             raise ConfigError("grid_half_width must be positive")
-        if self.fock_truncation < 0:
-            raise ConfigError("fock_truncation must be >= 0")
-        if self.quad_order < 2 * self.fock_truncation + 2:
-            raise ConfigError("quad_order must be >= 2N+2 for truncation N")
         if self.frequency_sign not in (+1, -1):
             raise ConfigError("frequency_sign must be +1 or -1")
 
@@ -83,8 +74,7 @@ class RunConfig:
     def as_dict(self) -> dict:
         return {
             "m": self.m, "omega": self.omega,
-            "grid_half_width": self.grid_half_width, "grid_points": self.grid_points,
-            "fock_truncation": self.fock_truncation, "quad_order": self.quad_order,
+            "grid_half_width": self.grid_half_width,
             "tolerances": dict(self.tolerances), "output_dir": self.output_dir,
             "frequency_sign": self.frequency_sign,
         }
@@ -165,8 +155,6 @@ def cmd_simulate(config: RunConfig, z0: complex, charge: int, periods: float,
         raise ConfigError("samples must be >= 2")
     if z0 == 0:
         raise ConfigError("z0 = 0 is the excluded point of the punctured phase space")
-    if charge not in (+1, -1):
-        raise ConfigError("charge must be +1 or -1")
     params = config.params
     state = classical.ClassicalState(z0=z0, charge=charge)
     times = classical.trajectory_times(periods, samples, params)
@@ -195,8 +183,6 @@ def cmd_husimi(config: RunConfig, n: int, charge: int, resolution: int,
         raise ConfigError("resolution must be >= 16")
     if n < 0:
         raise ConfigError("n must be >= 0")
-    if charge not in (+1, -1):
-        raise ConfigError("charge must be +1 or -1")
     state = oscillator.eigenstate(n, charge)
     u = np.linspace(-config.grid_half_width, config.grid_half_width, resolution)
     q_field = oscillator.husimi(state, u, u)

@@ -62,7 +62,16 @@ class OriginSingularError(BundleqmError):
 
 
 class GridFormatError(BundleqmError):
-    """A grid file is truncated, has a bad header, or its rows are malformed."""
+    """A grid file is truncated, has a bad header, or its rows are malformed;
+    or sampled axes are not uniform, or values do not match the axes."""
+
+
+class InvalidChargeError(BundleqmError):
+    """A quantum charge other than the integer +1 or -1."""
+
+
+class NonFiniteError(BundleqmError):
+    """Sampled values or coefficients hold NaN or infinity."""
 
 
 class ResolutionInsufficientError(BundleqmError):

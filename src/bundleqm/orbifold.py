@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BranchOutOfRangeError, OpenCurveError, OriginSingularError,
-                     ZeroCrossingError)
-
-TWO_PI = 2.0 * np.pi
+from .classical import TWO_PI, closed_loop_ratios
+from .errors import BranchOutOfRangeError, OriginSingularError
 
 
 @dataclass(frozen=True)
@@ -109,16 +107,8 @@ def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j,
     """
     if n < 1:
         raise ValueError("covering degree must be >= 1")
-    pts = np.asarray(loop, dtype=complex)
-    if pts.size < 3:
-        raise OpenCurveError("loop needs at least 3 points")
-    scale = np.max(np.abs(pts))
-    if scale == 0.0 or np.any(np.abs(pts) < tol_rel * scale):
-        raise ZeroCrossingError("loop passes within tolerance of the cone tip")
-    if abs(pts[0] - pts[-1]) > tol_rel * scale:
-        raise OpenCurveError("loop endpoints differ beyond closure tolerance")
-    steps = np.log(pts[1:] / pts[:-1])      # principal branch; |Im| < pi per step
-    total = complex(np.sum(steps))          # = 2 pi i * winding (+ rounding)
+    # principal branch, |Im| < pi per step; the sum is 2 pi i * winding (+ rounding)
+    total = complex(np.sum(np.log(closed_loop_ratios(loop, 3, tol_rel))))
     winding = int(np.rint(total.imag / TWO_PI))
     factor = (n - 1) / n
     multiplier = np.exp(factor * total)

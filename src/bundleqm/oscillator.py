@@ -186,18 +186,12 @@ def laplacian_consistency(n: int, params: OscillatorParams,
                                     (-half_width / w2, half_width / w2),
                                     nx, nx, charge=charge)
     conn = vacuum_connection()
-
-    def grad_z(s):
-        return s.like((covariant_derivative(s, "x", conn).values
-                       + 1j * charge * covariant_derivative(s, "p", conn).values / w2)
-                      / np.sqrt(2.0))
-
-    def grad_zbar(s):
-        return s.like((covariant_derivative(s, "x", conn).values
-                       - 1j * charge * covariant_derivative(s, "p", conn).values / w2)
-                      / np.sqrt(2.0))
-
-    lap = grad_z(grad_zbar(sec)).values + grad_zbar(grad_z(sec)).values
+    # grad_z grad_zbar + grad_zbar grad_z = grad_x^2 + grad_p^2 / w^4: with
+    # grad_z, grad_zbar = (grad_x +/- i q grad_p / w^2)/sqrt(2) the cross terms
+    # cancel whether or not grad_x and grad_p commute.
+    gxx = covariant_derivative(covariant_derivative(sec, "x", conn), "x", conn)
+    gpp = covariant_derivative(covariant_derivative(sec, "p", conn), "p", conn)
+    lap = gxx.values + gpp.values / params.w4
     sl = (slice(margin, -margin), slice(margin, -margin))
     inner = sec.values[sl]
     measured = complex(np.sum(np.conj(inner) * lap[sl]) / np.sum(np.abs(inner) ** 2))

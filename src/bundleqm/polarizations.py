@@ -22,8 +22,8 @@ from scipy.linalg import eigh_tridiagonal
 from .bundles import GaugeConnection
 from .classical import OscillatorParams
 from .errors import (ChargeMismatchError, DecayViolationError, NonMonotoneError,
-                     QuadratureUnderResolvedError)
-from .sections import GridSection, LineSection, check_charge
+                     QuadratureUnderResolvedError, WrongPolarizationError)
+from .sections import GridSection, LineSection, check_charge, check_finite, diff_axis
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class FockState:
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise ValueError("coeffs must be a nonempty 1D array")
-        if not np.all(np.isfinite(self.coeffs.view(float))):
-            raise ValueError("coefficients must be finite")
+        check_finite(self.coeffs, "coefficients")
         self.charge = check_charge(self.charge)
 
     @property
@@ -155,13 +154,12 @@ def dolbeault_residual(sec: GridSection, params: OscillatorParams) -> GridSectio
     vanishes to O(h^2) exactly on the polarized sections
     psi(z_q) exp(-z zbar / 2 w^2).
     """
-    from .bundles import _diff_axis   # shared stencils
     q = sec.charge
     w2 = params.w2
     X, P = sec.meshgrid()
     z_q = (X - 1j * q * w2 * P) / np.sqrt(2.0)
-    dx = _diff_axis(sec.values, sec.hx, axis=0)
-    dp = _diff_axis(sec.values, sec.hp, axis=1)
+    dx = diff_axis(sec.values, sec.hx, axis=0)
+    dp = diff_axis(sec.values, sec.hp, axis=1)
     dzbar = (dx - 1j * q * dp / w2) / np.sqrt(2.0)
     return sec.like(dzbar + z_q / (2.0 * w2) * sec.values)
 
@@ -207,8 +205,6 @@ def ladder_apply(state: FockState, which: str) -> FockState:
     n = np.arange(c.size)
     if which == "lower":
         out = (np.sqrt(n) * c)[1:] if c.size > 1 else np.zeros(1, dtype=complex)
-        if out.size == 0:
-            out = np.zeros(1, dtype=complex)
     elif which == "raise":
         out = np.concatenate([[0.0], np.sqrt(n + 1) * c])
     else:
@@ -221,12 +217,10 @@ def ladder_coordinate(sec: LineSection, which: str, params: OscillatorParams) ->
 
     lower = (w/sqrt2)(d/dx + x/w^2), raise = (w/sqrt2)(x/w^2 - d/dx).
     """
-    from .bundles import _diff_axis
-    from .errors import WrongPolarizationError
     if sec.axis != "x":
         raise WrongPolarizationError("coordinate ladder operators need an x-line section")
     w, w2 = params.w, params.w2
-    deriv = _diff_axis(sec.values, sec.h, axis=0)
+    deriv = diff_axis(sec.values, sec.h, axis=0)
     if which == "lower":
         vals = (w / np.sqrt(2.0)) * (deriv + sec.coords / w2 * sec.values)
     elif which == "raise":
@@ -259,7 +253,6 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
     nodes, _, scaled = gauss_hermite(quad_order)
     if isinstance(sec, LineSection):
         if sec.axis != "x":
-            from .errors import WrongPolarizationError
             raise WrongPolarizationError("bargmann_transform needs a coordinate-rep section")
         amax = np.max(np.abs(sec.values))
         edge = max(abs(sec.values[0]), abs(sec.values[-1]))
@@ -355,8 +348,7 @@ def polarization_limit_check(params: OscillatorParams, w_sequence: Sequence[floa
     if dprofile is not None:
         df = np.asarray(dprofile(s), dtype=complex)
     else:
-        from .bundles import _diff_axis
-        df = _diff_axis(f, s[1] - s[0], axis=0)
+        df = diff_axis(f, s[1] - s[0], axis=0)
     F, dF = f[:, None] * np.ones_like(U), df[:, None] * np.ones_like(U)
 
     report = LimitCheckReport(direction=direction)

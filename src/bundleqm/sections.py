@@ -1,4 +1,5 @@
-"""Sampled section containers shared by the bundle and polarization layers.
+"""Sampled section containers shared by the bundle and polarization layers,
+and the one first-derivative stencil (diff_axis) that acts on them.
 
 A quantum state lives here in one of three sampled forms: a 2D complex grid
 over phase space (GridSection), a 1D complex line in x or p (LineSection),
@@ -15,17 +16,40 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ChargeMismatchError, GridFormatError, GridTooSmallError
+from .errors import (ChargeMismatchError, GridFormatError, GridTooSmallError,
+                     InvalidChargeError, NonFiniteError)
 
 _BINARY_MAGIC = b"BQGS"
 _BINARY_VERSION = 1
 
 
 def check_charge(charge: int) -> int:
-    """Validate a quantum charge; bundle operations admit only +1 and -1."""
-    if charge not in (+1, -1):
-        raise ValueError(f"quantum charge must be +1 or -1, got {charge!r}")
+    """Validate a quantum charge; bundle operations admit only the integers
+    +1 and -1 (a bool or a float is not a charge)."""
+    if (isinstance(charge, bool) or not isinstance(charge, (int, np.integer))
+            or charge not in (+1, -1)):
+        raise InvalidChargeError(f"quantum charge must be the integer +1 or -1, "
+                                 f"got {charge!r}")
     return int(charge)
+
+
+def check_finite(values: np.ndarray, what: str) -> None:
+    """Raise NonFiniteError if a real or imaginary part of a complex (or float)
+    array is NaN or inf."""
+    if not np.all(np.isfinite(np.ascontiguousarray(values).view(float))):
+        raise NonFiniteError(f"{what} must be finite")
+
+
+def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Central differences, one-sided O(h^2) at the two edge cells."""
+    if values.shape[axis] < 3:
+        raise GridTooSmallError("need at least 3 samples along the derivative axis")
+    f = np.moveaxis(values, axis, 0)
+    g = np.empty_like(f)
+    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    return np.moveaxis(g, 0, axis)
 
 
 def _uniform_spacing(axis: np.ndarray, name: str) -> float:
@@ -33,7 +57,7 @@ def _uniform_spacing(axis: np.ndarray, name: str) -> float:
         raise GridTooSmallError(f"{name} axis needs at least 3 samples, got {axis.size}")
     h = np.diff(axis)
     if not np.allclose(h, h[0], rtol=1e-10, atol=0.0) or h[0] <= 0:
-        raise ValueError(f"{name} axis must be uniform with positive spacing")
+        raise GridFormatError(f"{name} axis must be uniform with positive spacing")
     return float(h[0])
 
 
@@ -56,12 +80,11 @@ class GridSection:
         self.hx = _uniform_spacing(self.x, "x")
         self.hp = _uniform_spacing(self.p, "p")
         if self.values.shape != (self.x.size, self.p.size):
-            raise ValueError(
+            raise GridFormatError(
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.x.size}, {self.p.size})"
             )
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("section values must be finite")
+        check_finite(self.values, "section values")
         self.charge = check_charge(self.charge)
 
     @property
@@ -104,9 +127,8 @@ class LineSection:
         self.values = np.asarray(self.values, dtype=complex)
         self.h = _uniform_spacing(self.coords, self.axis)
         if self.values.shape != self.coords.shape:
-            raise ValueError("values and coords must have the same length")
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("section values must be finite")
+            raise GridFormatError("values and coords must have the same length")
+        check_finite(self.values, "section values")
         self.charge = check_charge(self.charge)
 
     @classmethod

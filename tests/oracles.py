@@ -10,6 +10,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import eval_hermite, factorial
 
+from bundleqm.bundles import GridSection, covariant_derivative, vacuum_connection
 from bundleqm.classical import hamiltonian_vector_field, PhasePoint
 
 
@@ -113,3 +114,30 @@ def pgm_p2_reference(pixels):
     ny, nx = pixels.shape
     body = "".join(" ".join(str(int(v)) for v in row) + "\n" for row in pixels)
     return f"P2\n{nx} {ny}\n255\n" + body
+
+
+def laplacian_zzbar_reference(n, params, half_width=3.0, h=1e-2, charge=+1, margin=2):
+    """Interior Rayleigh quotient of grad_z grad_zbar + grad_zbar grad_z on
+    Psi_n = z^n exp(-z zbar / 2 w^2): the complex form, eight covariant
+    derivatives, that laplacian_consistency once applied."""
+    w2 = params.w2
+    nx = int(round(2 * half_width / h)) + 1
+
+    def psi_n(X, P):
+        z = (X - 1j * charge * w2 * P) / np.sqrt(2.0)
+        return z ** n * np.exp(-z * np.conj(z) / (2.0 * w2))
+
+    sec = GridSection.from_function(psi_n, (-half_width, half_width),
+                                    (-half_width / w2, half_width / w2),
+                                    nx, nx, charge=charge)
+    conn = vacuum_connection()
+
+    def grad(s, sign):
+        dx = covariant_derivative(s, "x", conn).values
+        dp = covariant_derivative(s, "p", conn).values
+        return s.like((dx + sign * 1j * charge * dp / w2) / np.sqrt(2.0))
+
+    lap = grad(grad(sec, -1), +1).values + grad(grad(sec, +1), -1).values
+    sl = (slice(margin, -margin), slice(margin, -margin))
+    inner = sec.values[sl]
+    return complex(np.sum(np.conj(inner) * lap[sl]) / np.sum(np.abs(inner) ** 2))

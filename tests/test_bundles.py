@@ -202,6 +202,21 @@ class TestCanonicalOperators:
         assert sec.coords[i] == pytest.approx(1.0)
         assert x_hat(sec).values[i] == pytest.approx(np.exp(-0.5), rel=1e-12)
 
+    @pytest.mark.parametrize("charge", [+1, -1])
+    def test_coordinate_pair_is_exact(self, charge):
+        # x_hat is bit-for-bit coords * values (a -0.0 sample included);
+        # p_hat's interior is bit-for-bit the central difference times -i
+        coords = np.linspace(-2.0, 2.0, 9)
+        coords[4] = -0.0
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=9) + 1j * rng.normal(size=9)
+        sec = LineSection(axis="x", coords=coords, values=values, charge=charge)
+        x_hat, p_hat = canonical_operators("coordinate", charge)
+        assert x_hat(sec).values.tobytes() == (coords * values).tobytes()
+        h = coords[1] - coords[0]
+        interior = -1j * ((values[2:] - values[:-2]) / (2.0 * h))
+        assert p_hat(sec).values[1:-1].tobytes() == interior.tobytes()
+
     def test_momentum_antiparticle_sign(self):
         sec = line_gaussian(axis="p", charge=-1)
         _, p_hat = canonical_operators("momentum", -1)

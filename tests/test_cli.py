@@ -6,6 +6,7 @@ import pytest
 from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, ConfigError,
                           RunConfig, canonical_json, cmd_husimi, cmd_simulate,
                           cmd_spectrum, format_float, main)
+from bundleqm.errors import InvalidChargeError
 
 
 @pytest.fixture(autouse=True)
@@ -19,9 +20,17 @@ class TestRunConfig:
         config = RunConfig()
         assert config.params.w2 == 1.0
 
-    def test_quadrature_floor(self):
-        with pytest.raises(ConfigError):
-            RunConfig(fock_truncation=32, quad_order=65)
+    def test_unread_fields_are_unknown_keys(self, tmp_path, capsys):
+        # grid_points, fock_truncation and quad_order were never read by a
+        # command; a config file naming one is rejected like any unknown key.
+        for key, value in (("grid_points", 257), ("fock_truncation", 32),
+                           ("quad_order", 128)):
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({key: value}))
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.load(path)
+            assert main(["--config", str(path), "spectrum", "--n-max", "1"]) == EXIT_USAGE
+            assert "unknown config keys" in capsys.readouterr().err
 
     def test_positivity(self):
         with pytest.raises(ConfigError):
@@ -115,6 +124,17 @@ class TestSimulateCommand:
     def test_excluded_origin(self):
         assert main(["simulate", "--z0", "0j"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("bad", [2, 0, True, 1.0])
+    def test_invalid_charge_is_typed_and_writes_nothing(self, out_dir, bad):
+        with pytest.raises(InvalidChargeError):
+            cmd_simulate(RunConfig(), 1.0 + 0j, bad, 1.0, 17)
+        assert not out_dir.exists()
+
+    def test_invalid_charge_exits_usage(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--z0", "1", "--charge", "2"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_open_run_reports_no_winding(self, capsys):
         cmd_simulate(RunConfig(), 1.0 + 0j, +1, 0.5, 65)
         assert "winding number: n/a" in capsys.readouterr().out
@@ -144,6 +164,12 @@ class TestHusimiCommand:
 
     def test_resolution_floor(self):
         assert main(["husimi", "--n", "1", "--resolution", "8"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("bad", [2, 0, True, 1.0])
+    def test_invalid_charge_is_typed_and_writes_nothing(self, out_dir, bad):
+        with pytest.raises(InvalidChargeError):
+            cmd_husimi(RunConfig(), 1, bad, 32)
+        assert not out_dir.exists()
 
 
 class TestVerifyCommand:

@@ -243,6 +243,16 @@ class TestLaplacianConsistency:
         with pytest.raises(ResolutionInsufficientError):
             laplacian_consistency(2, DEFAULT, half_width=3.0, h=0.75)
 
+    @pytest.mark.parametrize("params", [DEFAULT, OscillatorParams(m=0.5, omega=4.0)])
+    def test_agrees_with_complex_form(self, params):
+        # grad_x^2 + grad_p^2/w^4 against the eight-derivative
+        # grad_z grad_zbar + grad_zbar grad_z oracle, on a coarser grid
+        for n in range(9):
+            for q in (+1, -1):
+                measured = laplacian_consistency(n, params, h=2e-2, charge=q).measured
+                ref = oracles.laplacian_zzbar_reference(n, params, h=2e-2, charge=q)
+                assert abs(measured - ref) <= 1e-12 * abs(ref), (n, q)
+
 
 class TestStoneVonNeumann:
     def test_coordinate_matrix_reproduces_fock_spectrum(self):
