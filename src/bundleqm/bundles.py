@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .classical import OscillatorParams
-from .errors import DivisionNearZeroError, GridTooSmallError, WrongPolarizationError
+from .errors import (DivisionNearZeroError, GridTooSmallError, InvalidArgumentError,
+                     WrongPolarizationError)
 from .sections import (DoubledSection, GridSection, LineSection, check_charge,
                        diff_axis, load_grid, save_grid)
 
@@ -77,7 +78,7 @@ def covariant_derivative(sec: GridSection, direction: str,
                          conn: GaugeConnection) -> GridSection:
     """grad = d + i q_v A along x or p, by central differences."""
     if direction not in ("x", "p"):
-        raise ValueError(f"direction must be 'x' or 'p', got {direction!r}")
+        raise InvalidArgumentError(f"direction must be 'x' or 'p', got {direction!r}")
     X, P = sec.meshgrid()
     if direction == "x":
         deriv = diff_axis(sec.values, sec.hx, axis=0)
@@ -123,7 +124,7 @@ def canonical_operators(rep: str, charge: int):
     if rep == "coordinate":
         return translate_operator(0.0)
     if rep != "momentum":
-        raise ValueError(f"rep must be 'coordinate' or 'momentum', got {rep!r}")
+        raise InvalidArgumentError(f"rep must be 'coordinate' or 'momentum', got {rep!r}")
 
     def x_hat(sec: LineSection) -> LineSection:
         _require_axis(sec, "p")

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OpenCurveError, UndersampledError, ZeroCrossingError, ZeroPointError
+from .errors import (InvalidArgumentError, OpenCurveError, UndersampledError,
+                     ZeroCrossingError, ZeroPointError)
 from .sections import check_charge, check_finite
 
 TWO_PI = 2.0 * np.pi
@@ -27,8 +28,9 @@ class OscillatorParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not (self.m > 0 and self.omega > 0):
-            raise ValueError("m and omega must be positive")
+        if not (0 < self.m < np.inf and 0 < self.omega < np.inf):
+            raise InvalidArgumentError(
+                f"m and omega must be finite and positive, got {self.m!r}, {self.omega!r}")
 
     @property
     def w2(self) -> float:
@@ -84,7 +86,7 @@ class ComplexStructure:
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
-            raise ValueError("sign must be +1 or -1")
+            raise InvalidArgumentError("sign must be +1 or -1")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -145,15 +147,20 @@ def closed_loop_ratios(samples, min_points: int, tol_rel: float = 1e-9) -> np.nd
     return z[1:] / z[:-1]
 
 
+def check_angular_steps(steps: np.ndarray) -> np.ndarray:
+    """Return the angular steps of a sampled loop if every one is below pi."""
+    if np.any(np.abs(steps) >= np.pi * (1.0 - 1e-12)):
+        raise UndersampledError("angular step reached pi; sample the curve more finely")
+    return steps
+
+
 def winding_number(samples, tol_rel: float = 1e-9) -> int:
     """Total unwrapped phase of a closed sampled curve, in turns.
 
     The curve must be closed (first ~ last sample), stay away from 0, and be
     sampled finely enough that every angular step is below pi.
     """
-    steps = np.angle(closed_loop_ratios(samples, 2, tol_rel))
-    if np.any(np.abs(steps) >= np.pi * (1.0 - 1e-12)):
-        raise UndersampledError("angular step reached pi; sample the curve more finely")
+    steps = check_angular_steps(np.angle(closed_loop_ratios(samples, 2, tol_rel)))
     turns = float(np.sum(steps) / TWO_PI)
     k = int(np.rint(turns))
     # closed + step-bounded implies an integer total up to rounding
@@ -177,7 +184,7 @@ def symplectic_reduce(z0: complex, n_samples: int):
     if z0 == 0:
         raise ZeroPointError("z0 = 0 is excluded from the reduced phase space")
     if n_samples < 3:
-        raise ValueError("n_samples must be >= 3")
+        raise InvalidArgumentError("n_samples must be >= 3")
     angles = TWO_PI * np.arange(n_samples) / n_samples
     return z0, z0 * np.exp(1j * angles)
 

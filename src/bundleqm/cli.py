@@ -47,8 +47,8 @@ class RunConfig:
     frequency_sign: int = +1
 
     def __post_init__(self):
-        if not (self.m > 0 and self.omega > 0):
-            raise ConfigError("m and omega must be positive")
+        if not (0 < self.m < np.inf and 0 < self.omega < np.inf):
+            raise ConfigError("m and omega must be finite and positive")
         if self.grid_half_width <= 0:
             raise ConfigError("grid_half_width must be positive")
         if self.frequency_sign not in (+1, -1):

@@ -38,7 +38,8 @@ class ChargeMismatchError(BundleqmError):
 
 
 class QuadratureUnderResolvedError(BundleqmError):
-    """Quadrature order below the 2N+2 floor for the requested truncation."""
+    """Quadrature order below the 2N+2 floor for the requested truncation, or
+    above the largest order whose rule is accurate in double precision."""
 
 
 class DecayViolationError(BundleqmError):
@@ -75,4 +76,10 @@ class NonFiniteError(BundleqmError):
 
 
 class ResolutionInsufficientError(BundleqmError):
-    """Grid too coarse: measured eigenvalue off by more than 5%."""
+    """Grid too coarse: measured eigenvalue off by more than 5%, or a level
+    above the highest one the grid resolves."""
+
+
+class InvalidArgumentError(BundleqmError):
+    """An argument outside its domain: an unknown option name, a wrong type,
+    or a count, degree or parameter out of range."""

@@ -13,8 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import TWO_PI, closed_loop_ratios
-from .errors import BranchOutOfRangeError, OriginSingularError
+from .classical import TWO_PI, check_angular_steps, closed_loop_ratios
+from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
+
+
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise InvalidArgumentError(f"covering degree must be >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -24,8 +29,7 @@ class ConeGeometry:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("covering degree must be >= 1")
+        _check_degree(self.n)
 
     @property
     def cone_angle(self) -> float:
@@ -38,15 +42,13 @@ class ConeGeometry:
 
 def branched_cover(z, n: int):
     """z -> z^n; degree-n branched covering with branch point z = 0."""
-    if n < 1:
-        raise ValueError("covering degree must be >= 1")
+    _check_degree(n)
     return np.asarray(z, dtype=complex) ** n if np.ndim(z) else complex(z) ** n
 
 
 def cover_inverse(psi: complex, n: int, branch: int) -> complex:
     """The branch-th n-th root, principal argument in [0, 2pi/n) plus branch steps."""
-    if n < 1:
-        raise ValueError("covering degree must be >= 1")
+    _check_degree(n)
     if not 0 <= branch < n:
         raise BranchOutOfRangeError(f"branch {branch} outside 0..{n - 1}")
     psi = complex(psi)
@@ -76,8 +78,7 @@ def cone_metric(psi: complex, n: int, tol: float = 1e-12) -> ConeMetric:
     The conformal factor is (2/n^2)(psibar psi)^((1-n)/n); n = 1 reduces to
     the flat 2 dpsi dpsibar.  Singular at the tip for n >= 2.
     """
-    if n < 1:
-        raise ValueError("covering degree must be >= 1")
+    _check_degree(n)
     psi = complex(psi)
     if abs(psi) < tol and n >= 2:
         raise OriginSingularError("cone metric is singular at psi = 0 for n >= 2")
@@ -101,14 +102,16 @@ def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j,
     The Levi-Civita connection of the cone metric is the one-form
     -((n-1)/n) dpsi/psi; the transport ODE integrates to the multiplier
     exp(((n-1)/n) * oint dpsi/psi), evaluated as a sum of principal-branch
-    log ratios (exact for integer winding).  A loop winding once about the
+    log ratios (exact for integer winding; every angular step must stay
+    below pi, or UndersampledError is raised).  A loop winding once about the
     tip returns the defect angle 2pi(n-1)/n mod 2pi; loops not enclosing the
     tip return holonomy 0.
     """
-    if n < 1:
-        raise ValueError("covering degree must be >= 1")
-    # principal branch, |Im| < pi per step; the sum is 2 pi i * winding (+ rounding)
-    total = complex(np.sum(np.log(closed_loop_ratios(loop, 3, tol_rel))))
+    _check_degree(n)
+    # principal branch, |Im| < pi per step (checked); the sum is 2 pi i * winding
+    logs = np.log(closed_loop_ratios(loop, 3, tol_rel))
+    check_angular_steps(logs.imag)
+    total = complex(np.sum(logs))
     winding = int(np.rint(total.imag / TWO_PI))
     factor = (n - 1) / n
     multiplier = np.exp(factor * total)
@@ -151,7 +154,7 @@ def loop_from_spec(spec) -> np.ndarray:
     if isinstance(spec, (list, tuple)):
         return np.array([complex(re, im) for re, im in spec])
     if not isinstance(spec, dict):
-        raise ValueError("loop spec must be a list of pairs or a descriptor dict")
+        raise InvalidArgumentError("loop spec must be a list of pairs or a descriptor dict")
     shape = spec.get("shape", "circle")
     center = complex(*spec.get("center", (0.0, 0.0)))
     samples = int(spec.get("samples", 4096))
@@ -163,4 +166,4 @@ def loop_from_spec(spec) -> np.ndarray:
     if shape == "ellipse":
         rx, ry = (radius if isinstance(radius, (list, tuple)) else (radius, radius))
         return ellipse_loop(center, float(rx), float(ry), samples)
-    raise ValueError(f"unknown loop shape {shape!r}")
+    raise InvalidArgumentError(f"unknown loop shape {shape!r}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bundles import covariant_derivative, vacuum_connection
 from .classical import OscillatorParams
-from .errors import NotNormalizedError, ResolutionInsufficientError
+from .errors import InvalidArgumentError, NotNormalizedError, ResolutionInsufficientError
 from .polarizations import FockState, hermite_basis
 from .sections import GridSection, LineSection, check_charge
 
@@ -51,7 +51,7 @@ def energy(n: int, params: OscillatorParams) -> float:
 def spectrum(n_max: int, params: OscillatorParams):
     """Levels for both charges: antiparticles share E_n with opposite q_l, q_v."""
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise InvalidArgumentError("n_max must be >= 0")
     out = []
     for q in (+1, -1):
         for n in range(n_max + 1):
@@ -62,7 +62,7 @@ def spectrum(n_max: int, params: OscillatorParams):
 def eigenstate(n: int, charge: int = +1) -> FockState:
     """Unit-norm Fock basis state delta_{kn}."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise InvalidArgumentError("n must be >= 0")
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0
     return FockState(coeffs=coeffs, charge=check_charge(charge))
@@ -105,13 +105,18 @@ def winding_charges(state: FockState, tol: float = 1e-12):
 
 
 def bargmann_function(state: FockState, z: np.ndarray) -> np.ndarray:
-    """psi(z') = sum c_n z'^n / sqrt(n!), evaluated stably term by term."""
+    """psi(z') = sum c_n z'^n / sqrt(n!), evaluated stably term by term.
+
+    The term array is updated in place and zero coefficients add nothing.
+    """
     z = np.asarray(z, dtype=complex)
     term = np.ones_like(z)
     out = state.coeffs[0] * term
     for n in range(1, state.coeffs.size):
-        term = term * z / np.sqrt(n)
-        out = out + state.coeffs[n] * term
+        term *= z
+        term /= np.sqrt(n)
+        if state.coeffs[n] != 0:
+            out += state.coeffs[n] * term
     return out
 
 
@@ -173,7 +178,7 @@ def laplacian_consistency(n: int, params: OscillatorParams,
     -Laplacian/2m has eigenvalue omega(n + 1/2).
     """
     if n > 8:
-        raise ValueError("n must be <= 8 (grid-resolvable)")
+        raise ResolutionInsufficientError("n must be <= 8 (grid-resolvable)")
     check_charge(charge)
     w2 = params.w2
     nx = int(round(2 * half_width / h)) + 1
@@ -212,10 +217,11 @@ def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
                                   half_width: float = 10.0, h: float = 2.5e-4) -> np.ndarray:
     """Matrix of -(1/2m) d^2/dx^2 + (m omega^2/2) x^2 on the Hermite basis.
 
-    Second derivative by central differences, overlaps by trapezoid; the
-    basis is the stable orthonormal Hermite family (repeated finite-
-    difference raising amplifies grid noise and cannot build it).  The
-    eigenvalues reproduce the Fock spectrum omega(n + 1/2).
+    Second derivative by central differences, overlaps by the trapezoid rule
+    as one weighted matrix product; the basis is the stable orthonormal
+    Hermite family (repeated finite-difference raising amplifies grid noise
+    and cannot build it).  The eigenvalues reproduce the Fock spectrum
+    omega(n + 1/2).
     """
     n_pts = int(round(2 * half_width / h)) + 1
     x = np.linspace(-half_width, half_width, n_pts)
@@ -226,5 +232,9 @@ def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
     d2[:, 0] = d2[:, 1]
     d2[:, -1] = d2[:, -2]
     hb = -d2 / (2.0 * params.m) + 0.5 * params.m * params.omega ** 2 * x ** 2 * basis
-    mat = np.trapezoid(basis[:, None, :] * hb[None, :, :], x, axis=2)
+    # trapezoid weights from each interval's own width, as np.trapezoid takes
+    # them: hx = x[1] - x[0] is off the other widths by ~7e-12 relative
+    dx = np.diff(x)
+    wt = 0.5 * (np.pad(dx, (1, 0)) + np.pad(dx, (0, 1)))
+    mat = (basis * wt) @ hb.T
     return 0.5 * (mat + mat.T)

@@ -11,6 +11,7 @@ complex polarization recover the real ones.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -21,8 +22,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from .bundles import GaugeConnection
 from .classical import OscillatorParams
-from .errors import (ChargeMismatchError, DecayViolationError, NonMonotoneError,
-                     QuadratureUnderResolvedError, WrongPolarizationError)
+from .errors import (ChargeMismatchError, DecayViolationError, InvalidArgumentError,
+                     NonMonotoneError, QuadratureUnderResolvedError,
+                     WrongPolarizationError)
 from .sections import GridSection, LineSection, check_charge, check_finite, diff_axis
 
 
@@ -36,7 +38,7 @@ class Polarization:
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
+            raise InvalidArgumentError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
 
     def admits_charge(self, charge: int) -> bool:
         """Holomorphic pairs with +1, antiholomorphic with -1; real ones with both."""
@@ -58,7 +60,7 @@ class FockState:
     def __post_init__(self):
         self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
-            raise ValueError("coeffs must be a nonempty 1D array")
+            raise InvalidArgumentError("coeffs must be a nonempty 1D array")
         check_finite(self.coeffs, "coefficients")
         self.charge = check_charge(self.charge)
 
@@ -116,6 +118,12 @@ def hermite_basis(n_max: int, x, params: OscillatorParams) -> np.ndarray:
     return hermite_functions(n_max, np.asarray(x) / w) / np.sqrt(w)
 
 
+# Largest quadrature order: up to here the weights are finite and sum to
+# sqrt(pi) within 1e-12; the unscaled recurrence for e_{order-1} underflows
+# beyond it (symmetry fails near 580, weights turn NaN near 1024).
+GAUSS_HERMITE_MAX_ORDER = 512
+
+
 def gauss_hermite(order: int):
     """Nodes and weights for weight exp(-t^2), by Golub-Welsch.
 
@@ -123,23 +131,37 @@ def gauss_hermite(order: int):
     sqrt(k/2)) and are explicitly symmetrized; symmetry must hold to 1e-14.
     Weights come from the stable identity w_k e^{t_k^2} = 1/(order *
     e_{order-1}(t_k)^2), which avoids the eigenvector underflow of plain
-    Golub-Welsch at high order.  Returns (nodes, weights, weights*exp(t^2)).
+    Golub-Welsch at high order.  Returns (nodes, weights, weights*exp(t^2)),
+    read-only arrays computed once per order per process.  order must be an
+    int in 1..GAUSS_HERMITE_MAX_ORDER.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+        raise InvalidArgumentError(f"order must be an int >= 1, got {order!r}")
+    if order > GAUSS_HERMITE_MAX_ORDER:
+        raise QuadratureUnderResolvedError(
+            f"order {order} above the maximum {GAUSS_HERMITE_MAX_ORDER}")
+    return _gauss_hermite_rule(int(order))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite_rule(order: int):
     if order == 1:
-        return np.array([0.0]), np.array([np.sqrt(np.pi)]), np.array([np.sqrt(np.pi)])
-    k = np.arange(1, order)
-    nodes = eigh_tridiagonal(np.zeros(order), np.sqrt(k / 2.0),
-                             eigvals_only=True)
-    asym = np.max(np.abs(nodes + nodes[::-1]))
-    if asym > 1e-14 * max(1.0, np.max(np.abs(nodes))):
-        raise ValueError(f"Gauss-Hermite node symmetry violated: {asym:.3e}")
-    nodes = 0.5 * (nodes - nodes[::-1])
-    e_last = hermite_functions(order - 1, nodes)[order - 1]
-    scaled = 1.0 / (order * e_last ** 2)          # w_k exp(t_k^2)
-    weights = scaled * np.exp(-nodes ** 2)
-    return nodes, weights, scaled
+        rule = (np.array([0.0]), np.array([np.sqrt(np.pi)]), np.array([np.sqrt(np.pi)]))
+    else:
+        k = np.arange(1, order)
+        nodes = eigh_tridiagonal(np.zeros(order), np.sqrt(k / 2.0),
+                                 eigvals_only=True)
+        asym = np.max(np.abs(nodes + nodes[::-1]))
+        if asym > 1e-14 * max(1.0, np.max(np.abs(nodes))):
+            raise QuadratureUnderResolvedError(
+                f"Gauss-Hermite node symmetry violated: {asym:.3e}")
+        nodes = 0.5 * (nodes - nodes[::-1])
+        e_last = hermite_functions(order - 1, nodes)[order - 1]
+        scaled = 1.0 / (order * e_last ** 2)          # w_k exp(t_k^2)
+        rule = (nodes, scaled * np.exp(-nodes ** 2), scaled)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +206,7 @@ def holomorphic_gauge(conn: GaugeConnection, params: OscillatorParams) -> Comple
     # the automorphism is defined relative to the vacuum connection
     for x, p in ((0.3, -1.2), (-2.0, 0.7), (1.5, 1.5)):
         if not (np.isclose(conn.a_x(x, p), 0.5 * p) and np.isclose(conn.a_p(x, p), -0.5 * x)):
-            raise ValueError("holomorphic_gauge expects the vacuum connection")
+            raise InvalidArgumentError("holomorphic_gauge expects the vacuum connection")
     w2 = params.w2
     return ComplexGaugeConnection(a_z=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
                                   a_zbar=lambda z: -np.asarray(z, dtype=complex) / w2,
@@ -208,7 +230,7 @@ def ladder_apply(state: FockState, which: str) -> FockState:
     elif which == "raise":
         out = np.concatenate([[0.0], np.sqrt(n + 1) * c])
     else:
-        raise ValueError(f"which must be 'lower' or 'raise', got {which!r}")
+        raise InvalidArgumentError(f"which must be 'lower' or 'raise', got {which!r}")
     return FockState(coeffs=out, charge=state.charge)
 
 
@@ -226,7 +248,7 @@ def ladder_coordinate(sec: LineSection, which: str, params: OscillatorParams) ->
     elif which == "raise":
         vals = (w / np.sqrt(2.0)) * (sec.coords / w2 * sec.values - deriv)
     else:
-        raise ValueError(f"which must be 'lower' or 'raise', got {which!r}")
+        raise InvalidArgumentError(f"which must be 'lower' or 'raise', got {which!r}")
     return sec.like(vals)
 
 
@@ -245,7 +267,7 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
     a callable is evaluated directly.
     """
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise InvalidArgumentError("n_max must be >= 0")
     if quad_order < 2 * n_max + 2:
         raise QuadratureUnderResolvedError(
             f"quad_order {quad_order} below floor 2N+2 = {2 * n_max + 2}")

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ChargeMismatchError, GridFormatError, GridTooSmallError,
-                     InvalidChargeError, NonFiniteError)
+                     InvalidArgumentError, InvalidChargeError, NonFiniteError)
 
 _BINARY_MAGIC = b"BQGS"
 _BINARY_VERSION = 1
@@ -122,7 +122,7 @@ class LineSection:
 
     def __post_init__(self):
         if self.axis not in ("x", "p"):
-            raise ValueError(f"axis must be 'x' or 'p', got {self.axis!r}")
+            raise InvalidArgumentError(f"axis must be 'x' or 'p', got {self.axis!r}")
         self.coords = np.asarray(self.coords, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
         self.h = _uniform_spacing(self.coords, self.axis)
@@ -168,7 +168,7 @@ class DoubledSection:
         self.psi_plus = np.asarray(self.psi_plus, dtype=complex)
         self.psi_minus = np.asarray(self.psi_minus, dtype=complex)
         if self.psi_plus.shape != self.psi_minus.shape:
-            raise ValueError("component shapes differ")
+            raise GridFormatError("component shapes differ")
 
     def rotate_fiber(self, theta: float) -> "DoubledSection":
         """U(1)_v action: psi_pm -> exp(+/- i theta) psi_pm."""

@@ -12,6 +12,7 @@ from scipy.special import eval_hermite, factorial
 
 from bundleqm.bundles import GridSection, covariant_derivative, vacuum_connection
 from bundleqm.classical import hamiltonian_vector_field, PhasePoint
+from bundleqm.polarizations import hermite_basis
 
 
 def leapfrog(x0, p0, params, t_final, n_steps):
@@ -141,3 +142,42 @@ def laplacian_zzbar_reference(n, params, half_width=3.0, h=1e-2, charge=+1, marg
     sl = (slice(margin, -margin), slice(margin, -margin))
     inner = sec.values[sl]
     return complex(np.sum(np.conj(inner) * lap[sl]) / np.sum(np.abs(inner) ** 2))
+
+
+def coordinate_hamiltonian_reference(n_max, params, half_width=10.0, h=2.5e-4):
+    """The coordinate Hamiltonian matrix as the package once built it: the
+    overlaps by one broadcast np.trapezoid over an (n, n, points) product.
+    The basis is the package's, so only the overlap step is compared."""
+    n_pts = int(round(2 * half_width / h)) + 1
+    x = np.linspace(-half_width, half_width, n_pts)
+    hx = x[1] - x[0]
+    basis = hermite_basis(n_max, x, params)
+    d2 = np.empty_like(basis)
+    d2[:, 1:-1] = (basis[:, 2:] - 2 * basis[:, 1:-1] + basis[:, :-2]) / hx ** 2
+    d2[:, 0] = d2[:, 1]
+    d2[:, -1] = d2[:, -2]
+    hb = -d2 / (2.0 * params.m) + 0.5 * params.m * params.omega ** 2 * x ** 2 * basis
+    mat = np.trapezoid(basis[:, None, :] * hb[None, :, :], x, axis=2)
+    return 0.5 * (mat + mat.T)
+
+
+def bargmann_function_reference(coeffs, z):
+    """psi(z') = sum c_n z'^n / sqrt(n!) as the package once evaluated it:
+    a fresh array for every term, zero coefficients included."""
+    z = np.asarray(z, dtype=complex)
+    term = np.ones_like(z)
+    out = coeffs[0] * term
+    for n in range(1, coeffs.size):
+        term = term * z / np.sqrt(n)
+        out = out + coeffs[n] * term
+    return out
+
+
+def husimi_reference(coeffs, charge, u, v):
+    """Husimi Q from bargmann_function_reference, same final expression."""
+    U, V = np.meshgrid(np.asarray(u, float), np.asarray(v, float), indexing="ij")
+    zp = U + 1j * V
+    if charge == -1:
+        zp = np.conj(zp)
+    amp = bargmann_function_reference(coeffs, zp)
+    return np.abs(amp) ** 2 * np.exp(-(U ** 2 + V ** 2)) / np.pi

@@ -36,6 +36,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(m=0.0)
 
+    @pytest.mark.parametrize("text", ['{"m": Infinity}', '{"omega": NaN}'])
+    def test_non_finite_parameters(self, tmp_path, monkeypatch, capsys, text):
+        # husimi never builds OscillatorParams, so only the config check stops it
+        monkeypatch.setenv("BUNDLEQM_OUT", str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig.load(path)
+        assert main(["--config", str(path), "husimi", "--n", "1"]) == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_load_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"mass": 2.0}')

@@ -4,15 +4,22 @@ closed loops."""
 import numpy as np
 import pytest
 
-from bundleqm.classical import ClassicalState, closed_loop_ratios, winding_number
-from bundleqm.errors import (BundleqmError, GridFormatError, InvalidChargeError,
-                             NonFiniteError, OpenCurveError, UndersampledError,
+from bundleqm.bundles import (GaugeConnection, canonical_operators, covariant_derivative,
+                              vacuum_connection)
+from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
+                                closed_loop_ratios, symplectic_reduce, winding_number)
+from bundleqm.errors import (BundleqmError, GridFormatError, InvalidArgumentError,
+                             InvalidChargeError, NonFiniteError, OpenCurveError,
+                             ResolutionInsufficientError, UndersampledError,
                              ZeroCrossingError)
-from bundleqm.orbifold import levi_civita_transport
-from bundleqm.oscillator import eigenstate
-from bundleqm.polarizations import FockState
-from bundleqm.sections import (GridSection, LineSection, check_charge, read_grid_binary,
-                               read_grid_csv, write_grid_binary, write_grid_csv)
+from bundleqm.orbifold import (ConeGeometry, branched_cover, cone_metric, cover_inverse,
+                               levi_civita_transport, loop_from_spec)
+from bundleqm.oscillator import eigenstate, laplacian_consistency, spectrum
+from bundleqm.polarizations import (FockState, Polarization, bargmann_transform,
+                                    holomorphic_gauge, ladder_apply, ladder_coordinate)
+from bundleqm.sections import (DoubledSection, GridSection, LineSection, check_charge,
+                               read_grid_binary, read_grid_csv, write_grid_binary,
+                               write_grid_csv)
 
 AXIS = np.linspace(-1.0, 1.0, 3)
 
@@ -133,9 +140,9 @@ class TestGridFormat:
 
 
 # (samples, what winding_number returns or raises, the loop_winding that
-# levi_civita_transport returns or what it raises); the errors are those the
-# two functions raised before they shared closed_loop_ratios.  Transport does
-# not bound the angular step, so an undersampled closed loop still passes.
+# levi_civita_transport returns or what it raises).  Both functions bound the
+# angular step with check_angular_steps, so an undersampled closed loop
+# raises UndersampledError from either, whichever way it rounds.
 CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 65))
 LOOP_CASES = [
     ([1.0 + 0j], OpenCurveError, OpenCurveError),
@@ -146,8 +153,8 @@ LOOP_CASES = [
     ([1.0, 1e-12, 1.0], ZeroCrossingError, ZeroCrossingError),
     ([1.0, 1j, -1.0], OpenCurveError, OpenCurveError),
     (CIRCLE[:60], OpenCurveError, OpenCurveError),
-    ([1.0, -1.0, 1.0], UndersampledError, 0),
-    (np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 3)), UndersampledError, 1),
+    ([1.0, -1.0, 1.0], UndersampledError, UndersampledError),
+    (np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 3)), UndersampledError, UndersampledError),
     ([1.0, 1.0, 1.0], 0, 0),
     (CIRCLE, 1, 1),
     (np.conj(CIRCLE), -1, -1),
@@ -171,3 +178,58 @@ def test_loop_ratios():
     assert np.array_equal(closed_loop_ratios(z, 2), z[1:] / z[:-1])
     with pytest.raises(OpenCurveError):
         closed_loop_ratios(z[:2], 3)
+
+
+# Entry points that once raised a bare ValueError for an invalid argument,
+# with the BundleqmError subclass each raises now.
+def _bad_calls():
+    params = OscillatorParams()
+    line = LineSection(axis="x", coords=AXIS, values=np.ones(3))
+    odd = GaugeConnection(a_x=lambda x, p: 0.0 * x, a_p=lambda x, p: 0.0 * p)
+    return [
+        ("laplacian n=9", lambda: laplacian_consistency(9, params), ResolutionInsufficientError),
+        ("LineSection axis q", lambda: LineSection(axis="q", coords=AXIS, values=np.ones(3)),
+         InvalidArgumentError),
+        ("covariant_derivative z", lambda: covariant_derivative(_grid(), "z", vacuum_connection()),
+         InvalidArgumentError),
+        ("canonical_operators bad", lambda: canonical_operators("bad", 1), InvalidArgumentError),
+        ("ConeGeometry(0)", lambda: ConeGeometry(0), InvalidArgumentError),
+        ("ladder_apply up", lambda: ladder_apply(eigenstate(1), "up"), InvalidArgumentError),
+        ("OscillatorParams m=inf", lambda: OscillatorParams(m=np.inf), InvalidArgumentError),
+        ("OscillatorParams omega=inf", lambda: OscillatorParams(omega=np.inf),
+         InvalidArgumentError),
+        ("OscillatorParams m=nan", lambda: OscillatorParams(m=np.nan), InvalidArgumentError),
+        ("OscillatorParams m=0", lambda: OscillatorParams(m=0.0), InvalidArgumentError),
+        ("ComplexStructure sign 0", lambda: ComplexStructure(0), InvalidArgumentError),
+        ("symplectic_reduce 2 samples", lambda: symplectic_reduce(1.0, 2), InvalidArgumentError),
+        ("branched_cover n=0", lambda: branched_cover(1j, 0), InvalidArgumentError),
+        ("cover_inverse n=0", lambda: cover_inverse(1j, 0, 0), InvalidArgumentError),
+        ("cone_metric n=0", lambda: cone_metric(1j, 0), InvalidArgumentError),
+        ("transport n=0", lambda: levi_civita_transport(CIRCLE, 0), InvalidArgumentError),
+        ("loop spec 3", lambda: loop_from_spec(3), InvalidArgumentError),
+        ("loop spec hexagon", lambda: loop_from_spec({"shape": "hexagon"}),
+         InvalidArgumentError),
+        ("spectrum n_max=-1", lambda: spectrum(-1, params), InvalidArgumentError),
+        ("eigenstate n=-1", lambda: eigenstate(-1), InvalidArgumentError),
+        ("Polarization kind", lambda: Polarization("diagonal"), InvalidArgumentError),
+        ("FockState empty", lambda: FockState(np.zeros(0)), InvalidArgumentError),
+        ("holomorphic_gauge non-vacuum", lambda: holomorphic_gauge(odd, params),
+         InvalidArgumentError),
+        ("ladder_coordinate up", lambda: ladder_coordinate(line, "up", params),
+         InvalidArgumentError),
+        ("bargmann_transform n_max=-1",
+         lambda: bargmann_transform(lambda x: np.exp(-x ** 2), -1, 8, params),
+         InvalidArgumentError),
+        ("DoubledSection shapes", lambda: DoubledSection(np.ones(2), np.ones(3)),
+         GridFormatError),
+    ]
+
+
+BAD_CALLS = _bad_calls()
+
+
+@pytest.mark.parametrize("call, error", [c[1:] for c in BAD_CALLS],
+                         ids=[c[0] for c in BAD_CALLS])
+def test_invalid_arguments_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
