@@ -19,10 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .classical import OscillatorParams
-from .errors import (DivisionNearZeroError, GridTooSmallError, InvalidArgumentError,
-                     WrongPolarizationError)
+from .errors import DivisionNearZeroError, GridTooSmallError, InvalidArgumentError
 from .sections import (DoubledSection, GridSection, LineSection, check_charge,
-                       diff_axis, load_grid, save_grid)
+                       diff_axis, load_grid, require_axis, save_grid)
 
 __all__ = [
     "GaugeConnection", "vacuum_connection", "gauge_transform",
@@ -107,12 +106,6 @@ def curvature_numeric(conn: GaugeConnection, probe: GridSection,
     return complex(np.mean(comm[sl] / inner))
 
 
-def _require_axis(sec: LineSection, axis: str) -> None:
-    if sec.axis != axis:
-        raise WrongPolarizationError(
-            f"section is polarized along {sec.axis!r}; this representation needs {axis!r}")
-
-
 def canonical_operators(rep: str, charge: int):
     """Operators (x_hat, p_hat) on polarized 1D sections.
 
@@ -127,11 +120,11 @@ def canonical_operators(rep: str, charge: int):
         raise InvalidArgumentError(f"rep must be 'coordinate' or 'momentum', got {rep!r}")
 
     def x_hat(sec: LineSection) -> LineSection:
-        _require_axis(sec, "p")
+        require_axis(sec, "p")
         return sec.like(1j * charge * diff_axis(sec.values, sec.h, axis=0))
 
     def p_hat(sec: LineSection) -> LineSection:
-        _require_axis(sec, "p")
+        require_axis(sec, "p")
         return sec.like(charge * sec.coords * sec.values)
 
     return x_hat, p_hat
@@ -145,11 +138,11 @@ def translate_operator(x0: float):
     exact, so x_hat is then bit-for-bit x*).
     """
     def x_hat(sec: LineSection) -> LineSection:
-        _require_axis(sec, "x")
+        require_axis(sec, "x")
         return sec.like((sec.coords - x0) * sec.values)
 
     def p_hat(sec: LineSection) -> LineSection:
-        _require_axis(sec, "x")
+        require_axis(sec, "x")
         return sec.like(-1j * diff_axis(sec.values, sec.h, axis=0))
 
     return x_hat, p_hat

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, OpenCurveError, UndersampledError,
                      ZeroCrossingError, ZeroPointError)
-from .sections import check_charge, check_finite
+from .sections import check_charge, check_finite, check_sign
 
 TWO_PI = 2.0 * np.pi
 
@@ -45,6 +45,16 @@ class OscillatorParams:
         return self.w2 * self.w2
 
 
+def complex_coordinate(x, p, charge: int, params: OscillatorParams):
+    """The charge-q coordinate z_q = (x - i q w^2 p)/sqrt(2), scalar or array."""
+    return (x - 1j * charge * params.w2 * p) / np.sqrt(2.0)
+
+
+def phase_coordinates(z, charge: int, params: OscillatorParams):
+    """(x, p) = (sqrt(2) Re z, -q sqrt(2) Im z / w^2), inverting complex_coordinate."""
+    return np.sqrt(2.0) * z.real, -charge * np.sqrt(2.0) * z.imag / params.w2
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """A point (x, p) of phase space with complex views z_pm.
@@ -57,14 +67,15 @@ class PhasePoint:
     p: float
 
     def z_plus(self, params: OscillatorParams) -> complex:
-        return (self.x - 1j * params.w2 * self.p) / np.sqrt(2.0)
+        return complex_coordinate(self.x, self.p, +1, params)
 
     def z_minus(self, params: OscillatorParams) -> complex:
-        return (self.x + 1j * params.w2 * self.p) / np.sqrt(2.0)
+        return complex_coordinate(self.x, self.p, -1, params)
 
     @classmethod
     def from_z_plus(cls, z: complex, params: OscillatorParams) -> "PhasePoint":
-        return cls(x=np.sqrt(2.0) * z.real, p=-np.sqrt(2.0) * z.imag / params.w2)
+        x, p = phase_coordinates(z, +1, params)
+        return cls(x=x, p=p)
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,7 @@ class ComplexStructure:
     sign: int = +1
 
     def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise InvalidArgumentError("sign must be +1 or -1")
+        check_sign(self.sign, "sign")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -117,6 +127,7 @@ def evolve_classical(state: ClassicalState, t, params: OscillatorParams,
     datum (the paper's zbar_0').  frequency_sign = -1 flips to the physics
     phase convention.  Accepts scalar or array t.
     """
+    check_sign(frequency_sign, "frequency_sign")
     phase = np.exp(1j * frequency_sign * state.charge * params.omega * np.asarray(t))
     out = phase * state.z0
     return complex(out) if np.isscalar(t) else out

@@ -16,25 +16,46 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import bundles, classical, orbifold, oscillator, polarizations
 from .classical import OscillatorParams
-from .errors import BundleqmError
-from .sections import FLOAT_FORMAT, write_rows
+from .errors import BundleqmError, ConfigError, InvalidArgumentError
+from .sections import FLOAT_FORMAT, check_sign, write_rows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class ConfigError(ValueError):
-    pass
+# Default bound of each verify check that the config key "tolerances" may
+# override; a key not listed here is rejected.
+TOLERANCES = {
+    "ccr": 1e-3,
+    "gauge": 1e-3,
+    "gauge_cross": 1e-8,
+    "spectrum_matrix": 1e-6,
+    "bargmann_off": 1e-10,
+    "bargmann_diag": 1e-10,
+    "bargmann_norm": 1e-8,
+    "husimi_center": 1e-12,
+    "husimi_norm": 1e-6,
+    "holonomy": 1e-5,
+    "holonomy_zero": 1e-8,
+    "mirror": 1e-12,
+    "charge_total": 1e-6,
+}
+
+
+def _require_number(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -47,17 +68,37 @@ class RunConfig:
     frequency_sign: int = +1
 
     def __post_init__(self):
-        if not (0 < self.m < np.inf and 0 < self.omega < np.inf):
-            raise ConfigError("m and omega must be finite and positive")
-        if self.grid_half_width <= 0:
-            raise ConfigError("grid_half_width must be positive")
-        if self.frequency_sign not in (+1, -1):
-            raise ConfigError("frequency_sign must be +1 or -1")
+        for name in ("m", "omega", "grid_half_width"):
+            _require_number(name, getattr(self, name))
+        try:
+            OscillatorParams(m=self.m, omega=self.omega)
+            check_sign(self.frequency_sign, "frequency_sign")
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from None
+        if not 0 < self.grid_half_width < np.inf:
+            raise ConfigError("grid_half_width must be finite and positive")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
+        unknown = sorted(set(self.tolerances) - set(TOLERANCES))
+        if unknown:
+            raise ConfigError(f"unknown tolerance keys: {unknown}; "
+                              f"known keys: {sorted(TOLERANCES)}")
+        for name, value in self.tolerances.items():
+            _require_number(f"tolerance {name}", value)
+            if not value >= 0:
+                raise ConfigError(f"tolerance {name} must be >= 0, got {value!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
 
     @classmethod
     def load(cls, path) -> "RunConfig":
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
@@ -68,16 +109,8 @@ class RunConfig:
     def params(self) -> OscillatorParams:
         return OscillatorParams(m=self.m, omega=self.omega)
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m, "omega": self.omega,
-            "grid_half_width": self.grid_half_width,
-            "tolerances": dict(self.tolerances), "output_dir": self.output_dir,
-            "frequency_sign": self.frequency_sign,
-        }
+    def tolerance(self, name: str) -> float:
+        return float(self.tolerances.get(name, TOLERANCES[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +143,7 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 def run_directory(config: RunConfig, command: str, args_doc: dict) -> Path:
     root = os.environ.get("BUNDLEQM_OUT", config.output_dir)
-    payload = canonical_json({"command": command, "config": config.as_dict(),
+    payload = canonical_json({"command": command, "config": asdict(config),
                               "args": args_doc})
     stamp = hashlib.sha256(payload.encode()).hexdigest()[:10]
     out = Path(root) / f"{command}-{stamp}"
@@ -138,8 +171,6 @@ def write_pgm(path, field2d: np.ndarray, ascii_mode: bool = False) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(config: RunConfig, n_max: int) -> Path:
-    if n_max < 0:
-        raise ConfigError("n_max must be >= 0")
     levels = oscillator.spectrum(n_max, config.params)
     doc = [{"n": lv.n, "E": lv.E, "q_l": lv.q_l, "q_v": lv.q_v} for lv in levels]
     out = run_directory(config, "spectrum", {"n_max": n_max})
@@ -160,8 +191,7 @@ def cmd_simulate(config: RunConfig, z0: complex, charge: int, periods: float,
     times = classical.trajectory_times(periods, samples, params)
     zs = classical.evolve_classical(state, times, params,
                                     frequency_sign=config.frequency_sign)
-    xs = np.sqrt(2.0) * zs.real
-    ps = -charge * np.sqrt(2.0) * zs.imag / params.w2
+    xs, ps = classical.phase_coordinates(zs, charge, params)
     out = run_directory(config, "simulate",
                         {"z0": [z0.real, z0.imag], "charge": charge,
                          "periods": periods, "samples": samples})
@@ -181,8 +211,6 @@ def cmd_husimi(config: RunConfig, n: int, charge: int, resolution: int,
                ascii_mode: bool = False) -> Path:
     if resolution < 16:
         raise ConfigError("resolution must be >= 16")
-    if n < 0:
-        raise ConfigError("n must be >= 0")
     state = oscillator.eigenstate(n, charge)
     u = np.linspace(-config.grid_half_width, config.grid_half_width, resolution)
     q_field = oscillator.husimi(state, u, u)
@@ -232,7 +260,7 @@ def _ccr_error(rep: str, charge: int, h: float) -> float:
 
 
 def suite_ccr(config: RunConfig):
-    tol = config.tolerance("ccr", 1e-3)
+    tol = config.tolerance("ccr")
     checks = []
     for rep in ("coordinate", "momentum"):
         for q in (+1, -1):
@@ -273,8 +301,8 @@ def _symmetric_probe(h: float = 1e-2, half_width: float = 1.0) -> bundles.GridSe
 
 
 def suite_gauge(config: RunConfig):
-    tol_val = config.tolerance("gauge", 1e-3)
-    tol_cross = config.tolerance("gauge_cross", 1e-8)
+    tol_val = config.tolerance("gauge")
+    tol_cross = config.tolerance("gauge_cross")
     probe = _symmetric_probe()
     checks = []
     values = {}
@@ -291,14 +319,16 @@ def suite_spectrum(config: RunConfig):
     params = config.params
     levels = oscillator.spectrum(10, params)
     fock_err = max(abs(lv.E - params.omega * (lv.n + 0.5)) for lv in levels)
-    mat = oscillator.coordinate_hamiltonian_matrix(10, params)
-    evals = np.sort(np.linalg.eigvalsh(mat))
-    expect = params.omega * (np.arange(11) + 0.5)
+    # a grid and an error in the units w and omega keep the check at every (m, omega)
+    mat = oscillator.coordinate_hamiltonian_matrix(10, params, half_width=10.0 * params.w,
+                                                   h=2.5e-4 * params.w)
+    evals = np.sort(np.linalg.eigvalsh(mat)) / params.omega
+    expect = np.arange(11) + 0.5
     return [
         Check("spectrum fock: max |E_n - omega(n+1/2)|", float(fock_err), 0.0),
         Check("spectrum coordinate matrix: max eigenvalue error",
               float(np.max(np.abs(evals - expect))),
-              config.tolerance("spectrum_matrix", 1e-6)),
+              config.tolerance("spectrum_matrix")),
     ]
 
 
@@ -320,16 +350,16 @@ def suite_bargmann(config: RunConfig):
     c = rng.normal(size=13) + 1j * rng.normal(size=13)
     c /= np.linalg.norm(c)
     sec = polarizations.bargmann_inverse(polarizations.FockState(c),
-                                         np.linspace(-12, 12, 4001), params)
+                                         params.w * np.linspace(-12, 12, 4001), params)
     back = polarizations.bargmann_transform(sec, 12, 128, params)
     rt = float(abs(np.sqrt(back.norm_sq()) - 1.0))
     return [
         Check("bargmann h_n analysis: worst off-coefficient", worst_off,
-              config.tolerance("bargmann_off", 1e-10)),
+              config.tolerance("bargmann_off")),
         Check("bargmann h_n analysis: worst diagonal error", worst_diag,
-              config.tolerance("bargmann_diag", 1e-10)),
+              config.tolerance("bargmann_diag")),
         Check("bargmann round-trip norm error", rt,
-              config.tolerance("bargmann_norm", 1e-8)),
+              config.tolerance("bargmann_norm")),
     ]
 
 
@@ -339,7 +369,7 @@ def suite_husimi(config: RunConfig):
     checks = []
     q0 = oscillator.husimi(oscillator.eigenstate(0), np.array([0.0]), np.array([0.0]))
     checks.append(Check("husimi Q_0(0) vs 1/pi", float(abs(q0[0, 0] - 1 / np.pi)),
-                        config.tolerance("husimi_center", 1e-12)))
+                        config.tolerance("husimi_center")))
     worst_norm, worst_loc = 0.0, 0.0
     for n in range(11):
         q = oscillator.husimi(oscillator.eigenstate(n), u, u)
@@ -348,15 +378,15 @@ def suite_husimi(config: RunConfig):
         i, j = np.unravel_index(int(np.argmax(q)), q.shape)
         worst_loc = max(worst_loc, abs(np.hypot(u[i], u[j]) - np.sqrt(n)))
     checks.append(Check("husimi normalization: worst |int Q - 1|", worst_norm,
-                        config.tolerance("husimi_norm", 1e-6)))
+                        config.tolerance("husimi_norm")))
     checks.append(Check("husimi argmax radius vs sqrt(n), worst", worst_loc,
                         np.sqrt(2.0) * h))
     return checks
 
 
 def suite_holonomy(config: RunConfig):
-    tol = config.tolerance("holonomy", 1e-5)
-    tol_zero = config.tolerance("holonomy_zero", 1e-8)
+    tol = config.tolerance("holonomy")
+    tol_zero = config.tolerance("holonomy_zero")
     checks = []
     loops = [("circle", orbifold.circle_loop()),
              ("square", orbifold.square_loop()),
@@ -383,7 +413,7 @@ def suite_charge_mirror(config: RunConfig):
     minus = classical.evolve_classical(classical.ClassicalState(np.conj(z0), -1), ts, params)
     checks.append(Check("mirror classical evolution",
                         float(np.max(np.abs(np.conj(plus) - minus))),
-                        config.tolerance("mirror", 1e-12)))
+                        config.tolerance("mirror")))
     # quantum: conjugate evolution
     rng = np.random.default_rng(3)
     c = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -394,7 +424,7 @@ def suite_charge_mirror(config: RunConfig):
         oscillator.EvolvingState(polarizations.FockState(c, -1)), 0.37, params)
     checks.append(Check("mirror schrodinger evolution",
                         float(np.max(np.abs(np.conj(ev_p.state.coeffs) - ev_m.state.coeffs))),
-                        config.tolerance("mirror", 1e-12)))
+                        config.tolerance("mirror")))
     # quantum numbers and charge totals
     worst_qn = 0
     for n in (0, 3, 5):
@@ -407,7 +437,7 @@ def suite_charge_mirror(config: RunConfig):
         _, total = oscillator.charge_density(oscillator.eigenstate(4, q))
         worst_total = max(worst_total, abs(total - q))
     checks.append(Check("charge density totals +/-1", worst_total,
-                        config.tolerance("charge_total", 1e-6)))
+                        config.tolerance("charge_total")))
     return checks
 
 
@@ -492,7 +522,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "verify":
             return cmd_verify(config, args.suite)
-    except (ConfigError, BundleqmError, OSError, json.JSONDecodeError) as exc:
+    except (BundleqmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -83,3 +83,8 @@ class ResolutionInsufficientError(BundleqmError):
 class InvalidArgumentError(BundleqmError):
     """An argument outside its domain: an unknown option name, a wrong type,
     or a count, degree or parameter out of range."""
+
+
+class ConfigError(BundleqmError):
+    """A command-line configuration file or field that is not valid: not a
+    JSON object, an unknown key, or a value of the wrong type or range."""

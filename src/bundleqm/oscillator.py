@@ -16,10 +16,10 @@ from typing import Union
 import numpy as np
 
 from .bundles import covariant_derivative, vacuum_connection
-from .classical import OscillatorParams
+from .classical import OscillatorParams, complex_coordinate
 from .errors import InvalidArgumentError, NotNormalizedError, ResolutionInsufficientError
 from .polarizations import FockState, hermite_basis
-from .sections import GridSection, LineSection, check_charge
+from .sections import GridSection, LineSection, check_charge, check_sign
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,7 @@ def evolve_schrodinger(ev: EvolvingState, dt: float, params: OscillatorParams,
     frequency_sign = -1 flips to the physics convention.  Norm is preserved
     exactly.
     """
+    check_sign(frequency_sign, "frequency_sign")
     n = np.arange(ev.state.coeffs.size)
     phases = np.exp(1j * frequency_sign * ev.charge * params.omega * (n + 0.5) * dt)
     return EvolvingState(state=FockState(coeffs=phases * ev.state.coeffs,
@@ -184,7 +185,7 @@ def laplacian_consistency(n: int, params: OscillatorParams,
     nx = int(round(2 * half_width / h)) + 1
 
     def psi_n(X, P):
-        z = (X - 1j * charge * w2 * P) / np.sqrt(2.0)
+        z = complex_coordinate(X, P, charge, params)
         return z ** n * np.exp(-z * np.conj(z) / (2.0 * w2))
 
     sec = GridSection.from_function(psi_n, (-half_width, half_width),

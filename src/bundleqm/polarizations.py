@@ -14,18 +14,18 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.interpolate import InterpolatedUnivariateSpline
 from scipy.linalg import eigh_tridiagonal
 
 from .bundles import GaugeConnection
-from .classical import OscillatorParams
+from .classical import OscillatorParams, complex_coordinate
 from .errors import (ChargeMismatchError, DecayViolationError, InvalidArgumentError,
-                     NonMonotoneError, QuadratureUnderResolvedError,
-                     WrongPolarizationError)
-from .sections import GridSection, LineSection, check_charge, check_finite, diff_axis
+                     NonMonotoneError, QuadratureUnderResolvedError)
+from .sections import (GridSection, LineSection, check_charge, check_finite, diff_axis,
+                       require_axis)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def dolbeault_residual(sec: GridSection, params: OscillatorParams) -> GridSectio
     q = sec.charge
     w2 = params.w2
     X, P = sec.meshgrid()
-    z_q = (X - 1j * q * w2 * P) / np.sqrt(2.0)
+    z_q = complex_coordinate(X, P, q, params)
     dx = diff_axis(sec.values, sec.hx, axis=0)
     dp = diff_axis(sec.values, sec.hp, axis=1)
     dzbar = (dx - 1j * q * dp / w2) / np.sqrt(2.0)
@@ -239,8 +239,7 @@ def ladder_coordinate(sec: LineSection, which: str, params: OscillatorParams) ->
 
     lower = (w/sqrt2)(d/dx + x/w^2), raise = (w/sqrt2)(x/w^2 - d/dx).
     """
-    if sec.axis != "x":
-        raise WrongPolarizationError("coordinate ladder operators need an x-line section")
+    require_axis(sec, "x")
     w, w2 = params.w, params.w2
     deriv = diff_axis(sec.values, sec.h, axis=0)
     if which == "lower":
@@ -274,8 +273,7 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
     w = params.w
     nodes, _, scaled = gauss_hermite(quad_order)
     if isinstance(sec, LineSection):
-        if sec.axis != "x":
-            raise WrongPolarizationError("bargmann_transform needs a coordinate-rep section")
+        require_axis(sec, "x")
         amax = np.max(np.abs(sec.values))
         edge = max(abs(sec.values[0]), abs(sec.values[-1]))
         if amax > 0 and edge > 1e-8 * amax:
@@ -324,7 +322,6 @@ class LimitCheckReport:
     direction: str                  # "w->0" or "w->inf"
     w_values: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
-    limit_residual: float = 0.0     # residual of the limit operator itself
 
     @property
     def strictly_decreasing(self) -> bool:
@@ -333,67 +330,42 @@ class LimitCheckReport:
 
 
 def polarization_limit_check(params: OscillatorParams, w_sequence: Sequence[float],
-                             charge: int = +1, profile: Optional[Callable] = None,
-                             dprofile: Optional[Callable] = None,
-                             half_width: float = 4.0, n_grid: int = 161) -> LimitCheckReport:
+                             charge: int = +1) -> LimitCheckReport:
     """Check that the complex polarization degenerates to a real one.
 
-    A strictly decreasing w_sequence drives w -> 0, where w^2 * dolbeault
-    applied to the coordinate-limit solutions exp(-/+ i p x / 2) psi(x)
-    must tend to (d/dp +/- i x/2) Psi = 0; an increasing sequence drives
-    w -> infinity with the momentum-limit solutions exp(+/- i p x / 2) psi(p)
-    and w^{-2} * dolbeault.  Residual norms are reported per w together with
-    the residual of the exact limit operator (zero to rounding).
-
-    The p-derivative of the explicit phase factor is applied analytically
-    (the solution family is separable); the profile derivative is central-
-    differenced unless dprofile is given.
+    A strictly decreasing w_sequence drives w -> 0: the coordinate-limit
+    family exp(-i q p x / 2) exp(-x^2 / 2) solves the limit condition
+    (d/dp + i q x / 2) Psi = 0, and w^2 * dolbeault_residual on it must
+    shrink.  An increasing sequence drives w -> infinity with the
+    momentum-limit family exp(+i q p x / 2) exp(-p^2 / 2) and
+    w^{-2} * dolbeault_residual.  Each w runs at mass params.m with the
+    frequency that makes params.w equal w, on [-4, 4]^2 with 161^2 samples;
+    the reported norm is the largest rescaled residual over interior cells.
+    A w that is not finite and positive raises InvalidArgumentError.
     """
-    check_charge(charge)
+    q = check_charge(charge)
     ws = [float(v) for v in w_sequence]
+    for w in ws:
+        if not 0 < w < np.inf:
+            raise InvalidArgumentError(f"w must be finite and positive, got {w!r}")
+    # omega = 1/m/w/w overflows to inf or underflows to 0 where OscillatorParams
+    # rejects it, so every accepted entry has params.w == w up to rounding
+    scales = [OscillatorParams(m=params.m, omega=1.0 / params.m / w / w) for w in ws]
     if len(ws) < 2:
         raise NonMonotoneError("w_sequence needs at least two entries")
     diffs = np.diff(ws)
     if np.all(diffs < 0):
-        direction = "w->0"
+        direction, power = "w->0", 1
+        family = lambda X, P: np.exp(-0.5j * q * P * X) * np.exp(-0.5 * X ** 2)
     elif np.all(diffs > 0):
-        direction = "w->inf"
+        direction, power = "w->inf", -1
+        family = lambda X, P: np.exp(0.5j * q * P * X) * np.exp(-0.5 * P ** 2)
     else:
         raise NonMonotoneError(f"w_sequence must be strictly monotone, got {ws}")
 
-    if profile is None:
-        profile = lambda s: np.exp(-0.5 * s ** 2)
-    s = np.linspace(-half_width, half_width, n_grid)      # x for w->0, p for w->inf
-    u = np.linspace(-half_width, half_width, n_grid)      # the conjugate variable
-    S, U = np.meshgrid(s, u, indexing="ij")
-    f = np.asarray(profile(s), dtype=complex)
-    if dprofile is not None:
-        df = np.asarray(dprofile(s), dtype=complex)
-    else:
-        df = diff_axis(f, s[1] - s[0], axis=0)
-    F, dF = f[:, None] * np.ones_like(U), df[:, None] * np.ones_like(U)
-
-    report = LimitCheckReport(direction=direction)
-    q = charge
-    if direction == "w->0":
-        # Psi = exp(-i q p x / 2) psi(x): sqrt(2) w^2 dolbeault
-        #     = w^2 (psi' - i q p psi) * phase, exactly (phase derivative analytic)
-        X, P = S, U
-        for w in ws:
-            resid = (w ** 2 / np.sqrt(2.0)) * (dF - 1j * q * P * F)
-            report.w_values.append(w)
-            report.residual_norms.append(float(np.max(np.abs(resid))))
-        # limit operator (d/dp + i q x / 2)/sqrt(2) annihilates Psi identically
-        limit = (-1j * q * X / 2.0 * F + 1j * q * X / 2.0 * F) / np.sqrt(2.0)
-        report.limit_residual = float(np.max(np.abs(limit)))
-    else:
-        # Psi = exp(+i q p x / 2) psi(p): sqrt(2) w^{-2} dolbeault
-        #     = w^{-2} (x psi - i q psi') * phase / w^{0}; residual scales 1/w^4
-        P, X = S, U
-        for w in ws:
-            resid = (1.0 / (np.sqrt(2.0) * w ** 4)) * (X * F - 1j * q * dF)
-            report.w_values.append(w)
-            report.residual_norms.append(float(np.max(np.abs(resid))))
-        limit = (1j * q * P / 2.0 * F - 1j * q * P / 2.0 * F) / np.sqrt(2.0)
-        report.limit_residual = float(np.max(np.abs(limit)))
+    sec = GridSection.from_function(family, (-4.0, 4.0), (-4.0, 4.0), 161, 161, charge=q)
+    report = LimitCheckReport(direction=direction, w_values=ws)
+    for wp in scales:
+        resid = dolbeault_residual(sec, wp).values[1:-1, 1:-1]
+        report.residual_norms.append(float(wp.w2 ** power * np.max(np.abs(resid))))
     return report

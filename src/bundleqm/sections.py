@@ -17,20 +17,33 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ChargeMismatchError, GridFormatError, GridTooSmallError,
-                     InvalidArgumentError, InvalidChargeError, NonFiniteError)
+                     InvalidArgumentError, InvalidChargeError, NonFiniteError,
+                     WrongPolarizationError)
 
 _BINARY_MAGIC = b"BQGS"
 _BINARY_VERSION = 1
 
 
+def _is_unit_int(value) -> bool:
+    """True for the integers +1 and -1 (a bool or a float is neither)."""
+    return (not isinstance(value, bool) and isinstance(value, (int, np.integer))
+            and value in (+1, -1))
+
+
 def check_charge(charge: int) -> int:
     """Validate a quantum charge; bundle operations admit only the integers
     +1 and -1 (a bool or a float is not a charge)."""
-    if (isinstance(charge, bool) or not isinstance(charge, (int, np.integer))
-            or charge not in (+1, -1)):
+    if not _is_unit_int(charge):
         raise InvalidChargeError(f"quantum charge must be the integer +1 or -1, "
                                  f"got {charge!r}")
     return int(charge)
+
+
+def check_sign(sign: int, name: str) -> None:
+    """Validate an orientation sign (a frequency or complex-structure sign):
+    the integer +1 or -1, else InvalidArgumentError."""
+    if not _is_unit_int(sign):
+        raise InvalidArgumentError(f"{name} must be the integer +1 or -1, got {sign!r}")
 
 
 def check_finite(values: np.ndarray, what: str) -> None:
@@ -144,6 +157,13 @@ class LineSection:
     def norm_sq(self) -> float:
         """Continuum norm squared by trapezoid."""
         return float(np.trapezoid(np.abs(self.values) ** 2, self.coords))
+
+
+def require_axis(sec: LineSection, axis: str) -> None:
+    """Raise WrongPolarizationError unless sec is polarized along axis."""
+    if sec.axis != axis:
+        raise WrongPolarizationError(
+            f"section is polarized along {sec.axis!r}; this representation needs {axis!r}")
 
 
 # Fiber basis: v_pm = (1, -/+ i)/sqrt(2), eigenvectors of J = [[0,-1],[1,0]],

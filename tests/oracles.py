@@ -181,3 +181,32 @@ def husimi_reference(coeffs, charge, u, v):
         zp = np.conj(zp)
     amp = bargmann_function_reference(coeffs, zp)
     return np.abs(amp) ** 2 * np.exp(-(U ** 2 + V ** 2)) / np.pi
+
+
+# The charge-q complex coordinate and its inverse as each call site once
+# wrote them out.
+
+def z_plus_reference(x, p, params):
+    """PhasePoint.z_plus."""
+    return (x - 1j * params.w2 * p) / np.sqrt(2.0)
+
+
+def z_minus_reference(x, p, params):
+    """PhasePoint.z_minus."""
+    return (x + 1j * params.w2 * p) / np.sqrt(2.0)
+
+
+def z_charge_reference(X, P, charge, params):
+    """dolbeault_residual's z_q and laplacian_consistency's psi_n."""
+    w2 = params.w2
+    return (X - 1j * charge * w2 * P) / np.sqrt(2.0)
+
+
+def from_z_plus_reference(z, params):
+    """PhasePoint.from_z_plus."""
+    return np.sqrt(2.0) * z.real, -np.sqrt(2.0) * z.imag / params.w2
+
+
+def trajectory_xp_reference(zs, charge, params):
+    """The x and p columns of the simulate command's trajectory.csv."""
+    return np.sqrt(2.0) * zs.real, -charge * np.sqrt(2.0) * zs.imag / params.w2

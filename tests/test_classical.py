@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
-                                PhasePoint, evolve_classical, hamiltonian_energy,
-                                hamiltonian_vector_field, kahler_metric, moment_map,
+                                PhasePoint, complex_coordinate, evolve_classical,
+                                hamiltonian_energy, hamiltonian_vector_field,
+                                kahler_metric, moment_map, phase_coordinates,
                                 rotation_generator, symplectic_reduce,
                                 trajectory_times, winding_number)
 from bundleqm.errors import (OpenCurveError, UndersampledError, ZeroCrossingError,
@@ -50,6 +53,46 @@ class TestPhasePoint:
             back = PhasePoint.from_z_plus(pt.z_plus(params), params)
             assert back.x == pytest.approx(pt.x, rel=1e-15, abs=1e-15)
             assert back.p == pytest.approx(pt.p, rel=1e-15, abs=1e-15)
+
+
+SIGNED = [0.0, -0.0, 1.5, -1.5, 3e-300, -2.25, 7.0]
+MAP_PARAMS = [OscillatorParams(), OscillatorParams(m=0.6, omega=1.7)]
+
+
+def _bits(*values):
+    return b"".join(np.asarray(v, dtype=complex).tobytes() for v in values)
+
+
+class TestCoordinateMap:
+    """complex_coordinate and phase_coordinates reproduce, bit for bit, the
+    expressions each call site once wrote out, signed zeros included."""
+
+    @pytest.mark.parametrize("params", MAP_PARAMS)
+    def test_phase_point_views(self, params):
+        for x, p in itertools.product(SIGNED, SIGNED):
+            pt = PhasePoint(x, p)
+            assert _bits(pt.z_plus(params)) == _bits(oracles.z_plus_reference(x, p, params))
+            assert _bits(pt.z_minus(params)) == _bits(oracles.z_minus_reference(x, p, params))
+            z = complex(x, p)
+            back = PhasePoint.from_z_plus(z, params)
+            assert _bits(back.x, back.p) == _bits(*oracles.from_z_plus_reference(z, params))
+
+    @pytest.mark.parametrize("params", MAP_PARAMS)
+    @pytest.mark.parametrize("charge", [+1, -1])
+    def test_array_forms(self, params, charge):
+        X, P = np.meshgrid(SIGNED, SIGNED, indexing="ij")
+        assert _bits(complex_coordinate(X, P, charge, params)) == _bits(
+            oracles.z_charge_reference(X, P, charge, params))
+        zs = X + 1j * P
+        assert _bits(*phase_coordinates(zs, charge, params)) == _bits(
+            *oracles.trajectory_xp_reference(zs, charge, params))
+
+    @pytest.mark.parametrize("charge", [+1, -1])
+    def test_inverse(self, charge):
+        params = MAP_PARAMS[1]
+        x, p = np.array([0.3, -1.2, 2.0]), np.array([1.1, 0.0, -0.7])
+        back = phase_coordinates(complex_coordinate(x, p, charge, params), charge, params)
+        assert np.allclose(back, (x, p), rtol=1e-15, atol=1e-15)
 
 
 class TestComplexStructure:

@@ -2,11 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, ConfigError,
-                          RunConfig, canonical_json, cmd_husimi, cmd_simulate,
-                          cmd_spectrum, format_float, main)
-from bundleqm.errors import InvalidChargeError
+from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, TOLERANCES,
+                          ConfigError, RunConfig, canonical_json, cmd_husimi,
+                          cmd_simulate, cmd_spectrum, format_float, main)
+from bundleqm.errors import BundleqmError, InvalidChargeError
 
 
 @pytest.fixture(autouse=True)
@@ -59,8 +60,75 @@ class TestRunConfig:
         path.write_text('{"omega": 2.0, "tolerances": {"ccr": 0.01}}')
         config = RunConfig.load(path)
         assert config.omega == 2.0
-        assert config.tolerance("ccr", 1e-3) == 0.01
-        assert config.tolerance("other", 1e-3) == 1e-3
+        assert config.tolerance("ccr") == 0.01
+        assert config.tolerance("holonomy") == TOLERANCES["holonomy"] == 1e-5
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("text, message", [
+        ('{"tolerances": {"ccr": "x"}}', "tolerance ccr must be a number"),
+        ('{"tolerances": {"ccr": -1}}', "tolerance ccr must be >= 0"),
+        ('{"tolerances": {"ccr": NaN}}', "tolerance ccr must be >= 0"),
+        ('{"tolerances": {"cr": 0}}', "unknown tolerance keys: ['cr']"),
+        ('{"tolerances": []}', "tolerances must be an object"),
+        ('{"m": "1"}', "m must be a number"),
+        ('{"omega": true}', "omega must be a number"),
+        ('{"grid_half_width": "8"}', "grid_half_width must be a number"),
+        ('{"grid_half_width": Infinity}', "grid_half_width must be finite"),
+        ('{"frequency_sign": 3}', "frequency_sign must be the integer +1 or -1"),
+        ('{"frequency_sign": 1.0}', "frequency_sign must be the integer +1 or -1"),
+        ('{"output_dir": 3}', "output_dir must be a string"),
+        ('[]', "must hold a JSON object"),
+        ('"out"', "must hold a JSON object"),
+        ('{"m": 1', "is not valid JSON"),
+    ])
+    def test_invalid_config_exits_usage_with_one_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            RunConfig.load(path)
+        assert main(["--config", str(path), "spectrum", "--n-max", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"m": "\xff"}')
+        assert main(["--config", str(path), "spectrum", "--n-max", "1"]) == EXIT_USAGE
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_config_error_is_a_bundleqm_error(self):
+        assert issubclass(ConfigError, BundleqmError)
+
+
+CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2))
+CONFIG_FIELDS = {
+    "m": CONFIG_VALUES,
+    "omega": CONFIG_VALUES,
+    "grid_half_width": CONFIG_VALUES,
+    "frequency_sign": st.one_of(st.sampled_from([1, -1]), CONFIG_VALUES),
+    "tolerances": st.one_of(
+        CONFIG_VALUES,
+        st.dictionaries(st.one_of(st.sampled_from(sorted(TOLERANCES)), st.text(max_size=3)),
+                        CONFIG_VALUES, max_size=3)),
+    # relative, so a run that passes the checks writes under the working directory
+    "output_dir": st.one_of(st.just("out"), CONFIG_VALUES.filter(
+        lambda v: not isinstance(v, str))),
+}
+
+
+@settings(deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.fixed_dictionaries({}, optional=CONFIG_FIELDS))
+def test_any_config_object_exits_ok_or_usage(doc, tmp_path, monkeypatch):
+    monkeypatch.delenv("BUNDLEQM_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "spectrum", "--n-max", "1"]) in (EXIT_OK, EXIT_USAGE)
 
 
 class TestSerialization:
@@ -189,6 +257,15 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "holonomy"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    # omega = 0.2 puts the spectrum suite's n = 10 turning point beyond x = 10
+    @pytest.mark.parametrize("doc", [{"omega": 0.5}, {"omega": 2}, {"m": 4},
+                                     {"m": 0.25, "omega": 3}, {"omega": 0.2}])
+    def test_all_suites_pass_at_other_scales(self, tmp_path, capsys, doc):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--config", str(path), "verify"]) == EXIT_OK
+        assert "[FAIL]" not in capsys.readouterr().out
 
     def test_unknown_suite(self):
         assert main(["verify", "--suite", "nope"]) == EXIT_USAGE

@@ -7,16 +7,19 @@ import pytest
 from bundleqm.bundles import (GaugeConnection, canonical_operators, covariant_derivative,
                               vacuum_connection)
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
-                                closed_loop_ratios, symplectic_reduce, winding_number)
+                                closed_loop_ratios, evolve_classical, symplectic_reduce,
+                                winding_number)
 from bundleqm.errors import (BundleqmError, GridFormatError, InvalidArgumentError,
                              InvalidChargeError, NonFiniteError, OpenCurveError,
                              ResolutionInsufficientError, UndersampledError,
                              ZeroCrossingError)
 from bundleqm.orbifold import (ConeGeometry, branched_cover, cone_metric, cover_inverse,
                                levi_civita_transport, loop_from_spec)
-from bundleqm.oscillator import eigenstate, laplacian_consistency, spectrum
+from bundleqm.oscillator import (EvolvingState, eigenstate, evolve_schrodinger,
+                                 laplacian_consistency, spectrum)
 from bundleqm.polarizations import (FockState, Polarization, bargmann_transform,
-                                    holomorphic_gauge, ladder_apply, ladder_coordinate)
+                                    holomorphic_gauge, ladder_apply, ladder_coordinate,
+                                    polarization_limit_check)
 from bundleqm.sections import (DoubledSection, GridSection, LineSection, check_charge,
                                read_grid_binary, read_grid_csv, write_grid_binary,
                                write_grid_csv)
@@ -201,6 +204,29 @@ def _bad_calls():
         ("OscillatorParams m=nan", lambda: OscillatorParams(m=np.nan), InvalidArgumentError),
         ("OscillatorParams m=0", lambda: OscillatorParams(m=0.0), InvalidArgumentError),
         ("ComplexStructure sign 0", lambda: ComplexStructure(0), InvalidArgumentError),
+        ("ComplexStructure sign 1.0", lambda: ComplexStructure(1.0), InvalidArgumentError),
+        ("evolve_classical frequency_sign=3",
+         lambda: evolve_classical(ClassicalState(1j), 0.5, params, frequency_sign=3),
+         InvalidArgumentError),
+        ("evolve_classical frequency_sign=-1.0",
+         lambda: evolve_classical(ClassicalState(1j), 0.5, params, frequency_sign=-1.0),
+         InvalidArgumentError),
+        ("evolve_schrodinger frequency_sign=3",
+         lambda: evolve_schrodinger(EvolvingState(eigenstate(1)), 0.5, params, 3),
+         InvalidArgumentError),
+        ("evolve_schrodinger frequency_sign=True",
+         lambda: evolve_schrodinger(EvolvingState(eigenstate(1)), 0.5, params, True),
+         InvalidArgumentError),
+        ("limit check w=0", lambda: polarization_limit_check(params, [1.0, 0.0]),
+         InvalidArgumentError),
+        ("limit check w<0", lambda: polarization_limit_check(params, [-0.5, -1.0]),
+         InvalidArgumentError),
+        ("limit check w=inf", lambda: polarization_limit_check(params, [1.0, np.inf]),
+         InvalidArgumentError),
+        ("limit check w=nan", lambda: polarization_limit_check(params, [np.nan, 1.0]),
+         InvalidArgumentError),
+        ("limit check w^2 underflow",
+         lambda: polarization_limit_check(params, [1e200, 1e201]), InvalidArgumentError),
         ("symplectic_reduce 2 samples", lambda: symplectic_reduce(1.0, 2), InvalidArgumentError),
         ("branched_cover n=0", lambda: branched_cover(1j, 0), InvalidArgumentError),
         ("cover_inverse n=0", lambda: cover_inverse(1j, 0, 0), InvalidArgumentError),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bundleqm import polarizations
 from bundleqm.bundles import GridSection, LineSection, vacuum_connection
 from bundleqm.classical import OscillatorParams
 from bundleqm.errors import (ChargeMismatchError, DecayViolationError,
@@ -337,13 +338,34 @@ class TestLimitChecks:
         report = polarization_limit_check(DEFAULT, [1.0, 0.5, 0.25])
         assert report.direction == "w->0"
         assert report.strictly_decreasing
-        assert report.limit_residual < 1e-10
 
     def test_w_to_infinity_residuals_decrease(self):
         report = polarization_limit_check(DEFAULT, [1.0, 2.0, 4.0])
         assert report.direction == "w->inf"
         assert report.strictly_decreasing
-        assert report.limit_residual < 1e-10
+
+    @pytest.mark.parametrize("ws, power", [([1.0, 0.5, 0.25], 2), ([1.0, 2.0, 4.0], -4)])
+    def test_residuals_follow_the_continuum_scaling(self, ws, power):
+        # in the continuum the rescaled residual peaks at p = +/-4 (w -> 0) or
+        # x = +/-4 (w -> inf) as 4 w^power / sqrt(2); the stencil at h = 0.05
+        # stays within 2% of it
+        report = polarization_limit_check(OscillatorParams(m=3.0), ws, charge=-1)
+        assert report.w_values == ws
+        expected = [4.0 / np.sqrt(2.0) * w ** power for w in ws]
+        assert report.residual_norms == pytest.approx(expected, rel=0.02)
+
+    @pytest.mark.parametrize("ws", [[1.0, 0.5, 0.25], [1.0, 2.0, 4.0]])
+    def test_a_charge_blind_operator_fails_the_check(self, monkeypatch, ws):
+        # the check runs the library's Dolbeault operator: one that treats
+        # every section as charge +1 breaks the charge -1 limits
+        real = polarizations.dolbeault_residual
+
+        def charge_blind(sec, params):
+            return real(GridSection(x=sec.x, p=sec.p, values=sec.values, charge=+1), params)
+
+        monkeypatch.setattr(polarizations, "dolbeault_residual", charge_blind)
+        assert polarization_limit_check(DEFAULT, ws, charge=+1).strictly_decreasing
+        assert not polarization_limit_check(DEFAULT, ws, charge=-1).strictly_decreasing
 
     def test_charge_mirror(self):
         rp = polarization_limit_check(DEFAULT, [1.0, 0.5, 0.25], charge=+1)
