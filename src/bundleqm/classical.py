@@ -22,7 +22,8 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class OscillatorParams:
-    """Mass and frequency; the derived length scale is w^2 = 1/(m omega)."""
+    """Mass and frequency; the derived length scale is w^2 = 1/(m omega).
+    m, omega and the derived m*omega, w^2 and w^4 must be finite and nonzero."""
 
     m: float = 1.0
     omega: float = 1.0
@@ -31,6 +32,11 @@ class OscillatorParams:
         if not (0 < self.m < np.inf and 0 < self.omega < np.inf):
             raise InvalidArgumentError(
                 f"m and omega must be finite and positive, got {self.m!r}, {self.omega!r}")
+        # w^4 = w^2 * w^2 in range implies w^2 = 1/(m omega) in range
+        if not (0 < self.m * self.omega < np.inf and 0 < self.w4 < np.inf):
+            raise InvalidArgumentError(
+                f"m*omega, w^2 = 1/(m*omega) and w^4 must be finite and nonzero, "
+                f"got m={self.m!r}, omega={self.omega!r}")
 
     @property
     def w2(self) -> float:

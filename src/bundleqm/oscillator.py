@@ -19,7 +19,8 @@ from .bundles import covariant_derivative, vacuum_connection
 from .classical import OscillatorParams, complex_coordinate
 from .errors import InvalidArgumentError, NotNormalizedError, ResolutionInsufficientError
 from .polarizations import FockState, hermite_basis
-from .sections import GridSection, LineSection, check_charge, check_sign
+from .sections import (GridSection, LineSection, check_charge, check_sign,
+                       trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -233,9 +234,6 @@ def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
     d2[:, 0] = d2[:, 1]
     d2[:, -1] = d2[:, -2]
     hb = -d2 / (2.0 * params.m) + 0.5 * params.m * params.omega ** 2 * x ** 2 * basis
-    # trapezoid weights from each interval's own width, as np.trapezoid takes
-    # them: hx = x[1] - x[0] is off the other widths by ~7e-12 relative
-    dx = np.diff(x)
-    wt = 0.5 * (np.pad(dx, (1, 0)) + np.pad(dx, (0, 1)))
-    mat = (basis * wt) @ hb.T
+    # per-interval widths, not hx: x[1] - x[0] is off the others by ~7e-12 relative
+    mat = (basis * trapezoid_weights(x)) @ hb.T
     return 0.5 * (mat + mat.T)

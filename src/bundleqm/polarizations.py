@@ -4,9 +4,10 @@ Real polarizations select the coordinate and momentum representations;
 the complex (Dolbeault) polarization selects holomorphic sections
 psi(z) exp(-z zbar / 2 w^2) — the Segal-Bargmann representation — with
 the antiholomorphic mirror for charge -1.  The transform between the
-coordinate and Fock pictures is carried by orthonormal Hermite functions
-and Gauss-Hermite quadrature; the w -> 0 and w -> infinity limits of the
-complex polarization recover the real ones.
+coordinate and Fock pictures is carried by orthonormal Hermite functions,
+with Gauss-Hermite quadrature for callables and the trapezoid rule for
+samples; the w -> 0 and w -> infinity limits of the complex polarization
+recover the real ones.
 """
 
 from __future__ import annotations
@@ -17,15 +18,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.interpolate import InterpolatedUnivariateSpline
-from scipy.linalg import eigh_tridiagonal
 
 from .bundles import GaugeConnection
 from .classical import OscillatorParams, complex_coordinate
 from .errors import (ChargeMismatchError, DecayViolationError, InvalidArgumentError,
                      NonMonotoneError, QuadratureUnderResolvedError)
 from .sections import (GridSection, LineSection, check_charge, check_finite, diff_axis,
-                       require_axis)
+                       require_axis, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -127,8 +126,9 @@ GAUSS_HERMITE_MAX_ORDER = 512
 def gauss_hermite(order: int):
     """Nodes and weights for weight exp(-t^2), by Golub-Welsch.
 
-    Nodes are the eigenvalues of the symmetric Jacobi matrix (off-diagonals
-    sqrt(k/2)) and are explicitly symmetrized; symmetry must hold to 1e-14.
+    Nodes are the eigenvalues of the symmetric Jacobi matrix (zero diagonal,
+    off-diagonals sqrt(k/2)), built dense and solved by np.linalg.eigvalsh,
+    and are explicitly symmetrized; symmetry must hold to 1e-14 relative.
     Weights come from the stable identity w_k e^{t_k^2} = 1/(order *
     e_{order-1}(t_k)^2), which avoids the eigenvector underflow of plain
     Golub-Welsch at high order.  Returns (nodes, weights, weights*exp(t^2)),
@@ -148,9 +148,8 @@ def _gauss_hermite_rule(order: int):
     if order == 1:
         rule = (np.array([0.0]), np.array([np.sqrt(np.pi)]), np.array([np.sqrt(np.pi)]))
     else:
-        k = np.arange(1, order)
-        nodes = eigh_tridiagonal(np.zeros(order), np.sqrt(k / 2.0),
-                                 eigvals_only=True)
+        off = np.sqrt(np.arange(1, order) / 2.0)
+        nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
         asym = np.max(np.abs(nodes + nodes[::-1]))
         if asym > 1e-14 * max(1.0, np.max(np.abs(nodes))):
             raise QuadratureUnderResolvedError(
@@ -259,19 +258,22 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
                        params: OscillatorParams, charge: int = +1) -> FockState:
     """Analyze a coordinate-representation state into Fock coefficients.
 
-    c_n = <h_n, psi> with h_n the width-w orthonormal Hermite functions,
-    evaluated by Gauss-Hermite quadrature at the given order (exact for
-    states band-limited to degree <= 2*quad_order - 1 - n).  A sampled
-    LineSection is resampled onto the quadrature nodes by quintic spline;
-    a callable is evaluated directly.
+    c_n = <h_n, psi> with h_n the width-w orthonormal Hermite functions.
+    A callable is evaluated at the Gauss-Hermite nodes of order quad_order
+    (exact for states band-limited to degree <= 2*quad_order - 1 - n).  A
+    sampled LineSection is integrated as a trapezoid sum on its own samples,
+    which converges exponentially for a rapidly decaying analytic state on a
+    uniform grid; its edge samples must be below 1e-8 of its peak
+    (DecayViolationError otherwise).  quad_order is checked alike for both
+    kinds (at least 2N+2, and a valid gauss_hermite order), so a call valid
+    for a callable stays valid for its samples.
     """
     if n_max < 0:
         raise InvalidArgumentError("n_max must be >= 0")
     if quad_order < 2 * n_max + 2:
         raise QuadratureUnderResolvedError(
             f"quad_order {quad_order} below floor 2N+2 = {2 * n_max + 2}")
-    w = params.w
-    nodes, _, scaled = gauss_hermite(quad_order)
+    nodes, _, scaled = gauss_hermite(quad_order)     # also validates quad_order
     if isinstance(sec, LineSection):
         require_axis(sec, "x")
         amax = np.max(np.abs(sec.values))
@@ -279,12 +281,11 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
         if amax > 0 and edge > 1e-8 * amax:
             raise DecayViolationError(
                 f"boundary amplitude {edge:.3e} exceeds 1e-8 of max {amax:.3e}")
-        charge = sec.charge
-        spline_re = InterpolatedUnivariateSpline(sec.coords, sec.values.real, k=5, ext=1)
-        spline_im = InterpolatedUnivariateSpline(sec.coords, sec.values.imag, k=5, ext=1)
-        psi_nodes = spline_re(w * nodes) + 1j * spline_im(w * nodes)
-    else:
-        psi_nodes = np.asarray(sec(w * nodes), dtype=complex)
+        coeffs = hermite_basis(n_max, sec.coords, params) @ (
+            trapezoid_weights(sec.coords) * sec.values)
+        return FockState(coeffs=coeffs, charge=sec.charge)
+    w = params.w
+    psi_nodes = np.asarray(sec(w * nodes), dtype=complex)
     basis = hermite_functions(n_max, nodes)          # e_n(t_k)
     # c_n = sqrt(w) * sum_k [w_k e^{t_k^2}] e_n(t_k) psi(w t_k)
     coeffs = np.sqrt(w) * basis @ (scaled * psi_nodes)
@@ -341,15 +342,16 @@ def polarization_limit_check(params: OscillatorParams, w_sequence: Sequence[floa
     w^{-2} * dolbeault_residual.  Each w runs at mass params.m with the
     frequency that makes params.w equal w, on [-4, 4]^2 with 161^2 samples;
     the reported norm is the largest rescaled residual over interior cells.
-    A w that is not finite and positive raises InvalidArgumentError.
+    A w that is not finite and positive, or whose w^4 overflows or underflows
+    (w outside about 1e-81..1e77), raises InvalidArgumentError.
     """
     q = check_charge(charge)
     ws = [float(v) for v in w_sequence]
     for w in ws:
         if not 0 < w < np.inf:
             raise InvalidArgumentError(f"w must be finite and positive, got {w!r}")
-    # omega = 1/m/w/w overflows to inf or underflows to 0 where OscillatorParams
-    # rejects it, so every accepted entry has params.w == w up to rounding
+    # OscillatorParams rejects a w whose omega = 1/m/w/w, w^2 or w^4 leaves the
+    # float range, so every accepted entry has params.w == w up to rounding
     scales = [OscillatorParams(m=params.m, omega=1.0 / params.m / w / w) for w in ws]
     if len(ws) < 2:
         raise NonMonotoneError("w_sequence needs at least two entries")

@@ -1,5 +1,6 @@
 """Sampled section containers shared by the bundle and polarization layers,
-and the one first-derivative stencil (diff_axis) that acts on them.
+the one first-derivative stencil (diff_axis) that acts on them, and the one
+set of trapezoid weights (trapezoid_weights) that integrates them.
 
 A quantum state lives here in one of three sampled forms: a 2D complex grid
 over phase space (GridSection), a 1D complex line in x or p (LineSection),
@@ -63,6 +64,14 @@ def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
     return np.moveaxis(g, 0, axis)
+
+
+def trapezoid_weights(coords: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights at the sample points coords: each interval's own
+    width, halved, goes to each of its two ends, so wt @ f is np.trapezoid(f,
+    coords) written as a dot product."""
+    dx = np.diff(coords)
+    return 0.5 * (np.pad(dx, (1, 0)) + np.pad(dx, (0, 1)))
 
 
 def _uniform_spacing(axis: np.ndarray, name: str) -> float:

@@ -7,7 +7,7 @@ not share code with the package implementations.
 """
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.special import eval_hermite, factorial
 
 from bundleqm.bundles import GridSection, covariant_derivative, vacuum_connection
@@ -210,3 +210,10 @@ def from_z_plus_reference(z, params):
 def trajectory_xp_reference(zs, charge, params):
     """The x and p columns of the simulate command's trajectory.csv."""
     return np.sqrt(2.0) * zs.real, -charge * np.sqrt(2.0) * zs.imag / params.w2
+
+
+def gauss_hermite_nodes_reference(order):
+    """Golub-Welsch nodes from scipy's tridiagonal eigensolver, symmetrized."""
+    nodes = eigh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0),
+                             eigvals_only=True)
+    return 0.5 * (nodes - nodes[::-1])

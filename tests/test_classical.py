@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
                                 PhasePoint, complex_coordinate, evolve_classical,
@@ -9,8 +10,8 @@ from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorPara
                                 kahler_metric, moment_map, phase_coordinates,
                                 rotation_generator, symplectic_reduce,
                                 trajectory_times, winding_number)
-from bundleqm.errors import (OpenCurveError, UndersampledError, ZeroCrossingError,
-                             ZeroPointError)
+from bundleqm.errors import (InvalidArgumentError, OpenCurveError, UndersampledError,
+                             ZeroCrossingError, ZeroPointError)
 
 import oracles
 
@@ -35,6 +36,33 @@ class TestParams:
             OscillatorParams(m=-1.0)
         with pytest.raises(ValueError):
             OscillatorParams(omega=0.0)
+
+    # each factor is finite and positive, but m*omega, w^2 or w^4 is not
+    @pytest.mark.parametrize("m, omega", [(1e-200, 1e-200), (1e300, 1e300),
+                                          (1e-310, 1.0), (1.0, 1e-155), (1e-100, 1e-60)])
+    def test_rejects_derived_scales_out_of_range(self, m, omega):
+        with pytest.raises(InvalidArgumentError, match="m\\*omega"):
+            OscillatorParams(m=m, omega=omega)
+
+    @pytest.mark.parametrize("m, omega", [(1e150, 1.0), (1e-150, 1.0), (1e-200, 1e200)])
+    def test_accepts_extreme_factors_with_usable_scales(self, m, omega):
+        params = OscillatorParams(m=m, omega=omega)
+        for value in (params.w2, params.w, params.w4):
+            assert 0 < value < np.inf
+
+    @given(m=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           omega=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_accepted_params_have_finite_nonzero_scales(self, m, omega):
+        try:
+            params = OscillatorParams(m=m, omega=omega)
+        except InvalidArgumentError:
+            with np.errstate(over="ignore", divide="ignore"):
+                mw = np.float64(m) * omega
+                w4 = (1.0 / mw) * (1.0 / mw)
+            assert not (0 < mw < np.inf and 0 < w4 < np.inf)
+            return
+        for value in (m * omega, params.w2, params.w, params.w4):
+            assert 0 < value < np.inf
 
 
 class TestPhasePoint:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,23 @@ class TestRunConfig:
             RunConfig.load(path)
         assert main(["--config", str(path), "husimi", "--n", "1"]) == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # each factor is finite and positive, but m*omega under- or overflows:
+    # simulate once ended in a ZeroDivisionError or wrote inf into its CSV
+    @pytest.mark.parametrize("doc", [{"m": 1e-200, "omega": 1e-200},
+                                     {"m": 1e300, "omega": 1e300}])
+    def test_derived_scales_out_of_range_exit_usage(self, tmp_path, doc):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ, BUNDLEQM_OUT=str(tmp_path / "out"),
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run([sys.executable, "-m", "bundleqm.cli", "--config", str(path),
+                               "simulate", "--z0", "1"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "m*omega" in done.stderr and "Traceback" not in done.stderr
         assert not (tmp_path / "out").exists()
 
     def test_load_rejects_unknown_keys(self, tmp_path):

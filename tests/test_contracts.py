@@ -1,5 +1,10 @@
 """Typed errors for invalid charges, non-finite samples, malformed grids and
-closed loops."""
+closed loops, and a package import that leaves scipy out."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,3 +264,12 @@ BAD_CALLS = _bad_calls()
 def test_invalid_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_package_does_not_import_scipy():
+    # scipy is a test-only oracle; importing it made up most of a command's start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", "import bundleqm.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

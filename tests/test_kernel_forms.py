@@ -1,5 +1,6 @@
-"""The coordinate Hamiltonian matrix, the Gauss-Hermite rule and the Husimi
-recurrence against the forms the package used before they were sped up."""
+"""The coordinate Hamiltonian matrix, the trapezoid weights, the Gauss-Hermite
+rule and the Husimi recurrence against the forms the package used before they
+were sped up."""
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bundleqm.errors import (BundleqmError, InvalidArgumentError,
 from bundleqm.oscillator import (bargmann_function, coordinate_hamiltonian_matrix,
                                  eigenstate, husimi)
 from bundleqm.polarizations import GAUSS_HERMITE_MAX_ORDER, FockState, gauss_hermite
+from bundleqm.sections import trapezoid_weights
 
 import oracles
 
@@ -33,7 +35,24 @@ def test_coordinate_matrix_on_a_truncated_grid():
     assert np.max(np.abs(mat - ref)) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 200))
+def test_trapezoid_weights_match_np_trapezoid(seed, n):
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.01, 1.0, size=n)) - 3.0     # increasing, non-uniform
+    f = rng.normal(size=n)
+    assert np.ptp(f) > 0
+    ref = np.trapezoid(f, x)
+    assert trapezoid_weights(x) @ f == pytest.approx(ref, rel=1e-12,
+                                                     abs=1e-13 * np.sum(np.abs(f)) * np.ptp(x))
+
+
 class TestGaussHermiteRule:
+    @pytest.mark.parametrize("order", [64, 128, 512])
+    def test_nodes_bit_equal_to_tridiagonal_solver(self, order):
+        nodes = gauss_hermite(order)[0]
+        assert nodes.tobytes() == oracles.gauss_hermite_nodes_reference(order).tobytes()
+
     def test_cached_rule_is_bit_equal_and_read_only(self):
         first = gauss_hermite(128)
         second = gauss_hermite(128)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bundleqm import polarizations
 from bundleqm.bundles import GridSection, LineSection, vacuum_connection
@@ -264,6 +265,42 @@ class TestBargmannTransform:
         sec = bargmann_inverse(FockState(c), xs, DEFAULT)
         back = bargmann_transform(sec, 8, 64, DEFAULT)
         assert np.max(np.abs(back.coeffs - c)) < 1e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                              allow_infinity=False),
+                           min_size=1, max_size=13),
+           m_omega=st.sampled_from([(1.0, 1.0), (1.0, 4.0), (2.0, 0.7), (0.5, 3.0)]))
+    def test_sampled_path_agrees_with_callable_path(self, coeffs, m_omega):
+        # the trapezoid sum on samples against Gauss-Hermite on the callable
+        c = np.array(coeffs, dtype=complex)
+        norm = np.linalg.norm(c)
+        assume(norm > 1e-3)
+        state = FockState(c / norm)
+        params = OscillatorParams(*m_omega)
+        sec = bargmann_inverse(state, params.w * np.linspace(-12, 12, 4001), params)
+        sampled = bargmann_transform(sec, 12, 128, params)
+        called = bargmann_transform(
+            lambda x: state.coeffs @ hermite_basis(state.truncation, x, params),
+            12, 128, params)
+        assert np.max(np.abs(sampled.coeffs - called.coeffs)) <= 1e-12
+
+    def test_round_trip_on_a_coarse_grid(self):
+        # 561 samples on [-12, 12]: the trapezoid sum on a uniform grid of a
+        # decaying analytic state converges exponentially in the spacing
+        rng = np.random.default_rng(11)
+        c = rng.normal(size=13) + 1j * rng.normal(size=13)
+        c /= np.linalg.norm(c)
+        sec = bargmann_inverse(FockState(c), np.linspace(-12, 12, 561), DEFAULT)
+        back = bargmann_transform(sec, 12, 128, DEFAULT)
+        assert np.max(np.abs(back.coeffs - c)) <= 1e-12
+
+    def test_sampled_path_checks_quad_order_like_callables(self):
+        sec = LineSection.from_function(lambda x: np.exp(-x ** 2), "x", -8, 8, 801)
+        with pytest.raises(QuadratureUnderResolvedError, match="floor"):
+            bargmann_transform(sec, 8, 17, DEFAULT)
+        with pytest.raises(QuadratureUnderResolvedError, match="maximum"):
+            bargmann_transform(sec, 8, 513, DEFAULT)
 
     def test_unitarity_against_line_norm(self):
         rng = np.random.default_rng(3)
