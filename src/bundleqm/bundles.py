@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .classical import OscillatorParams
 from .errors import DivisionNearZeroError, GridTooSmallError, InvalidArgumentError
 from .sections import (DoubledSection, GridSection, LineSection, check_charge,
                        diff_axis, load_grid, require_axis, save_grid)
@@ -35,41 +34,37 @@ __all__ = [
 class GaugeConnection:
     """Connection components as vectorized functions of (x, p).
 
-    In unitary gauges both components are real-valued; the values may be
+    On a grid they receive the column x[:, None] and the row p[None, :] and
+    must broadcast.  In unitary gauges both components are real-valued; the values may be
     complex after non-unitary automorphisms (see polarizations).
     """
 
     a_x: Callable
     a_p: Callable
-    gauge_label: str = "vacuum"
 
 
 def vacuum_connection() -> GaugeConnection:
     """Symmetric-gauge vacuum connection A_x = p/2, A_p = -x/2 (curvature -1)."""
     return GaugeConnection(a_x=lambda x, p: 0.5 * p,
-                           a_p=lambda x, p: -0.5 * x,
-                           gauge_label="vacuum")
+                           a_p=lambda x, p: -0.5 * x)
 
 
 def gauge_transform(conn: GaugeConnection, alpha: Callable,
                     dalpha_dx: Optional[Callable] = None,
-                    dalpha_dp: Optional[Callable] = None,
-                    fd_step: float = 1e-6,
-                    label: str = "alpha") -> GaugeConnection:
+                    dalpha_dp: Optional[Callable] = None) -> GaugeConnection:
     """Automorphism exp(alpha J): A_x -> A_x + d(alpha)/dx, A_p -> A_p + d(alpha)/dp.
 
     Analytic partials are used when supplied; otherwise they are central-
-    differenced with step fd_step.  Curvature is unchanged.
+    differenced with step 1e-6.  Curvature is unchanged.
     """
     if dalpha_dx is None:
-        dalpha_dx = lambda x, p: (alpha(x + fd_step, p) - alpha(x - fd_step, p)) / (2 * fd_step)
+        dalpha_dx = lambda x, p: (alpha(x + 1e-6, p) - alpha(x - 1e-6, p)) / 2e-6
     if dalpha_dp is None:
-        dalpha_dp = lambda x, p: (alpha(x, p + fd_step) - alpha(x, p - fd_step)) / (2 * fd_step)
+        dalpha_dp = lambda x, p: (alpha(x, p + 1e-6) - alpha(x, p - 1e-6)) / 2e-6
     base_x, base_p = conn.a_x, conn.a_p
     return GaugeConnection(
         a_x=lambda x, p: base_x(x, p) + dalpha_dx(x, p),
         a_p=lambda x, p: base_p(x, p) + dalpha_dp(x, p),
-        gauge_label=f"{conn.gauge_label}+{label}",
     )
 
 
@@ -78,30 +73,30 @@ def covariant_derivative(sec: GridSection, direction: str,
     """grad = d + i q_v A along x or p, by central differences."""
     if direction not in ("x", "p"):
         raise InvalidArgumentError(f"direction must be 'x' or 'p', got {direction!r}")
-    X, P = sec.meshgrid()
+    x, p = sec.x[:, None], sec.p[None, :]
     if direction == "x":
         deriv = diff_axis(sec.values, sec.hx, axis=0)
-        a = conn.a_x(X, P)
+        a = conn.a_x(x, p)
     else:
         deriv = diff_axis(sec.values, sec.hp, axis=1)
-        a = conn.a_p(X, P)
+        a = conn.a_p(x, p)
     return sec.like(deriv + 1j * sec.charge * a * sec.values)
 
 
-def curvature_numeric(conn: GaugeConnection, probe: GridSection,
-                      margin: int = 2, tol_rel: float = 1e-12) -> complex:
+def curvature_numeric(conn: GaugeConnection, probe: GridSection) -> complex:
     """Interior-averaged ([grad_x, grad_p] psi)/psi; -i q_v up to O(h^2).
 
-    The probe must be smooth and nonvanishing on the interior (two-cell
-    margin, since the commutator applies two first derivatives).
+    The probe must be smooth and at least 1e-12 of its peak modulus on the
+    interior (two cells in from each edge: the commutator applies two first
+    derivatives).
     """
-    if probe.nx < 2 * margin + 1 or probe.np_ < 2 * margin + 1:
-        raise GridTooSmallError("probe grid too small for the requested margin")
+    if probe.nx < 5 or probe.np_ < 5:
+        raise GridTooSmallError("probe grid needs at least 5 x 5 samples")
     comm = (covariant_derivative(covariant_derivative(probe, "p", conn), "x", conn).values
             - covariant_derivative(covariant_derivative(probe, "x", conn), "p", conn).values)
-    sl = (slice(margin, -margin), slice(margin, -margin))
+    sl = (slice(2, -2), slice(2, -2))
     inner = probe.values[sl]
-    if np.min(np.abs(inner)) < tol_rel * np.max(np.abs(probe.values)):
+    if np.min(np.abs(inner)) < 1e-12 * np.max(np.abs(probe.values)):
         raise DivisionNearZeroError("probe vanishes on the interior")
     return complex(np.mean(comm[sl] / inner))
 
@@ -167,14 +162,3 @@ def hermitian_pairing(psi, phi):
     """Fiberwise Hermitian product <psi, phi> = psi* phi."""
     return np.conj(np.asarray(psi, dtype=complex)) * np.asarray(phi, dtype=complex)
 
-
-def default_grid_section(f, params: OscillatorParams, n: int = 257,
-                         half_width: float = 8.0, charge: int = +1) -> GridSection:
-    """Sample f on the default grid [-8w, 8w] x [-8/w, 8/w], 257 x 257.
-
-    Gaussian-type probes decay below 1e-14 at this boundary.
-    """
-    w = params.w
-    return GridSection.from_function(f, (-half_width * w, half_width * w),
-                                     (-half_width / w, half_width / w),
-                                     n, n, charge=charge)

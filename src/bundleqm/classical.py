@@ -92,6 +92,7 @@ class ClassicalState:
     charge: int = +1
 
     def __post_init__(self):
+        check_finite(np.asarray(self.z0, dtype=complex), "z0")
         check_charge(self.charge)
 
 
@@ -140,14 +141,17 @@ def evolve_classical(state: ClassicalState, t, params: OscillatorParams,
 
 
 def trajectory_times(periods: float, samples: int, params: OscillatorParams) -> np.ndarray:
-    """Uniform times covering `periods` full periods, endpoints included."""
-    return np.linspace(0.0, periods * TWO_PI / params.omega, samples)
+    """Uniform times covering `periods` full periods, endpoints included;
+    NonFiniteError if the end time is not finite."""
+    end = periods * TWO_PI / params.omega
+    check_finite(end, "trajectory end time")
+    return np.linspace(0.0, end, samples)
 
 
-def closed_loop_ratios(samples, min_points: int, tol_rel: float = 1e-9) -> np.ndarray:
+def closed_loop_ratios(samples, min_points: int) -> np.ndarray:
     """Validate a sampled closed loop about 0 and return z[1:] / z[:-1].
 
-    The loop needs at least min_points finite samples, none within tol_rel
+    The loop needs at least min_points finite samples, none within 1e-9
     (relative to the largest modulus) of 0, and first ~ last sample.
     """
     z = np.asarray(samples, dtype=complex)
@@ -156,7 +160,7 @@ def closed_loop_ratios(samples, min_points: int, tol_rel: float = 1e-9) -> np.nd
     check_finite(z, "loop samples")
     r = np.abs(z)
     scale = np.max(r)
-    tol = tol_rel * scale
+    tol = 1e-9 * scale
     if scale == 0.0 or np.any(r < tol):
         raise ZeroCrossingError("curve sample within tolerance of 0")
     if abs(z[0] - z[-1]) > tol:
@@ -171,13 +175,13 @@ def check_angular_steps(steps: np.ndarray) -> np.ndarray:
     return steps
 
 
-def winding_number(samples, tol_rel: float = 1e-9) -> int:
+def winding_number(samples) -> int:
     """Total unwrapped phase of a closed sampled curve, in turns.
 
     The curve must be closed (first ~ last sample), stay away from 0, and be
     sampled finely enough that every angular step is below pi.
     """
-    steps = check_angular_steps(np.angle(closed_loop_ratios(samples, 2, tol_rel)))
+    steps = check_angular_steps(np.angle(closed_loop_ratios(samples, 2)))
     turns = float(np.sum(steps) / TWO_PI)
     k = int(np.rint(turns))
     # closed + step-bounded implies an integer total up to rounding

@@ -274,30 +274,27 @@ def suite_ccr(config: RunConfig):
     return checks
 
 
-def _gauge_family(x0: float = 1.0):
+def _gauge_family():
+    """The vacuum connection and three gauge transforms of it, x0 = 1."""
     vac = bundles.vacuum_connection()
     return [
         ("vacuum", vac),
         ("alpha=-px/2", bundles.gauge_transform(
             vac, lambda x, p: -0.5 * p * x,
-            dalpha_dx=lambda x, p: -0.5 * p, dalpha_dp=lambda x, p: -0.5 * x,
-            label="-px/2")),
+            dalpha_dx=lambda x, p: -0.5 * p, dalpha_dp=lambda x, p: -0.5 * x)),
         ("alpha=+px/2", bundles.gauge_transform(
             vac, lambda x, p: 0.5 * p * x,
-            dalpha_dx=lambda x, p: 0.5 * p, dalpha_dp=lambda x, p: 0.5 * x,
-            label="+px/2")),
+            dalpha_dx=lambda x, p: 0.5 * p, dalpha_dp=lambda x, p: 0.5 * x)),
         ("alpha=p*x0", bundles.gauge_transform(
-            vac, lambda x, p: p * x0,
-            dalpha_dx=lambda x, p: np.zeros_like(x), dalpha_dp=lambda x, p: x0 + 0 * x,
-            label="p*x0")),
+            vac, lambda x, p: p,
+            dalpha_dx=lambda x, p: np.zeros_like(x), dalpha_dp=lambda x, p: 1.0 + 0 * x)),
     ]
 
 
-def _symmetric_probe(h: float = 1e-2, half_width: float = 1.0) -> bundles.GridSection:
-    n = int(round(2 * half_width / h)) + 1
+def _symmetric_probe() -> bundles.GridSection:
+    """exp(-(x^2 + p^2)/4) on [-1, 1]^2 at spacing 1e-2."""
     return bundles.GridSection.from_function(
-        lambda X, P: np.exp(-(X ** 2 + P ** 2) / 4.0),
-        (-half_width, half_width), (-half_width, half_width), n, n)
+        lambda x, p: np.exp(-(x ** 2 + p ** 2) / 4.0), (-1.0, 1.0), (-1.0, 1.0), 201, 201)
 
 
 def suite_gauge(config: RunConfig):

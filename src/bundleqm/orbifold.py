@@ -72,15 +72,15 @@ class ConeMetric:
     g_phi_phi: float
 
 
-def cone_metric(psi: complex, n: int, tol: float = 1e-12) -> ConeMetric:
+def cone_metric(psi: complex, n: int) -> ConeMetric:
     """Pullback of the plane metric 2 dz dzbar through z = psi^(1/n).
 
     The conformal factor is (2/n^2)(psibar psi)^((1-n)/n); n = 1 reduces to
-    the flat 2 dpsi dpsibar.  Singular at the tip for n >= 2.
+    the flat 2 dpsi dpsibar.  Singular at the tip (|psi| < 1e-12) for n >= 2.
     """
     _check_degree(n)
     psi = complex(psi)
-    if abs(psi) < tol and n >= 2:
+    if abs(psi) < 1e-12 and n >= 2:
         raise OriginSingularError("cone metric is singular at psi = 0 for n >= 2")
     factor = (2.0 / n ** 2) * abs(psi) ** (2.0 * (1.0 - n) / n)
     rho = np.sqrt(2.0) * abs(psi) ** (1.0 / n)
@@ -95,8 +95,7 @@ class TransportResult:
     loop_winding: int          # turns of the loop about the tip
 
 
-def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j,
-                          tol_rel: float = 1e-9) -> TransportResult:
+def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j) -> TransportResult:
     """Parallel transport of v0 along a closed loop in the psi-plane.
 
     The Levi-Civita connection of the cone metric is the one-form
@@ -109,7 +108,7 @@ def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j,
     """
     _check_degree(n)
     # principal branch, |Im| < pi per step (checked); the sum is 2 pi i * winding
-    logs = np.log(closed_loop_ratios(loop, 3, tol_rel))
+    logs = np.log(closed_loop_ratios(loop, 3))
     check_angular_steps(logs.imag)
     total = complex(np.sum(logs))
     winding = int(np.rint(total.imag / TWO_PI))

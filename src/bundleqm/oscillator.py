@@ -19,7 +19,7 @@ from .bundles import covariant_derivative, vacuum_connection
 from .classical import OscillatorParams, complex_coordinate
 from .errors import InvalidArgumentError, NotNormalizedError, ResolutionInsufficientError
 from .polarizations import FockState, hermite_basis
-from .sections import (GridSection, LineSection, check_charge, check_sign,
+from .sections import (GridSection, LineSection, check_charge, check_finite, check_sign,
                        trapezoid_weights)
 
 
@@ -91,15 +91,15 @@ def evolve_schrodinger(ev: EvolvingState, dt: float, params: OscillatorParams,
                          t=ev.t + dt)
 
 
-def winding_charges(state: FockState, tol: float = 1e-12):
+def winding_charges(state: FockState):
     """(q_l, q_v) for a pure Fock level; an occupancy report for mixtures.
 
     q_l is n * q_v when a single level carries all the weight; otherwise the
-    first slot holds {n: |c_n|^2} over the occupied levels.
+    first slot holds {n: |c_n|^2} over the levels above 1e-12 of max(total, 1).
     """
     weights = np.abs(state.coeffs) ** 2
     total = float(np.sum(weights))
-    occupied = np.nonzero(weights > tol * max(total, 1.0))[0]
+    occupied = np.nonzero(weights > 1e-12 * max(total, 1.0))[0]
     if occupied.size == 1:
         return int(occupied[0]) * state.charge, state.charge
     report = {int(n): float(weights[n]) for n in occupied}
@@ -127,22 +127,27 @@ def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Q = |psi(z')|^2 exp(-|z'|^2) / pi; for the eigenstate n this is
     (1/pi n!) |z'|^{2n} exp(-|z'|^2), nonnegative and of unit total mass.
-    Charge -1 states are antiholomorphic: their argument is conj(z').
+    Charge -1 states are antiholomorphic: their argument is conj(z').  u and
+    v are flattened; a field that is not finite raises NonFiniteError.
     """
-    U, V = np.meshgrid(np.asarray(u, float), np.asarray(v, float), indexing="ij")
-    zp = U + 1j * V
+    u = np.ravel(np.asarray(u, float))[:, None]
+    v = np.ravel(np.asarray(v, float))[None, :]
+    zp = u + 1j * v
     if state.charge == -1:
         zp = np.conj(zp)
-    amp = bargmann_function(state, zp)
-    return np.abs(amp) ** 2 * np.exp(-(U ** 2 + V ** 2)) / np.pi
+    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+        amp = bargmann_function(state, zp)
+        q_field = np.abs(amp) ** 2 * np.exp(-(u ** 2 + v ** 2)) / np.pi
+    check_finite(q_field, "Husimi field")
+    return q_field
 
 
-def charge_density(state: Union[FockState, LineSection], tol: float = 1e-6):
+def charge_density(state: Union[FockState, LineSection]):
     """Signed density q_v |psi|^2 and its total, q_v for a normalized state.
 
     The sign is the quantum charge, not a probability.  Fock states yield the
     per-level weights; line sections the sampled density with a trapezoid
-    total.
+    total.  The state's norm^2 must be 1 within 1e-6 (NotNormalizedError).
     """
     if isinstance(state, FockState):
         norm_sq = state.norm_sq()
@@ -150,8 +155,8 @@ def charge_density(state: Union[FockState, LineSection], tol: float = 1e-6):
     else:
         norm_sq = state.norm_sq()
         density = state.charge * np.abs(state.values) ** 2
-    if abs(norm_sq - 1.0) > tol:
-        raise NotNormalizedError(f"state norm^2 = {norm_sq}, not 1 within {tol}")
+    if abs(norm_sq - 1.0) > 1e-6:
+        raise NotNormalizedError(f"state norm^2 = {norm_sq}, not 1 within 1e-6")
     total = state.charge * norm_sq
     return density, total
 
@@ -171,13 +176,13 @@ class LaplacianReport:
 
 def laplacian_consistency(n: int, params: OscillatorParams,
                           half_width: float = 3.0, h: float = 1e-2,
-                          charge: int = +1, margin: int = 2) -> LaplacianReport:
+                          charge: int = +1) -> LaplacianReport:
     """Apply the grid Laplacian grad_z grad_zbar + grad_zbar grad_z to Psi_n.
 
     Psi_n = z^n exp(-z zbar / 2 w^2) must return -(2/w^2)(n + 1/2) Psi_n; the
-    eigenvalue is measured as an interior Rayleigh quotient (the monomial
-    vanishes at the origin, so pointwise ratios are ill-posed).  Equivalently
-    -Laplacian/2m has eigenvalue omega(n + 1/2).
+    eigenvalue is measured as a Rayleigh quotient two cells in from each edge
+    (the monomial vanishes at the origin, so pointwise ratios are ill-posed).
+    Equivalently -Laplacian/2m has eigenvalue omega(n + 1/2).
     """
     if n > 8:
         raise ResolutionInsufficientError("n must be <= 8 (grid-resolvable)")
@@ -199,7 +204,7 @@ def laplacian_consistency(n: int, params: OscillatorParams,
     gxx = covariant_derivative(covariant_derivative(sec, "x", conn), "x", conn)
     gpp = covariant_derivative(covariant_derivative(sec, "p", conn), "p", conn)
     lap = gxx.values + gpp.values / params.w4
-    sl = (slice(margin, -margin), slice(margin, -margin))
+    sl = (slice(2, -2), slice(2, -2))
     inner = sec.values[sl]
     measured = complex(np.sum(np.conj(inner) * lap[sl]) / np.sum(np.abs(inner) ** 2))
     expected = -(2.0 / w2) * (n + 0.5)

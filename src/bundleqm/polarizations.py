@@ -177,8 +177,7 @@ def dolbeault_residual(sec: GridSection, params: OscillatorParams) -> GridSectio
     """
     q = sec.charge
     w2 = params.w2
-    X, P = sec.meshgrid()
-    z_q = complex_coordinate(X, P, q, params)
+    z_q = complex_coordinate(sec.x[:, None], sec.p[None, :], q, params)
     dx = diff_axis(sec.values, sec.hx, axis=0)
     dp = diff_axis(sec.values, sec.hp, axis=1)
     dzbar = (dx - 1j * q * dp / w2) / np.sqrt(2.0)
@@ -191,7 +190,6 @@ class ComplexGaugeConnection:
 
     a_z: Callable
     a_zbar: Callable
-    gauge_label: str = "holomorphic"
 
 
 def holomorphic_gauge(conn: GaugeConnection, params: OscillatorParams) -> ComplexGaugeConnection:
@@ -208,8 +206,7 @@ def holomorphic_gauge(conn: GaugeConnection, params: OscillatorParams) -> Comple
             raise InvalidArgumentError("holomorphic_gauge expects the vacuum connection")
     w2 = params.w2
     return ComplexGaugeConnection(a_z=lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-                                  a_zbar=lambda z: -np.asarray(z, dtype=complex) / w2,
-                                  gauge_label="vacuum+phi0")
+                                  a_zbar=lambda z: -np.asarray(z, dtype=complex) / w2)
 
 
 # ---------------------------------------------------------------------------

@@ -117,16 +117,20 @@ class GridSection:
     def np_(self) -> int:
         return self.p.size
 
-    def meshgrid(self):
-        return np.meshgrid(self.x, self.p, indexing="ij")
-
     @classmethod
     def from_function(cls, f, x_range, p_range, nx: int, np_: int, charge: int = +1):
-        """Sample f(X, P) on a uniform grid; f must broadcast over arrays."""
+        """Sample f on a uniform grid.  f receives the column x[:, None] and the
+        row p[None, :] and must broadcast; its result is broadcast to (nx, np_)."""
         x = np.linspace(x_range[0], x_range[1], nx)
         p = np.linspace(p_range[0], p_range[1], np_)
-        X, P = np.meshgrid(x, p, indexing="ij")
-        return cls(x=x, p=p, values=np.asarray(f(X, P), dtype=complex), charge=charge)
+        values = np.asarray(f(x[:, None], p[None, :]), dtype=complex)
+        if values.shape != (nx, np_):
+            try:
+                values = np.broadcast_to(values, (nx, np_)).copy()
+            except ValueError:
+                raise GridFormatError(f"f returned shape {values.shape}, which does "
+                                      f"not broadcast to the grid ({nx}, {np_})") from None
+        return cls(x=x, p=p, values=values, charge=charge)
 
     def like(self, values: np.ndarray) -> "GridSection":
         """Same grid and charge, new values."""
@@ -208,10 +212,10 @@ class DoubledSection:
         """Pointwise |Psi|^2; cross terms vanish by orthonormality of v_pm."""
         return np.abs(self.psi_plus) ** 2 + np.abs(self.psi_minus) ** 2
 
-    def is_diagonal(self, tol: float = 1e-12) -> bool:
-        """Neutral (q_v = 0) sections lie on the diagonal psi_plus = psi_minus."""
+    def is_diagonal(self) -> bool:
+        """Neutral (q_v = 0) sections lie on the diagonal psi_plus = psi_minus (to 1e-12)."""
         scale = max(np.max(np.abs(self.psi_plus)), np.max(np.abs(self.psi_minus)), 1.0)
-        return bool(np.max(np.abs(self.psi_plus - self.psi_minus)) <= tol * scale)
+        return bool(np.max(np.abs(self.psi_plus - self.psi_minus)) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from scipy.special import eval_hermite, factorial
 from bundleqm.bundles import GridSection, covariant_derivative, vacuum_connection
 from bundleqm.classical import hamiltonian_vector_field, PhasePoint
 from bundleqm.polarizations import hermite_basis
+from bundleqm.sections import diff_axis
 
 
 def leapfrog(x0, p0, params, t_final, n_steps):
@@ -200,6 +201,40 @@ def z_charge_reference(X, P, charge, params):
     """dolbeault_residual's z_q and laplacian_consistency's psi_n."""
     w2 = params.w2
     return (X - 1j * charge * w2 * P) / np.sqrt(2.0)
+
+
+# The grid kernels as the package once evaluated them: every callable on the
+# full coordinate meshes np.meshgrid(x, p, indexing="ij"), not on the
+# broadcast column x[:, None] and row p[None, :].
+
+def from_function_reference(f, x_range, p_range, nx, np_):
+    """GridSection.from_function's values."""
+    X, P = np.meshgrid(np.linspace(x_range[0], x_range[1], nx),
+                       np.linspace(p_range[0], p_range[1], np_), indexing="ij")
+    return np.asarray(f(X, P), dtype=complex)
+
+
+def covariant_derivative_reference(sec, direction, conn):
+    """covariant_derivative(sec, direction, conn).values."""
+    X, P = np.meshgrid(sec.x, sec.p, indexing="ij")
+    if direction == "x":
+        deriv = diff_axis(sec.values, sec.hx, axis=0)
+        a = conn.a_x(X, P)
+    else:
+        deriv = diff_axis(sec.values, sec.hp, axis=1)
+        a = conn.a_p(X, P)
+    return deriv + 1j * sec.charge * a * sec.values
+
+
+def dolbeault_residual_reference(sec, params):
+    """dolbeault_residual(sec, params).values."""
+    q, w2 = sec.charge, params.w2
+    X, P = np.meshgrid(sec.x, sec.p, indexing="ij")
+    z_q = z_charge_reference(X, P, q, params)
+    dx = diff_axis(sec.values, sec.hx, axis=0)
+    dp = diff_axis(sec.values, sec.hp, axis=1)
+    dzbar = (dx - 1j * q * dp / w2) / np.sqrt(2.0)
+    return dzbar + z_q / (2.0 * w2) * sec.values
 
 
 def from_z_plus_reference(z, params):

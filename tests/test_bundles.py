@@ -22,13 +22,13 @@ def gaussian_probe(h=1e-2, half_width=1.0, charge=+1):
 def gauge_minus_px2():
     return gauge_transform(vacuum_connection(), lambda x, p: -0.5 * p * x,
                            dalpha_dx=lambda x, p: -0.5 * p,
-                           dalpha_dp=lambda x, p: -0.5 * x, label="-px/2")
+                           dalpha_dp=lambda x, p: -0.5 * x)
 
 
 def gauge_plus_px2():
     return gauge_transform(vacuum_connection(), lambda x, p: 0.5 * p * x,
                            dalpha_dx=lambda x, p: 0.5 * p,
-                           dalpha_dp=lambda x, p: 0.5 * x, label="+px/2")
+                           dalpha_dp=lambda x, p: 0.5 * x)
 
 
 def connection_curvature_fd(conn, x, p, h=1e-6):
@@ -90,7 +90,7 @@ class TestCovariantDerivative:
         sec = GridSection.from_function(lambda X, P: np.full(X.shape, 2.0 + 0j),
                                         (-1, 1), (-1, 1), 41, 41)
         grad = covariant_derivative(sec, "x", vacuum_connection())
-        X, P = sec.meshgrid()
+        X, P = np.meshgrid(sec.x, sec.p, indexing="ij")
         inner = (slice(1, -1), slice(1, -1))
         assert np.allclose(grad.values[inner], (1j * P / 2 * 2.0)[inner], atol=1e-12)
 
@@ -119,7 +119,7 @@ class TestCovariantDerivative:
         for h in (2e-2, 1e-2):
             n = int(round(2.0 / h)) + 1
             sec_phi = GridSection.from_function(phi, (-1, 1), (-1, 1), n, n, charge=charge)
-            X, P = sec_phi.meshgrid()
+            X, P = np.meshgrid(sec_phi.x, sec_phi.p, indexing="ij")
             phase = np.exp(-1j * charge * alpha(X, P))
             sec_psi = sec_phi.like(phase * sec_phi.values)
             lhs = covariant_derivative(sec_psi, direction, gauge_minus_px2()).values
@@ -156,11 +156,10 @@ class TestCurvatureNumeric:
         quad = gauge_transform(vacuum_connection(),
                                lambda x, p: a * x ** 2 + b * p ** 2 + c * x * p,
                                dalpha_dx=lambda x, p: 2 * a * x + c * p,
-                               dalpha_dp=lambda x, p: 2 * b * p + c * x,
-                               label="quadratic")
+                               dalpha_dp=lambda x, p: 2 * b * p + c * x)
         shift = gauge_transform(vacuum_connection(), lambda x, p: p * 1.0,
                                 dalpha_dx=lambda x, p: 0.0 * x,
-                                dalpha_dp=lambda x, p: 1.0 + 0.0 * x, label="p*x0")
+                                dalpha_dp=lambda x, p: 1.0 + 0.0 * x)
         probe = gaussian_probe()
         vals = [curvature_numeric(conn, probe)
                 for conn in (vacuum_connection(), gauge_minus_px2(), gauge_plus_px2(),

@@ -236,6 +236,18 @@ class TestSimulateCommand:
             main(["simulate", "--z0", "1", "--charge", "2"])
         assert exc.value.code == EXIT_USAGE
 
+    # each of these once wrote nan rows into trajectory.csv and exited 0
+    @pytest.mark.parametrize("args", [["--z0", "1", "--periods", "nan"],
+                                      ["--z0", "1", "--periods", "inf"],
+                                      ["--z0", "1", "--periods", "1e308"],
+                                      ["--z0", "nan+1j"]])
+    def test_non_finite_input_exits_usage(self, out_dir, capsys, args):
+        assert main(["simulate"] + args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+        assert not out_dir.exists()
+
     def test_open_run_reports_no_winding(self, capsys):
         cmd_simulate(RunConfig(), 1.0 + 0j, +1, 0.5, 65)
         assert "winding number: n/a" in capsys.readouterr().out
@@ -262,6 +274,17 @@ class TestHusimiCommand:
         text = p2.read_text()
         assert text.startswith("P2\n32 32\n255\n")
         assert max(int(v) for v in text.split()[4:]) == 255
+
+    def test_non_finite_field_exits_usage(self, tmp_path, out_dir, capsys):
+        # |z'|^600 overflows on [-30, 30]^2: the command once wrote a garbage
+        # PGM and "max_value": nan, and exited 0
+        config = tmp_path / "wide.json"
+        config.write_text('{"grid_half_width": 30}')
+        argv = ["--config", str(config), "husimi", "--n", "300", "--resolution", "64"]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: Husimi field must be finite\n"
+        assert not out_dir.exists()
 
     def test_resolution_floor(self):
         assert main(["husimi", "--n", "1", "--resolution", "8"]) == EXIT_USAGE

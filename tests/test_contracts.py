@@ -13,14 +13,14 @@ from bundleqm.bundles import (GaugeConnection, canonical_operators, covariant_de
                               vacuum_connection)
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
                                 closed_loop_ratios, evolve_classical, symplectic_reduce,
-                                winding_number)
+                                trajectory_times, winding_number)
 from bundleqm.errors import (BundleqmError, GridFormatError, InvalidArgumentError,
                              InvalidChargeError, NonFiniteError, OpenCurveError,
                              ResolutionInsufficientError, UndersampledError,
                              ZeroCrossingError)
 from bundleqm.orbifold import (ConeGeometry, branched_cover, cone_metric, cover_inverse,
                                levi_civita_transport, loop_from_spec)
-from bundleqm.oscillator import (EvolvingState, eigenstate, evolve_schrodinger,
+from bundleqm.oscillator import (EvolvingState, eigenstate, evolve_schrodinger, husimi,
                                  laplacian_consistency, spectrum)
 from bundleqm.polarizations import (FockState, Polarization, bargmann_transform,
                                     holomorphic_gauge, ladder_apply, ladder_coordinate,
@@ -112,6 +112,22 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError):
             read_grid_binary(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)])
+    def test_classical_initial_datum(self, bad):
+        with pytest.raises(NonFiniteError, match="z0"):
+            ClassicalState(z0=bad, charge=-1)
+
+    @pytest.mark.parametrize("periods", [np.nan, np.inf, -np.inf, 1e308])
+    def test_trajectory_end_time(self, periods):
+        with pytest.raises(NonFiniteError):
+            trajectory_times(periods, 17, OscillatorParams())
+
+    def test_husimi_field_overflow(self):
+        # |z'|^600 overflows at |z'| = 30, so the field would hold inf * 0
+        u = np.linspace(-30.0, 30.0, 16)
+        with pytest.raises(NonFiniteError, match="Husimi"):
+            husimi(eigenstate(300), u, u)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
     def test_loops(self, bad):
         loop = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 65))
@@ -145,6 +161,25 @@ class TestGridFormat:
             GridSection(x=AXIS, p=AXIS, values=np.ones((3, 4)))
         with pytest.raises(GridFormatError):
             LineSection(axis="x", coords=AXIS, values=np.ones(4))
+
+    @pytest.mark.parametrize("f", [lambda x, p: np.ones((4, 5, 2)),
+                                   lambda x, p: np.ones((5, 4)),
+                                   lambda x, p: np.ones(3)],
+                             ids=["3-d", "transposed", "wrong length"])
+    def test_from_function_result_must_broadcast(self, f):
+        with pytest.raises(GridFormatError, match="broadcast"):
+            GridSection.from_function(f, (-1.0, 1.0), (-1.0, 1.0), 4, 5)
+
+    @pytest.mark.parametrize("f, expected", [(lambda x, p: 2.0 - 1j, 2.0 - 1j),
+                                             (lambda x, p: x, np.linspace(-1, 1, 4)[:, None]),
+                                             (lambda x, p: p, np.linspace(0, 2, 5))],
+                             ids=["scalar", "x only", "p only"])
+    def test_from_function_broadcasts_to_the_grid(self, f, expected):
+        sec = GridSection.from_function(f, (-1.0, 1.0), (0.0, 2.0), 4, 5)
+        assert sec.values.shape == (4, 5)
+        assert np.array_equal(sec.values, np.broadcast_to(expected, (4, 5)))
+        sec.values[0, 0] = 7.0          # a writable array of its own
+        assert sec.values[1, 1] != 7.0
 
 
 # (samples, what winding_number returns or raises, the loop_winding that

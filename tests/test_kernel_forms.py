@@ -1,18 +1,21 @@
 """The coordinate Hamiltonian matrix, the trapezoid weights, the Gauss-Hermite
-rule and the Husimi recurrence against the forms the package used before they
-were sped up."""
+rule, the Husimi recurrence and the grid kernels on broadcast axes against the
+forms the package used before they were sped up."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bundleqm.bundles import covariant_derivative
 from bundleqm.classical import OscillatorParams
+from bundleqm.cli import _gauge_family
 from bundleqm.errors import (BundleqmError, InvalidArgumentError,
                              QuadratureUnderResolvedError)
 from bundleqm.oscillator import (bargmann_function, coordinate_hamiltonian_matrix,
                                  eigenstate, husimi)
-from bundleqm.polarizations import GAUSS_HERMITE_MAX_ORDER, FockState, gauss_hermite
-from bundleqm.sections import trapezoid_weights
+from bundleqm.polarizations import (GAUSS_HERMITE_MAX_ORDER, FockState,
+                                    dolbeault_residual, gauss_hermite)
+from bundleqm.sections import GridSection, trapezoid_weights
 
 import oracles
 
@@ -133,3 +136,54 @@ def test_bargmann_function_scalar_argument():
     z = 0.3 - 0.7j
     assert complex(bargmann_function(state, z)) == pytest.approx(
         0.5 + (2.0 - 1j) * z ** 2 / np.sqrt(2.0), rel=1e-15)
+
+
+def test_husimi_flattens_multidimensional_axes():
+    u = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+    state = FockState(coeffs=np.array([0.6, 0.0, -0.8j]), charge=-1)
+    got = husimi(state, u, V)
+    assert got.shape == (12, V.size)
+    assert got.tobytes() == oracles.husimi_reference(state.coeffs, -1, u, V).tobytes()
+
+
+# Grid kernels evaluate callables on the column x[:, None] and the row
+# p[None, :]; the values must be bit-equal to full-mesh evaluation.  The grid
+# is not square so that a swapped axis shows.
+
+GRID = ((-3.0, 3.0), (-2.0, 2.5), 61, 47)
+GRID_FUNCTIONS = {
+    "both axes": lambda X, P: np.exp(-(X ** 2 + P ** 2) / 4.0) * (1 + 0.3j * X - 0.2 * P),
+    "product of axes": lambda X, P: np.exp(-0.5j * P * X) * np.exp(-0.5 * X ** 2),
+    "x only": lambda X, P: np.exp(-X ** 2) * (1.0 + 0.5j * X),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_FUNCTIONS))
+def test_from_function_bit_equal_to_full_mesh(name):
+    f = GRID_FUNCTIONS[name]
+    sec = GridSection.from_function(f, *GRID)
+    assert sec.values.shape == (61, 47)
+    assert sec.values.tobytes() == oracles.from_function_reference(f, *GRID).tobytes()
+
+
+@pytest.mark.parametrize("charge", [+1, -1])
+def test_covariant_derivative_bit_equal_to_full_mesh(charge):
+    sec = GridSection.from_function(GRID_FUNCTIONS["both axes"], *GRID, charge=charge)
+    for _, conn in _gauge_family():
+        for direction in ("x", "p"):
+            got = covariant_derivative(sec, direction, conn).values
+            ref = oracles.covariant_derivative_reference(sec, direction, conn)
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("charge", [+1, -1])
+def test_dolbeault_residual_bit_equal_to_full_mesh(charge):
+    params = OscillatorParams(m=1.0, omega=2.0)
+    for n in range(6):
+        def f(X, P):
+            z = (X - 1j * charge * params.w2 * P) / np.sqrt(2.0)
+            return z ** n * np.exp(-z * np.conj(z) / (2.0 * params.w2))
+
+        sec = GridSection.from_function(f, *GRID, charge=charge)
+        got = dolbeault_residual(sec, params).values
+        assert got.tobytes() == oracles.dolbeault_residual_reference(sec, params).tobytes()

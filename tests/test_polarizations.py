@@ -60,7 +60,7 @@ class TestDolbeaultResidual:
     def test_contaminated_section_leaves_the_gaussian(self):
         # analytic oracle: (d/dzbar + z/2w^2)(zbar e^{-zzbar/2}) = e^{-zzbar/2}
         sec = polarized_grid(0, h=1e-2, contaminate=True)
-        X, P = sec.meshgrid()
+        X, P = np.meshgrid(sec.x, sec.p, indexing="ij")
         z = (X - 1j * P) / np.sqrt(2.0)
         raw_max = np.max(np.abs(np.conj(z) * np.exp(-z * np.conj(z) / 2)))
         expected = np.exp(-z * np.conj(z) / 2) / raw_max
@@ -87,15 +87,16 @@ class TestDolbeaultResidual:
 
     @pytest.mark.parametrize("n", range(6))
     def test_kernel_on_default_grid(self, n):
-        # default 257x257 grid over [-8w, 8w] x [-8/w, 8/w]: sup-normalized
+        # 257x257 grid over [-8w, 8w] x [-8/w, 8/w] (w = 1): sup-normalized
         # residual stays under 2 h^2 for every basis state n <= 5
-        from bundleqm.bundles import default_grid_section
-
         def f(X, P):
             z = (X - 1j * P) / np.sqrt(2.0)
             return z ** n * np.exp(-z * np.conj(z) / 2.0)
 
-        sec = default_grid_section(f, DEFAULT)
+        def default_grid_section(g):
+            return GridSection.from_function(g, (-8.0, 8.0), (-8.0, 8.0), 257, 257)
+
+        sec = default_grid_section(f)
         sec = sec.like(sec.values / np.max(np.abs(sec.values)))
         res = dolbeault_residual(sec, DEFAULT)
         assert interior_max(res.values) < 2.0 * sec.hx ** 2
@@ -104,7 +105,7 @@ class TestDolbeaultResidual:
         # O(h^2) error is the floor) while the h = 1e-2 acceptance grid shows
         # the full >= 3 orders
         dirty = default_grid_section(
-            lambda X, P: np.conj((X - 1j * P) / np.sqrt(2.0)) * f(X, P), DEFAULT)
+            lambda X, P: np.conj((X - 1j * P) / np.sqrt(2.0)) * f(X, P))
         dirty = dirty.like(dirty.values / np.max(np.abs(dirty.values)))
         assert (interior_max(dolbeault_residual(dirty, DEFAULT).values)
                 / interior_max(res.values)) > 1e2

@@ -106,7 +106,7 @@ class TestGridCsv:
         sec = _grid(charge=-1)
         path = tmp_path / "g.csv"
         write_grid_csv(sec, path)
-        X, P = sec.meshgrid()
+        X, P = np.meshgrid(sec.x, sec.p, indexing="ij")
         rows = np.column_stack([X.ravel(), P.ravel(), sec.values.real.ravel(),
                                 sec.values.imag.ravel(), np.full(X.size, -1.0)])
         expect = oracles.format_rows_reference("x,p,re,im,charge", rows)
@@ -122,7 +122,7 @@ class TestGridCsv:
 
     def test_legacy_four_column_file(self, tmp_path):
         sec = _grid(charge=+1)
-        X, P = sec.meshgrid()
+        X, P = np.meshgrid(sec.x, sec.p, indexing="ij")
         rows = np.column_stack([X.ravel(), P.ravel(), sec.values.real.ravel(),
                                 sec.values.imag.ravel()])
         path = tmp_path / "old.csv"
@@ -134,7 +134,7 @@ class TestGridCsv:
 
     def test_rows_not_x_major(self, tmp_path):
         sec = _grid()
-        X, P = sec.meshgrid()
+        X, P = np.meshgrid(sec.x, sec.p, indexing="ij")
         rows = np.column_stack([X.T.ravel(), P.T.ravel(), sec.values.T.real.ravel(),
                                 sec.values.T.imag.ravel(), np.full(X.size, -1.0)])
         path = tmp_path / "pmajor.csv"
