@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import numbers
 import os
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import bundles, classical, orbifold, oscillator, polarizations
 from .classical import OscillatorParams
-from .errors import BundleqmError, ConfigError, InvalidArgumentError
+from .errors import BundleqmError, ConfigError, InvalidArgumentError, NonFiniteError
 from .sections import FLOAT_FORMAT, check_sign, write_rows
 
 EXIT_OK = 0
@@ -85,8 +86,8 @@ class RunConfig:
                               f"known keys: {sorted(TOLERANCES)}")
         for name, value in self.tolerances.items():
             _require_number(f"tolerance {name}", value)
-            if not value >= 0:
-                raise ConfigError(f"tolerance {name} must be >= 0, got {value!r}")
+            if not 0 <= value < np.inf:
+                raise ConfigError(f"tolerance {name} must be >= 0 and finite, got {value!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
 
@@ -135,6 +136,8 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, bool) or obj is None:
         return pad + json.dumps(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteError(f"JSON has no value for the non-finite float {obj!r}")
         return pad + format_float(obj)
     if isinstance(obj, (int, str)):
         return pad + json.dumps(obj)
@@ -467,8 +470,9 @@ def cmd_verify(config: RunConfig, suite: str) -> int:
               f"tolerance={format_float(c.tolerance)}")
         report.append({"name": c.name, "measured": float(c.measured),
                        "tolerance": float(c.tolerance), "passed": c.passed})
+    text = canonical_json(report) + "\n"
     out = run_directory(config, "verify", {"suite": suite})
-    (out / "report.json").write_text(canonical_json(report) + "\n")
+    (out / "report.json").write_text(text)
     print(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .bundles import covariant_derivative, vacuum_connection
 from .classical import OscillatorParams, complex_coordinate
-from .errors import InvalidArgumentError, NotNormalizedError, ResolutionInsufficientError
+from .errors import (GridTooSmallError, InvalidArgumentError, NotNormalizedError,
+                     ResolutionInsufficientError)
 from .polarizations import FockState, hermite_basis
 from .sections import (GridSection, LineSection, check_charge, check_finite, check_sign,
                        trapezoid_weights)
@@ -116,7 +117,7 @@ def bargmann_function(state: FockState, z: np.ndarray) -> np.ndarray:
     out = state.coeffs[0] * term
     for n in range(1, state.coeffs.size):
         term *= z
-        term /= np.sqrt(n)
+        term *= 1.0 / np.sqrt(n)     # numpy's complex / real, without its scalar loop
         if state.coeffs[n] != 0:
             out += state.coeffs[n] * term
     return out
@@ -220,25 +221,38 @@ def laplacian_consistency(n: int, params: OscillatorParams,
 # Coordinate-representation Hamiltonian matrix (Stone-von Neumann check)
 # ---------------------------------------------------------------------------
 
+_HAMILTONIAN_BLOCK = 4096      # samples per block, so its temporaries stay in cache
+
+
 def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
                                   half_width: float = 10.0, h: float = 2.5e-4) -> np.ndarray:
     """Matrix of -(1/2m) d^2/dx^2 + (m omega^2/2) x^2 on the Hermite basis.
 
-    Second derivative by central differences, overlaps by the trapezoid rule
-    as one weighted matrix product; the basis is the stable orthonormal
-    Hermite family (repeated finite-difference raising amplifies grid noise
-    and cannot build it).  The eigenvalues reproduce the Fock spectrum
-    omega(n + 1/2).
+    Second derivative by central differences (each end takes the one a sample
+    in), overlaps by the trapezoid rule as one weighted matrix product; the
+    basis is the stable orthonormal Hermite family (repeated finite-difference
+    raising amplifies grid noise and cannot build it).  H applied to the basis
+    is built _HAMILTONIAN_BLOCK samples at a time, so no full-size temporary is
+    made.  The eigenvalues reproduce the Fock spectrum omega(n + 1/2).
     """
     n_pts = int(round(2 * half_width / h)) + 1
+    if n_pts < 3:
+        raise GridTooSmallError(f"need at least 3 samples, got {n_pts}")
     x = np.linspace(-half_width, half_width, n_pts)
     hx = x[1] - x[0]
     basis = hermite_basis(n_max, x, params)
-    d2 = np.empty_like(basis)
-    d2[:, 1:-1] = (basis[:, 2:] - 2 * basis[:, 1:-1] + basis[:, :-2]) / hx ** 2
-    d2[:, 0] = d2[:, 1]
-    d2[:, -1] = d2[:, -2]
-    hb = -d2 / (2.0 * params.m) + 0.5 * params.m * params.omega ** 2 * x ** 2 * basis
+    hb = np.empty_like(basis)
+    for a in range(1, n_pts - 1, _HAMILTONIAN_BLOCK):
+        b = min(a + _HAMILTONIAN_BLOCK, n_pts - 1)
+        d2 = (basis[:, a + 1:b + 1] - 2 * basis[:, a:b] + basis[:, a - 1:b - 1]) / hx ** 2
+        hb[:, a:b] = -d2 / (2.0 * params.m)
+    hb[:, 0] = hb[:, 1]
+    hb[:, -1] = hb[:, -2]
+    potential = 0.5 * params.m * params.omega ** 2 * x ** 2
+    for a in range(0, n_pts, _HAMILTONIAN_BLOCK):
+        cols = slice(a, a + _HAMILTONIAN_BLOCK)
+        hb[:, cols] += potential[cols] * basis[:, cols]
     # per-interval widths, not hx: x[1] - x[0] is off the others by ~7e-12 relative
-    mat = (basis * trapezoid_weights(x)) @ hb.T
+    basis *= trapezoid_weights(x)
+    mat = basis @ hb.T
     return 0.5 * (mat + mat.T)

@@ -50,19 +50,29 @@ def check_sign(sign: int, name: str) -> None:
 def check_finite(values: np.ndarray, what: str) -> None:
     """Raise NonFiniteError if a real or imaginary part of a complex (or float)
     array is NaN or inf."""
-    if not np.all(np.isfinite(np.ascontiguousarray(values).view(float))):
+    if not np.isfinite(np.ascontiguousarray(values).view(float)).all():
         raise NonFiniteError(f"{what} must be finite")
 
 
 def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Central differences, one-sided O(h^2) at the two edge cells."""
+    """Central differences, one-sided O(h^2) at the two edge cells.
+
+    Complex differences are multiplied by 1/(2h): numpy divides a complex
+    array by a real scalar as the product with that reciprocal, so only the
+    sign of an exact zero can differ from the quotient.  Real differences are
+    divided by 2h, since there x/s and x*(1/s) can differ in the last bit.
+    """
     if values.shape[axis] < 3:
         raise GridTooSmallError("need at least 3 samples along the derivative axis")
     f = np.moveaxis(values, axis, 0)
     g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    np.subtract(f[2:], f[:-2], out=g[1:-1])
+    g[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
+    g[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
+    if g.dtype == np.complex128:
+        g *= 1.0 / (2.0 * h)
+    else:
+        g /= 2.0 * h
     return np.moveaxis(g, 0, axis)
 
 
@@ -77,10 +87,13 @@ def trapezoid_weights(coords: np.ndarray) -> np.ndarray:
 def _uniform_spacing(axis: np.ndarray, name: str) -> float:
     if axis.ndim != 1 or axis.size < 3:
         raise GridTooSmallError(f"{name} axis needs at least 3 samples, got {axis.size}")
-    h = np.diff(axis)
-    if not np.allclose(h, h[0], rtol=1e-10, atol=0.0) or h[0] <= 0:
+    check_finite(axis, f"{name} axis")
+    h = axis[1:] - axis[:-1]
+    h0 = h[0]
+    # every spacing within 1e-10 of the first, relative: np.allclose's test
+    if not (h0 > 0 and np.abs(h - h0).max() <= 1e-10 * h0):
         raise GridFormatError(f"{name} axis must be uniform with positive spacing")
-    return float(h[0])
+    return float(h0)
 
 
 @dataclass

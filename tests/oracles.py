@@ -145,10 +145,20 @@ def laplacian_zzbar_reference(n, params, half_width=3.0, h=1e-2, charge=+1, marg
     return complex(np.sum(np.conj(inner) * lap[sl]) / np.sum(np.abs(inner) ** 2))
 
 
-def coordinate_hamiltonian_reference(n_max, params, half_width=10.0, h=2.5e-4):
-    """The coordinate Hamiltonian matrix as the package once built it: the
-    overlaps by one broadcast np.trapezoid over an (n, n, points) product.
-    The basis is the package's, so only the overlap step is compared."""
+def diff_axis_reference(values, h, axis):
+    """The package's stencil as it once was: central differences divided by
+    2h, one-sided O(h^2) at the two edge cells."""
+    f = np.moveaxis(values, axis, 0)
+    g = np.empty_like(f)
+    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    return np.moveaxis(g, 0, axis)
+
+
+def _hamiltonian_on_basis(n_max, params, half_width, h):
+    """The grid, the Hermite basis on it and H applied to the basis, as the
+    package once built them in one pass over full-size arrays."""
     n_pts = int(round(2 * half_width / h)) + 1
     x = np.linspace(-half_width, half_width, n_pts)
     hx = x[1] - x[0]
@@ -158,6 +168,24 @@ def coordinate_hamiltonian_reference(n_max, params, half_width=10.0, h=2.5e-4):
     d2[:, 0] = d2[:, 1]
     d2[:, -1] = d2[:, -2]
     hb = -d2 / (2.0 * params.m) + 0.5 * params.m * params.omega ** 2 * x ** 2 * basis
+    return x, basis, hb
+
+
+def coordinate_hamiltonian_single_pass_reference(n_max, params, half_width=10.0, h=2.5e-4):
+    """The coordinate Hamiltonian matrix as the package once built it in one
+    pass: H applied to the whole basis, then one weighted matrix product."""
+    x, basis, hb = _hamiltonian_on_basis(n_max, params, half_width, h)
+    dx = np.diff(x)
+    wt = 0.5 * (np.pad(dx, (1, 0)) + np.pad(dx, (0, 1)))
+    mat = (basis * wt) @ hb.T
+    return 0.5 * (mat + mat.T)
+
+
+def coordinate_hamiltonian_reference(n_max, params, half_width=10.0, h=2.5e-4):
+    """The coordinate Hamiltonian matrix as the package once built it: the
+    overlaps by one broadcast np.trapezoid over an (n, n, points) product.
+    The basis is the package's, so only the overlap step is compared."""
+    x, basis, hb = _hamiltonian_on_basis(n_max, params, half_width, h)
     mat = np.trapezoid(basis[:, None, :] * hb[None, :, :], x, axis=2)
     return 0.5 * (mat + mat.T)
 

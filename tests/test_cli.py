@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, TOLERANCES,
                           ConfigError, RunConfig, canonical_json, cmd_husimi,
                           cmd_simulate, cmd_spectrum, format_float, main)
-from bundleqm.errors import BundleqmError, InvalidChargeError
+from bundleqm import cli
+from bundleqm.errors import BundleqmError, InvalidChargeError, NonFiniteError
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +91,7 @@ class TestConfigContract:
         ('{"tolerances": {"ccr": "x"}}', "tolerance ccr must be a number"),
         ('{"tolerances": {"ccr": -1}}', "tolerance ccr must be >= 0"),
         ('{"tolerances": {"ccr": NaN}}', "tolerance ccr must be >= 0"),
+        ('{"tolerances": {"ccr": Infinity}}', "tolerance ccr must be >= 0 and finite"),
         ('{"tolerances": {"cr": 0}}', "unknown tolerance keys: ['cr']"),
         ('{"tolerances": []}', "tolerances must be an object"),
         ('{"m": "1"}', "m must be a number"),
@@ -326,6 +328,30 @@ class TestVerifyCommand:
         assert len(reports) == 1
         doc = json.loads(reports[0].read_text())
         assert all(row["passed"] for row in doc)
+
+    def test_infinite_tolerance_exits_usage(self, tmp_path, out_dir, capsys):
+        # it once passed every check and wrote "tolerance": inf, which is not JSON
+        config = tmp_path / "loose.json"
+        config.write_text('{"tolerances": {"ccr": Infinity}}')
+        assert main(["--config", str(config), "verify", "--suite", "ccr"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "tolerance ccr must be >= 0 and finite" in err
+        assert not out_dir.exists()
+
+    def test_non_finite_measurement_writes_no_report(self, out_dir, monkeypatch, capsys):
+        monkeypatch.setitem(cli.SUITES, "ccr",
+                            lambda config: [cli.Check("ccr nan", float("nan"), 1e-3)])
+        assert main(["verify", "--suite", "ccr"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, np.float64(np.inf)])
+    def test_canonical_json_rejects_non_finite(self, bad):
+        with pytest.raises(NonFiniteError):
+            canonical_json({"a": [1.0, bad]})
 
     def test_bad_config_file(self, tmp_path):
         config = tmp_path / "broken.json"

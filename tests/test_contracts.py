@@ -2,8 +2,10 @@
 closed loops, and a package import that leaves scipy out."""
 
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from bundleqm.polarizations import (FockState, Polarization, bargmann_transform,
                                     holomorphic_gauge, ladder_apply, ladder_coordinate,
                                     polarization_limit_check)
 from bundleqm.sections import (DoubledSection, GridSection, LineSection, check_charge,
-                               read_grid_binary, read_grid_csv, write_grid_binary,
+                               load_grid, read_grid_binary, read_grid_csv, write_grid_binary,
                                write_grid_csv)
 
 AXIS = np.linspace(-1.0, 1.0, 3)
@@ -223,8 +225,27 @@ def test_loop_ratios():
         closed_loop_ratios(z[:2], 3)
 
 
-# Entry points that once raised a bare ValueError for an invalid argument,
-# with the BundleqmError subclass each raises now.
+def _load_file(suffix, data):
+    """load_grid on a temporary file holding data (text for .csv, else bytes)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"grid{suffix}"
+        if isinstance(data, str):
+            path.write_text(data)
+        else:
+            path.write_bytes(data)
+        return load_grid(path)
+
+
+# An axis with infinite ends once passed the uniformity check with spacing inf.
+INF_AXIS = np.array([-np.inf, 0.0, np.inf])
+INF_AXIS_CSV = "x,p,re,im,charge\n" + "".join(f"{x},{p},1,0,1\n" for x in INF_AXIS
+                                              for p in AXIS)
+INF_AXIS_BINARY = (struct.pack("<4sHhII", b"BQGS", 1, 1, 3, 3)
+                   + np.concatenate([AXIS, INF_AXIS, np.ones(18)]).astype("<f8").tobytes())
+
+
+# Entry points that once raised a bare ValueError for an invalid argument, or
+# accepted a non-finite axis, with the BundleqmError subclass each raises now.
 def _bad_calls():
     params = OscillatorParams()
     line = LineSection(axis="x", coords=AXIS, values=np.ones(3))
@@ -288,6 +309,16 @@ def _bad_calls():
          InvalidArgumentError),
         ("DoubledSection shapes", lambda: DoubledSection(np.ones(2), np.ones(3)),
          GridFormatError),
+        ("GridSection x inf", lambda: GridSection(x=INF_AXIS, p=AXIS, values=np.ones((3, 3))),
+         NonFiniteError),
+        ("GridSection p nan",
+         lambda: GridSection(x=AXIS, p=[0.0, np.nan, 1.0], values=np.ones((3, 3))),
+         NonFiniteError),
+        ("LineSection x inf", lambda: LineSection("x", INF_AXIS, np.ones(3)), NonFiniteError),
+        ("LineSection p -inf",
+         lambda: LineSection("p", [-np.inf, -1.0, 0.0], np.ones(3)), NonFiniteError),
+        ("grid CSV x inf", lambda: _load_file(".csv", INF_AXIS_CSV), NonFiniteError),
+        ("grid binary p inf", lambda: _load_file(".bqgs", INF_AXIS_BINARY), NonFiniteError),
     ]
 
 

@@ -1,6 +1,7 @@
 """The coordinate Hamiltonian matrix, the trapezoid weights, the Gauss-Hermite
-rule, the Husimi recurrence and the grid kernels on broadcast axes against the
-forms the package used before they were sped up."""
+rule, the Husimi recurrence, the first-derivative stencil and the grid kernels
+on broadcast axes against the forms the package used before they were sped
+up."""
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from bundleqm.bundles import covariant_derivative
 from bundleqm.classical import OscillatorParams
 from bundleqm.cli import _gauge_family
-from bundleqm.errors import (BundleqmError, InvalidArgumentError,
+from bundleqm.errors import (BundleqmError, GridTooSmallError, InvalidArgumentError,
                              QuadratureUnderResolvedError)
-from bundleqm.oscillator import (bargmann_function, coordinate_hamiltonian_matrix,
-                                 eigenstate, husimi)
+from bundleqm.oscillator import (_HAMILTONIAN_BLOCK, bargmann_function,
+                                 coordinate_hamiltonian_matrix, eigenstate, husimi)
 from bundleqm.polarizations import (GAUSS_HERMITE_MAX_ORDER, FockState,
                                     dolbeault_residual, gauss_hermite)
-from bundleqm.sections import GridSection, trapezoid_weights
+from bundleqm.sections import GridSection, diff_axis, trapezoid_weights
 
 import oracles
 
@@ -36,6 +37,34 @@ def test_coordinate_matrix_on_a_truncated_grid():
     mat = coordinate_hamiltonian_matrix(4, params, half_width=2.5, h=1e-3)
     ref = oracles.coordinate_hamiltonian_reference(4, params, half_width=2.5, h=1e-3)
     assert np.max(np.abs(mat - ref)) <= 1e-12
+
+
+# The matrix is built _HAMILTONIAN_BLOCK samples at a time; it must be
+# bit-equal to the single pass, with the scales and the sample counts that put
+# a block edge next to an end of the grid.
+@pytest.mark.parametrize("m, omega", [(1.0, 1.0), (1.0, 2.0), (4.0, 1.0), (0.6, 1.7)])
+def test_coordinate_matrix_bit_equal_to_single_pass(m, omega):
+    params = OscillatorParams(m=m, omega=omega)
+    mat = coordinate_hamiltonian_matrix(10, params)
+    ref = oracles.coordinate_hamiltonian_single_pass_reference(10, params)
+    assert mat.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n_pts", [3, 4, _HAMILTONIAN_BLOCK - 1, _HAMILTONIAN_BLOCK,
+                                   _HAMILTONIAN_BLOCK + 1, _HAMILTONIAN_BLOCK + 2,
+                                   2 * _HAMILTONIAN_BLOCK + 3])
+def test_coordinate_matrix_block_edges(n_pts):
+    params = OscillatorParams(m=0.6, omega=1.7)
+    h = 10.0 / (n_pts - 1)
+    mat = coordinate_hamiltonian_matrix(4, params, half_width=5.0, h=h)
+    ref = oracles.coordinate_hamiltonian_single_pass_reference(4, params, half_width=5.0, h=h)
+    assert int(round(10.0 / h)) + 1 == n_pts
+    assert mat.tobytes() == ref.tobytes()
+
+
+def test_coordinate_matrix_needs_three_samples():
+    with pytest.raises(GridTooSmallError):
+        coordinate_hamiltonian_matrix(2, OscillatorParams(), half_width=1.0, h=2.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,3 +216,72 @@ def test_dolbeault_residual_bit_equal_to_full_mesh(charge):
         sec = GridSection.from_function(f, *GRID, charge=charge)
         got = dolbeault_residual(sec, params).values
         assert got.tobytes() == oracles.dolbeault_residual_reference(sec, params).tobytes()
+
+
+# The stencil scales complex differences by the reciprocal 1/(2h), the product
+# numpy's complex / real division forms, so it may differ from the quotient
+# only in the sign of an exact zero; real differences are still divided.
+
+def _assert_stencil_matches(values, h, axis):
+    got = diff_axis(values, h, axis)
+    ref = oracles.diff_axis_reference(values, h, axis)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    if np.iscomplexobj(values):
+        assert np.array_equal(got, ref)
+        parts = np.ascontiguousarray(got).view(float)
+        differ = parts.view(np.uint64) != np.ascontiguousarray(ref).view(np.uint64)
+        assert np.all(parts[differ] == 0.0)
+    else:
+        assert got.tobytes() == ref.tobytes()
+
+
+_RNG = np.random.default_rng(8)
+_COMPLEX_GRID = _RNG.normal(size=(23, 17)) + 1j * _RNG.normal(size=(23, 17))
+# zero real parts of both signs and whole imaginary parts, so that many
+# differences are exact zeros
+_ZEROS_GRID = np.empty((23, 17), dtype=complex)
+_ZEROS_GRID.real = np.where(_RNG.random((23, 17)) < 0.5, 0.0, -0.0)
+_ZEROS_GRID.imag = np.round(_COMPLEX_GRID.imag)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_stencil_bit_equal_without_zeros(axis):
+    got = diff_axis(_COMPLEX_GRID, 0.037, axis)
+    assert got.tobytes() == oracles.diff_axis_reference(_COMPLEX_GRID, 0.037, axis).tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("form", ["complex", "real", "exact zeros", "transposed",
+                                  "strided", "three samples"])
+def test_stencil_matches_division_form(axis, form):
+    values = {
+        "complex": _COMPLEX_GRID,
+        "real": _COMPLEX_GRID.real.copy(),
+        "exact zeros": _ZEROS_GRID,
+        "transposed": _COMPLEX_GRID.T,
+        "strided": _COMPLEX_GRID[::2, ::3],
+        "three samples": _COMPLEX_GRID[:3, :3],
+    }[form]
+    _assert_stencil_matches(values, 0.25, axis)
+    _assert_stencil_matches(values, 1e-300, axis)
+
+
+def test_stencil_needs_three_samples():
+    with pytest.raises(GridTooSmallError):
+        diff_axis(_COMPLEX_GRID[:2], 0.1, 0)
+
+
+_stencil_part = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                          st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), nx=st.integers(3, 6), ny=st.integers(3, 6),
+       axis=st.sampled_from([0, 1]), h=st.floats(1e-6, 1e6),
+       real=st.booleans())
+def test_stencil_property(data, nx, ny, axis, h, real):
+    parts = np.array(data.draw(st.lists(_stencil_part, min_size=2 * nx * ny,
+                                        max_size=2 * nx * ny)))
+    # interleaved (re, im) pairs viewed as complex keep the sign of each zero
+    values = parts[:nx * ny] if real else parts.view(complex)
+    _assert_stencil_matches(values.reshape(nx, ny), h, axis)
