@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, OpenCurveError, UndersampledError,
                      ZeroCrossingError, ZeroPointError)
-from .sections import check_charge, check_finite, check_sign
+from .sections import check_charge, check_finite, check_int, check_real, check_sign
 
 TWO_PI = 2.0 * np.pi
 
@@ -23,12 +23,17 @@ TWO_PI = 2.0 * np.pi
 @dataclass(frozen=True)
 class OscillatorParams:
     """Mass and frequency; the derived length scale is w^2 = 1/(m omega).
-    m, omega and the derived m*omega, w^2 and w^4 must be finite and nonzero."""
+    m and omega are real numbers, stored as floats; they and the derived
+    m*omega, w^2 and w^4 must be finite and nonzero."""
 
     m: float = 1.0
     omega: float = 1.0
 
     def __post_init__(self):
+        # stored as floats: an int product m*omega beyond the float range would
+        # pass the range check below, then fail to convert in w2
+        object.__setattr__(self, "m", check_real(self.m, "m"))
+        object.__setattr__(self, "omega", check_real(self.omega, "omega"))
         if not (0 < self.m < np.inf and 0 < self.omega < np.inf):
             raise InvalidArgumentError(
                 f"m and omega must be finite and positive, got {self.m!r}, {self.omega!r}")
@@ -141,8 +146,9 @@ def evolve_classical(state: ClassicalState, t, params: OscillatorParams,
 
 
 def trajectory_times(periods: float, samples: int, params: OscillatorParams) -> np.ndarray:
-    """Uniform times covering `periods` full periods, endpoints included;
-    NonFiniteError if the end time is not finite."""
+    """`samples` (an int >= 2) uniform times covering `periods` full periods,
+    endpoints included; NonFiniteError if the end time is not finite."""
+    samples = check_int(samples, "samples", 2)
     end = periods * TWO_PI / params.omega
     check_finite(end, "trajectory end time")
     return np.linspace(0.0, end, samples)
@@ -204,8 +210,7 @@ def symplectic_reduce(z0: complex, n_samples: int):
     """
     if z0 == 0:
         raise ZeroPointError("z0 = 0 is excluded from the reduced phase space")
-    if n_samples < 3:
-        raise InvalidArgumentError("n_samples must be >= 3")
+    n_samples = check_int(n_samples, "n_samples", 3)
     angles = TWO_PI * np.arange(n_samples) / n_samples
     return z0, z0 * np.exp(1j * angles)
 

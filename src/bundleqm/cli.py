@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -28,7 +27,7 @@ import numpy as np
 from . import bundles, classical, orbifold, oscillator, polarizations
 from .classical import OscillatorParams
 from .errors import BundleqmError, ConfigError, InvalidArgumentError, NonFiniteError
-from .sections import FLOAT_FORMAT, check_sign, write_rows
+from .sections import FLOAT_FORMAT, check_real, check_sign, write_rows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -54,11 +53,6 @@ TOLERANCES = {
 }
 
 
-def _require_number(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
 @dataclass
 class RunConfig:
     m: float = 1.0
@@ -69,23 +63,23 @@ class RunConfig:
     frequency_sign: int = +1
 
     def __post_init__(self):
-        for name in ("m", "omega", "grid_half_width"):
-            _require_number(name, getattr(self, name))
-        try:
-            OscillatorParams(m=self.m, omega=self.omega)
-            check_sign(self.frequency_sign, "frequency_sign")
-        except InvalidArgumentError as exc:
-            raise ConfigError(str(exc)) from None
-        if not 0 < self.grid_half_width < np.inf:
-            raise ConfigError("grid_half_width must be finite and positive")
         if not isinstance(self.tolerances, dict):
             raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
         unknown = sorted(set(self.tolerances) - set(TOLERANCES))
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {unknown}; "
                               f"known keys: {sorted(TOLERANCES)}")
-        for name, value in self.tolerances.items():
-            _require_number(f"tolerance {name}", value)
+        try:
+            OscillatorParams(m=self.m, omega=self.omega)
+            half_width = check_real(self.grid_half_width, "grid_half_width")
+            check_sign(self.frequency_sign, "frequency_sign")
+            tolerances = {name: check_real(value, f"tolerance {name}")
+                          for name, value in self.tolerances.items()}
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from None
+        if not 0 < half_width < np.inf:
+            raise ConfigError("grid_half_width must be finite and positive")
+        for name, value in tolerances.items():
             if not 0 <= value < np.inf:
                 raise ConfigError(f"tolerance {name} must be >= 0 and finite, got {value!r}")
         if not isinstance(self.output_dir, str):
@@ -119,7 +113,7 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def format_float(x: float) -> str:
-    if isinstance(x, bool) or not isinstance(x, float):
+    if not isinstance(x, float):
         return str(x)
     return FLOAT_FORMAT % x
 
@@ -133,13 +127,11 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         items = [canonical_json(v, indent + 2) for v in obj]
         return pad + "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return pad + json.dumps(obj)
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise NonFiniteError(f"JSON has no value for the non-finite float {obj!r}")
         return pad + format_float(obj)
-    if isinstance(obj, (int, str)):
+    if obj is None or isinstance(obj, (int, str)):      # True and False are ints
         return pad + json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
@@ -185,8 +177,6 @@ def cmd_spectrum(config: RunConfig, n_max: int) -> Path:
 
 def cmd_simulate(config: RunConfig, z0: complex, charge: int, periods: float,
                  samples: int) -> Path:
-    if samples < 2:
-        raise ConfigError("samples must be >= 2")
     if z0 == 0:
         raise ConfigError("z0 = 0 is the excluded point of the punctured phase space")
     params = config.params
@@ -409,8 +399,10 @@ def suite_charge_mirror(config: RunConfig):
     # classical: conj of particle evolution = antiparticle evolution of conj datum
     z0 = 0.8 - 0.6j
     ts = np.linspace(0.0, 7.0, 50)
-    plus = classical.evolve_classical(classical.ClassicalState(z0, +1), ts, params)
-    minus = classical.evolve_classical(classical.ClassicalState(np.conj(z0), -1), ts, params)
+    sign = config.frequency_sign
+    plus = classical.evolve_classical(classical.ClassicalState(z0, +1), ts, params, sign)
+    minus = classical.evolve_classical(classical.ClassicalState(np.conj(z0), -1), ts, params,
+                                       sign)
     checks.append(Check("mirror classical evolution",
                         float(np.max(np.abs(np.conj(plus) - minus))),
                         config.tolerance("mirror")))
@@ -419,9 +411,9 @@ def suite_charge_mirror(config: RunConfig):
     c = rng.normal(size=6) + 1j * rng.normal(size=6)
     c /= np.linalg.norm(c)
     ev_p = oscillator.evolve_schrodinger(
-        oscillator.EvolvingState(polarizations.FockState(np.conj(c), +1)), 0.37, params)
+        oscillator.EvolvingState(polarizations.FockState(np.conj(c), +1)), 0.37, params, sign)
     ev_m = oscillator.evolve_schrodinger(
-        oscillator.EvolvingState(polarizations.FockState(c, -1)), 0.37, params)
+        oscillator.EvolvingState(polarizations.FockState(c, -1)), 0.37, params, sign)
     checks.append(Check("mirror schrodinger evolution",
                         float(np.max(np.abs(np.conj(ev_p.state.coeffs) - ev_m.state.coeffs))),
                         config.tolerance("mirror")))

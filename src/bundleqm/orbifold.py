@@ -15,11 +15,7 @@ import numpy as np
 
 from .classical import TWO_PI, check_angular_steps, closed_loop_ratios
 from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
-
-
-def _check_degree(n: int) -> None:
-    if n < 1:
-        raise InvalidArgumentError(f"covering degree must be >= 1, got {n!r}")
+from .sections import check_int, check_pair, check_real
 
 
 @dataclass(frozen=True)
@@ -29,7 +25,7 @@ class ConeGeometry:
     n: int
 
     def __post_init__(self):
-        _check_degree(self.n)
+        check_int(self.n, "covering degree", 1)
 
     @property
     def cone_angle(self) -> float:
@@ -42,14 +38,14 @@ class ConeGeometry:
 
 def branched_cover(z, n: int):
     """z -> z^n; degree-n branched covering with branch point z = 0."""
-    _check_degree(n)
+    n = check_int(n, "covering degree", 1)
     return np.asarray(z, dtype=complex) ** n if np.ndim(z) else complex(z) ** n
 
 
 def cover_inverse(psi: complex, n: int, branch: int) -> complex:
     """The branch-th n-th root, principal argument in [0, 2pi/n) plus branch steps."""
-    _check_degree(n)
-    if not 0 <= branch < n:
+    n = check_int(n, "covering degree", 1)
+    if check_int(branch, "branch", 0) >= n:
         raise BranchOutOfRangeError(f"branch {branch} outside 0..{n - 1}")
     psi = complex(psi)
     if psi == 0:
@@ -78,7 +74,7 @@ def cone_metric(psi: complex, n: int) -> ConeMetric:
     The conformal factor is (2/n^2)(psibar psi)^((1-n)/n); n = 1 reduces to
     the flat 2 dpsi dpsibar.  Singular at the tip (|psi| < 1e-12) for n >= 2.
     """
-    _check_degree(n)
+    n = check_int(n, "covering degree", 1)
     psi = complex(psi)
     if abs(psi) < 1e-12 and n >= 2:
         raise OriginSingularError("cone metric is singular at psi = 0 for n >= 2")
@@ -106,7 +102,7 @@ def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j) -> TransportResu
     tip returns the defect angle 2pi(n-1)/n mod 2pi; loops not enclosing the
     tip return holonomy 0.
     """
-    _check_degree(n)
+    n = check_int(n, "covering degree", 1)
     # principal branch, |Im| < pi per step (checked); the sum is 2 pi i * winding
     logs = np.log(closed_loop_ratios(loop, 3))
     check_angular_steps(logs.imag)
@@ -125,20 +121,20 @@ def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j) -> TransportResu
 # ---------------------------------------------------------------------------
 
 def circle_loop(center: complex = 0j, radius: float = 1.0, samples: int = 4096) -> np.ndarray:
-    t = np.linspace(0.0, TWO_PI, samples + 1)
+    t = np.linspace(0.0, TWO_PI, check_int(samples, "samples", 1) + 1)
     return center + radius * np.exp(1j * t)
 
 
 def ellipse_loop(center: complex = 0j, rx: float = 2.0, ry: float = 0.7,
                  samples: int = 4096) -> np.ndarray:
-    t = np.linspace(0.0, TWO_PI, samples + 1)
+    t = np.linspace(0.0, TWO_PI, check_int(samples, "samples", 1) + 1)
     return center + rx * np.cos(t) + 1j * ry * np.sin(t)
 
 
 def square_loop(center: complex = 0j, half_side: float = 1.0,
                 samples: int = 4096) -> np.ndarray:
     corners = half_side * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
-    u = np.linspace(0.0, 4.0, samples + 1)
+    u = np.linspace(0.0, 4.0, check_int(samples, "samples", 1) + 1)
     k = np.minimum(u.astype(int), 3)
     f = u - k
     return center + corners[k] * (1 - f) + corners[k + 1] * f
@@ -148,21 +144,23 @@ def loop_from_spec(spec) -> np.ndarray:
     """Build a loop from a JSON-style descriptor.
 
     Either a list of [re, im] pairs, or {"shape": "circle"|"square"|"ellipse",
-    "center": [re, im], "radius": r or [rx, ry], "samples": k}.
+    "center": [re, im], "radius": r or [rx, ry], "samples": k}.  A pair, radius
+    or sample count of the wrong type raises InvalidArgumentError.
     """
     if isinstance(spec, (list, tuple)):
-        return np.array([complex(re, im) for re, im in spec])
+        return np.array([check_pair(pair, "loop point") for pair in spec])
     if not isinstance(spec, dict):
         raise InvalidArgumentError("loop spec must be a list of pairs or a descriptor dict")
     shape = spec.get("shape", "circle")
-    center = complex(*spec.get("center", (0.0, 0.0)))
-    samples = int(spec.get("samples", 4096))
+    if shape not in ("circle", "square", "ellipse"):
+        raise InvalidArgumentError(f"unknown loop shape {shape!r}")
+    center = check_pair(spec.get("center", (0.0, 0.0)), "center")
+    samples = spec.get("samples", 4096)
     radius = spec.get("radius", 1.0)
-    if shape == "circle":
-        return circle_loop(center, float(radius), samples)
-    if shape == "square":
-        return square_loop(center, float(radius), samples)
     if shape == "ellipse":
-        rx, ry = (radius if isinstance(radius, (list, tuple)) else (radius, radius))
-        return ellipse_loop(center, float(rx), float(ry), samples)
-    raise InvalidArgumentError(f"unknown loop shape {shape!r}")
+        rx, ry = (radius if isinstance(radius, (list, tuple)) and len(radius) == 2
+                  else (radius, radius))
+        return ellipse_loop(center, check_real(rx, "radius"), check_real(ry, "radius"),
+                            samples)
+    builder = circle_loop if shape == "circle" else square_loop
+    return builder(center, check_real(radius, "radius"), samples)

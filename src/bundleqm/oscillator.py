@@ -17,11 +17,10 @@ import numpy as np
 
 from .bundles import covariant_derivative, vacuum_connection
 from .classical import OscillatorParams, complex_coordinate
-from .errors import (GridTooSmallError, InvalidArgumentError, NotNormalizedError,
-                     ResolutionInsufficientError)
+from .errors import GridTooSmallError, NotNormalizedError, ResolutionInsufficientError
 from .polarizations import FockState, hermite_basis
-from .sections import (GridSection, LineSection, check_charge, check_finite, check_sign,
-                       trapezoid_weights)
+from .sections import (GridSection, LineSection, check_charge, check_finite, check_int,
+                       check_sign, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,7 @@ def energy(n: int, params: OscillatorParams) -> float:
 
 def spectrum(n_max: int, params: OscillatorParams):
     """Levels for both charges: antiparticles share E_n with opposite q_l, q_v."""
-    if n_max < 0:
-        raise InvalidArgumentError("n_max must be >= 0")
+    n_max = check_int(n_max, "n_max", 0)
     out = []
     for q in (+1, -1):
         for n in range(n_max + 1):
@@ -63,8 +61,7 @@ def spectrum(n_max: int, params: OscillatorParams):
 
 def eigenstate(n: int, charge: int = +1) -> FockState:
     """Unit-norm Fock basis state delta_{kn}."""
-    if n < 0:
-        raise InvalidArgumentError("n must be >= 0")
+    n = check_int(n, "n", 0)
     coeffs = np.zeros(n + 1, dtype=complex)
     coeffs[n] = 1.0
     return FockState(coeffs=coeffs, charge=check_charge(charge))
@@ -185,6 +182,7 @@ def laplacian_consistency(n: int, params: OscillatorParams,
     (the monomial vanishes at the origin, so pointwise ratios are ill-posed).
     Equivalently -Laplacian/2m has eigenvalue omega(n + 1/2).
     """
+    n = check_int(n, "n", 0)
     if n > 8:
         raise ResolutionInsufficientError("n must be <= 8 (grid-resolvable)")
     check_charge(charge)

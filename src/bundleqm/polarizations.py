@@ -23,8 +23,8 @@ from .bundles import GaugeConnection
 from .classical import OscillatorParams, complex_coordinate
 from .errors import (ChargeMismatchError, DecayViolationError, InvalidArgumentError,
                      NonMonotoneError, QuadratureUnderResolvedError)
-from .sections import (GridSection, LineSection, check_charge, check_finite, diff_axis,
-                       require_axis, trapezoid_weights)
+from .sections import (GridSection, LineSection, check_charge, check_finite, check_int,
+                       check_pair, check_real, diff_axis, require_axis, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,25 @@ class FockState:
 
     @classmethod
     def from_json(cls, text: str):
-        """Returns (state, w)."""
-        doc = json.loads(text)
-        coeffs = np.array([re + 1j * im for re, im in doc["coeffs"]])
-        return cls(coeffs=coeffs, charge=doc["charge"]), float(doc["w"])
+        """Returns (state, w).  Text that is not JSON, a document without the
+        keys coeffs, charge and w, a coefficient that is not an [re, im] pair
+        of numbers, or a w that is not a finite positive number raises
+        InvalidArgumentError."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidArgumentError(f"Fock state is not valid JSON: {exc}") from None
+        keys = {"coeffs", "charge", "w"}
+        if not (isinstance(doc, dict) and keys <= set(doc)):
+            raise InvalidArgumentError(f"Fock state must be an object with the keys "
+                                       f"{sorted(keys)}")
+        if not isinstance(doc["coeffs"], list):
+            raise InvalidArgumentError("coeffs must be a list of [re, im] pairs")
+        coeffs = [check_pair(pair, "coefficient") for pair in doc["coeffs"]]
+        w = check_real(doc["w"], "w")
+        if not 0 < w < np.inf:
+            raise InvalidArgumentError(f"w must be finite and positive, got {w!r}")
+        return cls(coeffs=coeffs, charge=doc["charge"]), w
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +116,7 @@ def hermite_functions(n_max: int, t) -> np.ndarray:
     e_n(t) = pi^{-1/4} (2^n n!)^{-1/2} H_n(t) exp(-t^2/2), by the stable
     weighted recurrence.  Shape: (n_max+1,) + shape(t).
     """
+    n_max = check_int(n_max, "n_max", 0)
     t = np.asarray(t, dtype=float)
     out = np.zeros((n_max + 1,) + t.shape)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * t ** 2)
@@ -135,12 +151,11 @@ def gauss_hermite(order: int):
     read-only arrays computed once per order per process.  order must be an
     int in 1..GAUSS_HERMITE_MAX_ORDER.
     """
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
-        raise InvalidArgumentError(f"order must be an int >= 1, got {order!r}")
+    order = check_int(order, "order", 1)
     if order > GAUSS_HERMITE_MAX_ORDER:
         raise QuadratureUnderResolvedError(
             f"order {order} above the maximum {GAUSS_HERMITE_MAX_ORDER}")
-    return _gauss_hermite_rule(int(order))
+    return _gauss_hermite_rule(order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,12 +280,11 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
     kinds (at least 2N+2, and a valid gauss_hermite order), so a call valid
     for a callable stays valid for its samples.
     """
-    if n_max < 0:
-        raise InvalidArgumentError("n_max must be >= 0")
+    n_max = check_int(n_max, "n_max", 0)
+    nodes, _, scaled = gauss_hermite(quad_order)     # also validates quad_order
     if quad_order < 2 * n_max + 2:
         raise QuadratureUnderResolvedError(
             f"quad_order {quad_order} below floor 2N+2 = {2 * n_max + 2}")
-    nodes, _, scaled = gauss_hermite(quad_order)     # also validates quad_order
     if isinstance(sec, LineSection):
         require_axis(sec, "x")
         amax = np.max(np.abs(sec.values))
@@ -343,7 +357,7 @@ def polarization_limit_check(params: OscillatorParams, w_sequence: Sequence[floa
     (w outside about 1e-81..1e77), raises InvalidArgumentError.
     """
     q = check_charge(charge)
-    ws = [float(v) for v in w_sequence]
+    ws = [check_real(v, "w") for v in w_sequence]
     for w in ws:
         if not 0 < w < np.inf:
             raise InvalidArgumentError(f"w must be finite and positive, got {w!r}")

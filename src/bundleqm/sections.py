@@ -11,7 +11,9 @@ the quantum charge q_v as a plain validated integer, +1 for particles and
 
 from __future__ import annotations
 
+import numbers
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,16 +27,43 @@ _BINARY_MAGIC = b"BQGS"
 _BINARY_VERSION = 1
 
 
-def _is_unit_int(value) -> bool:
-    """True for the integers +1 and -1 (a bool or a float is neither)."""
-    return (not isinstance(value, bool) and isinstance(value, (int, np.integer))
-            and value in (+1, -1))
+def _is_int(value) -> bool:
+    """True for an int or a numpy integer (a bool or a float is neither)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(value, name: str, minimum: int) -> int:
+    """Validate a count, degree, level or index: an int (not a bool or a
+    float) of at least `minimum`, returned as a plain int; else
+    InvalidArgumentError."""
+    if not (_is_int(value) and value >= minimum):
+        raise InvalidArgumentError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name: str) -> float:
+    """Validate a real parameter: a real number that is not a bool, returned
+    as a float; else InvalidArgumentError, also for an int beyond the float
+    range.  Range and finiteness are the caller's to check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidArgumentError(f"{name} is outside the float range") from None
+
+
+def check_pair(value, name: str) -> complex:
+    """Validate a JSON [re, im] pair of real numbers; return it as a complex."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise InvalidArgumentError(f"{name} must be an [re, im] pair, got {value!r}")
+    return complex(check_real(value[0], name), check_real(value[1], name))
 
 
 def check_charge(charge: int) -> int:
     """Validate a quantum charge; bundle operations admit only the integers
     +1 and -1 (a bool or a float is not a charge)."""
-    if not _is_unit_int(charge):
+    if not (_is_int(charge) and charge in (+1, -1)):
         raise InvalidChargeError(f"quantum charge must be the integer +1 or -1, "
                                  f"got {charge!r}")
     return int(charge)
@@ -43,7 +72,7 @@ def check_charge(charge: int) -> int:
 def check_sign(sign: int, name: str) -> None:
     """Validate an orientation sign (a frequency or complex-structure sign):
     the integer +1 or -1, else InvalidArgumentError."""
-    if not _is_unit_int(sign):
+    if not (_is_int(sign) and sign in (+1, -1)):
         raise InvalidArgumentError(f"{name} must be the integer +1 or -1, got {sign!r}")
 
 
@@ -61,11 +90,12 @@ def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     array by a real scalar as the product with that reciprocal, so only the
     sign of an exact zero can differ from the quotient.  Real differences are
     divided by 2h, since there x/s and x*(1/s) can differ in the last bit.
+    Integer values give float derivatives.
     """
     if values.shape[axis] < 3:
         raise GridTooSmallError("need at least 3 samples along the derivative axis")
     f = np.moveaxis(values, axis, 0)
-    g = np.empty_like(f)
+    g = np.empty_like(f, dtype=np.result_type(f, 1.0))
     np.subtract(f[2:], f[:-2], out=g[1:-1])
     g[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
     g[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
@@ -88,10 +118,13 @@ def _uniform_spacing(axis: np.ndarray, name: str) -> float:
     if axis.ndim != 1 or axis.size < 3:
         raise GridTooSmallError(f"{name} axis needs at least 3 samples, got {axis.size}")
     check_finite(axis, f"{name} axis")
-    h = axis[1:] - axis[:-1]
-    h0 = h[0]
-    # every spacing within 1e-10 of the first, relative: np.allclose's test
-    if not (h0 > 0 and np.abs(h - h0).max() <= 1e-10 * h0):
+    # a spacing that overflows to inf, and inf - inf = nan, fail the test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = axis[1:] - axis[:-1]
+        h0 = h[0]
+        # every spacing within 1e-10 of the first, relative: np.allclose's test
+        uniform = h0 > 0 and np.abs(h - h0).max() <= 1e-10 * h0
+    if not uniform:
         raise GridFormatError(f"{name} axis must be uniform with positive spacing")
     return float(h0)
 
@@ -134,6 +167,7 @@ class GridSection:
     def from_function(cls, f, x_range, p_range, nx: int, np_: int, charge: int = +1):
         """Sample f on a uniform grid.  f receives the column x[:, None] and the
         row p[None, :] and must broadcast; its result is broadcast to (nx, np_)."""
+        nx, np_ = check_int(nx, "nx", 0), check_int(np_, "np_", 0)
         x = np.linspace(x_range[0], x_range[1], nx)
         p = np.linspace(p_range[0], p_range[1], np_)
         values = np.asarray(f(x[:, None], p[None, :]), dtype=complex)
@@ -172,7 +206,7 @@ class LineSection:
 
     @classmethod
     def from_function(cls, f, axis: str, lo: float, hi: float, n: int, charge: int = +1):
-        coords = np.linspace(lo, hi, n)
+        coords = np.linspace(lo, hi, check_int(n, "n", 0))
         return cls(axis=axis, coords=coords, values=np.asarray(f(coords), dtype=complex),
                    charge=charge)
 
@@ -301,7 +335,10 @@ def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:
         if header not in (_CSV_HEADER, _CSV_HEADER_NO_CHARGE):
             raise GridFormatError(f"{path}: unrecognised grid CSV header {header!r}")
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # a file without rows is reported below as a GridFormatError
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise GridFormatError(f"{path}: malformed grid CSV rows: {exc}") from None
     ncols = len(header.split(","))
@@ -320,7 +357,8 @@ def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:
     if not (np.array_equal(data[:, 0], np.repeat(x, p.size))
             and np.array_equal(data[:, 1], np.tile(p, x.size))):
         raise GridFormatError(f"{path}: rows are not a full grid in x-major order")
-    values = (data[:, 2] + 1j * data[:, 3]).reshape(x.size, p.size)
+    # the re/im pair viewed as complex keeps the sign of a zero imaginary part
+    values = np.ascontiguousarray(data[:, 2:4]).view(complex).reshape(x.size, p.size)
     return GridSection(x=x, p=p, values=values,
                        charge=_resolve_charge(file_charge, charge, path))
 
@@ -332,10 +370,7 @@ def write_grid_binary(section: GridSection, path) -> None:
         fh.write(header)
         fh.write(section.x.astype("<f8").tobytes())
         fh.write(section.p.astype("<f8").tobytes())
-        interleaved = np.empty((section.nx, section.np_, 2))
-        interleaved[..., 0] = section.values.real
-        interleaved[..., 1] = section.values.imag
-        fh.write(interleaved.astype("<f8").tobytes())
+        fh.write(section.values.astype("<c16").tobytes())
 
 
 def read_grid_binary(path, charge: Optional[int] = None) -> GridSection:
@@ -355,10 +390,10 @@ def read_grid_binary(path, charge: Optional[int] = None) -> GridSection:
     if len(buf) != size:
         raise GridFormatError(f"{path}: {len(buf)} bytes, but a {nx} x {np_} grid "
                               f"file has {size}")
-    body = np.frombuffer(buf, dtype="<f8", offset=16)
-    x, p = body[:nx], body[nx:nx + np_]
-    raw = body[nx + np_:].reshape(nx, np_, 2)
-    return GridSection(x=x.copy(), p=p.copy(), values=raw[..., 0] + 1j * raw[..., 1],
+    axes = np.frombuffer(buf, dtype="<f8", count=nx + np_, offset=16)
+    values = np.frombuffer(buf, dtype="<c16", offset=16 + 8 * (nx + np_))
+    return GridSection(x=axes[:nx].copy(), p=axes[nx:].copy(),
+                       values=values.reshape(nx, np_).copy(),
                        charge=_resolve_charge(file_charge, charge, path))
 
 

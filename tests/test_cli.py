@@ -95,6 +95,13 @@ class TestConfigContract:
         ('{"tolerances": {"cr": 0}}', "unknown tolerance keys: ['cr']"),
         ('{"tolerances": []}', "tolerances must be an object"),
         ('{"m": "1"}', "m must be a number"),
+        # ints that a float cannot hold once ended in an OverflowError traceback
+        pytest.param('{"m": 1' + "0" * 400 + '}', "m is outside the float range",
+                     id="m=10**400"),
+        pytest.param('{"m": 1' + "0" * 200 + ', "omega": 1' + "0" * 200 + '}', "m*omega",
+                     id="m=omega=10**200"),
+        pytest.param('{"grid_half_width": 1' + "0" * 400 + '}',
+                     "grid_half_width is outside the float range", id="grid_half_width=10**400"),
         ('{"omega": true}', "omega must be a number"),
         ('{"grid_half_width": "8"}', "grid_half_width must be a number"),
         ('{"grid_half_width": Infinity}', "grid_half_width must be finite"),
@@ -227,6 +234,10 @@ class TestSimulateCommand:
     def test_excluded_origin(self):
         assert main(["simulate", "--z0", "0j"]) == EXIT_USAGE
 
+    def test_sample_floor(self, out_dir):
+        assert main(["simulate", "--z0", "1", "--samples", "1"]) == EXIT_USAGE
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("bad", [2, 0, True, 1.0])
     def test_invalid_charge_is_typed_and_writes_nothing(self, out_dir, bad):
         with pytest.raises(InvalidChargeError):
@@ -306,7 +317,8 @@ class TestVerifyCommand:
 
     # omega = 0.2 puts the spectrum suite's n = 10 turning point beyond x = 10
     @pytest.mark.parametrize("doc", [{"omega": 0.5}, {"omega": 2}, {"m": 4},
-                                     {"m": 0.25, "omega": 3}, {"omega": 0.2}])
+                                     {"m": 0.25, "omega": 3}, {"omega": 0.2},
+                                     {"frequency_sign": -1}])
     def test_all_suites_pass_at_other_scales(self, tmp_path, capsys, doc):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))

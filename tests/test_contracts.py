@@ -1,35 +1,38 @@
 """Typed errors for invalid charges, non-finite samples, malformed grids and
 closed loops, and a package import that leaves scipy out."""
 
+import json
 import os
 import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bundleqm.bundles import (GaugeConnection, canonical_operators, covariant_derivative,
-                              vacuum_connection)
+                              curvature_numeric, vacuum_connection)
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
                                 closed_loop_ratios, evolve_classical, symplectic_reduce,
                                 trajectory_times, winding_number)
-from bundleqm.errors import (BundleqmError, GridFormatError, InvalidArgumentError,
-                             InvalidChargeError, NonFiniteError, OpenCurveError,
-                             ResolutionInsufficientError, UndersampledError,
-                             ZeroCrossingError)
-from bundleqm.orbifold import (ConeGeometry, branched_cover, cone_metric, cover_inverse,
-                               levi_civita_transport, loop_from_spec)
+from bundleqm.errors import (BundleqmError, GridFormatError, GridTooSmallError,
+                             InvalidArgumentError, InvalidChargeError, NonFiniteError,
+                             NonMonotoneError, OpenCurveError, ResolutionInsufficientError,
+                             UndersampledError, ZeroCrossingError)
+from bundleqm.orbifold import (ConeGeometry, branched_cover, circle_loop, cone_metric,
+                               cover_inverse, ellipse_loop, levi_civita_transport,
+                               loop_from_spec, square_loop)
 from bundleqm.oscillator import (EvolvingState, eigenstate, evolve_schrodinger, husimi,
                                  laplacian_consistency, spectrum)
 from bundleqm.polarizations import (FockState, Polarization, bargmann_transform,
-                                    holomorphic_gauge, ladder_apply, ladder_coordinate,
-                                    polarization_limit_check)
+                                    hermite_functions, holomorphic_gauge, ladder_apply,
+                                    ladder_coordinate, polarization_limit_check)
 from bundleqm.sections import (DoubledSection, GridSection, LineSection, check_charge,
-                               load_grid, read_grid_binary, read_grid_csv, write_grid_binary,
-                               write_grid_csv)
+                               check_int, check_real, load_grid, read_grid_binary,
+                               read_grid_csv, write_grid_binary, write_grid_csv)
 
 AXIS = np.linspace(-1.0, 1.0, 3)
 
@@ -73,6 +76,33 @@ class TestCharge:
     def test_is_a_bundleqm_error(self):
         assert issubclass(InvalidChargeError, BundleqmError)
         assert issubclass(NonFiniteError, BundleqmError)
+
+
+class TestArgumentRules:
+    @pytest.mark.parametrize("good", [2, 7, np.int64(2), np.uint8(3)])
+    def test_int_accepts_integers_from_the_minimum(self, good):
+        n = check_int(good, "n", 2)
+        assert n == good and type(n) is int
+
+    @pytest.mark.parametrize("bad", [1, -3, True, 2.0, np.float64(3.0), "3", None, 3j])
+    def test_int_rejects(self, bad):
+        with pytest.raises(InvalidArgumentError, match="n must be an int >= 2"):
+            check_int(bad, "n", 2)
+
+    @pytest.mark.parametrize("good", [1, -2.5, np.float64(0.5), np.int32(4), np.nan])
+    def test_real_accepts_real_numbers(self, good):
+        x = check_real(good, "m")
+        assert type(x) is float and (x == good or np.isnan(good))
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), "1", 1j, None, [1.0]])
+    def test_real_rejects(self, bad):
+        with pytest.raises(InvalidArgumentError, match="m must be a number"):
+            check_real(bad, "m")
+
+    def test_real_rejects_an_int_beyond_floats(self):
+        assert check_real(10 ** 300, "m") == 1e300
+        with pytest.raises(InvalidArgumentError, match="m is outside the float range"):
+            check_real(10 ** 400, "m")
 
 
 class TestNonFinite:
@@ -183,6 +213,21 @@ class TestGridFormat:
         sec.values[0, 0] = 7.0          # a writable array of its own
         assert sec.values[1, 1] != 7.0
 
+    def test_overflowing_spacing_warns_nothing(self):
+        # the spacings of this finite axis overflow to -inf and inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridFormatError):
+                GridSection(x=[1e308, -1e308, 1.7e308], p=AXIS, values=np.ones((3, 3)))
+
+    def test_csv_without_rows_warns_nothing(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("x,p,re,im,charge\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridFormatError):
+                read_grid_csv(path)
+
 
 # (samples, what winding_number returns or raises, the loop_winding that
 # levi_civita_transport returns or what it raises).  Both functions bound the
@@ -242,6 +287,18 @@ INF_AXIS_CSV = "x,p,re,im,charge\n" + "".join(f"{x},{p},1,0,1\n" for x in INF_AX
                                               for p in AXIS)
 INF_AXIS_BINARY = (struct.pack("<4sHhII", b"BQGS", 1, 1, 3, 3)
                    + np.concatenate([AXIS, INF_AXIS, np.ones(18)]).astype("<f8").tobytes())
+ZERO_CHARGE_BINARY = (struct.pack("<4sHhII", b"BQGS", 1, 0, 3, 3)
+                      + np.concatenate([AXIS, AXIS, np.ones(18)]).astype("<f8").tobytes())
+FOUR_COLUMN_ROWS_CSV = "x,p,re,im,charge\n" + "".join(f"{x},{p},1,0\n" for x in AXIS
+                                                    for p in AXIS)
+
+
+def _fock_json(**doc):
+    """FockState.from_json on a valid document with the fields of doc replaced
+    (a value of None drops the field)."""
+    full = {"coeffs": [[1.0, 0.0]], "charge": 1, "w": 1.0}
+    full.update(doc)
+    return FockState.from_json(json.dumps({k: v for k, v in full.items() if v is not None}))
 
 
 # Entry points that once raised a bare ValueError for an invalid argument, or
@@ -249,6 +306,8 @@ INF_AXIS_BINARY = (struct.pack("<4sHhII", b"BQGS", 1, 1, 3, 3)
 def _bad_calls():
     params = OscillatorParams()
     line = LineSection(axis="x", coords=AXIS, values=np.ones(3))
+    gauss = lambda x: np.exp(-x ** 2)
+    ones = lambda x, p: 1.0 + 0.0 * x
     odd = GaugeConnection(a_x=lambda x, p: 0.0 * x, a_p=lambda x, p: 0.0 * p)
     return [
         ("laplacian n=9", lambda: laplacian_consistency(9, params), ResolutionInsufficientError),
@@ -319,6 +378,82 @@ def _bad_calls():
          lambda: LineSection("p", [-np.inf, -1.0, 0.0], np.ones(3)), NonFiniteError),
         ("grid CSV x inf", lambda: _load_file(".csv", INF_AXIS_CSV), NonFiniteError),
         ("grid binary p inf", lambda: _load_file(".bqgs", INF_AXIS_BINARY), NonFiniteError),
+        ("grid binary charge 0", lambda: _load_file(".bqgs", ZERO_CHARGE_BINARY),
+         GridFormatError),
+        ("grid CSV 4-column rows", lambda: _load_file(".csv", FOUR_COLUMN_ROWS_CSV),
+         GridFormatError),
+        ("curvature 4x4 probe",
+         lambda: curvature_numeric(vacuum_connection(),
+                                   GridSection.from_function(ones, (-1, 1), (-1, 1), 4, 4)),
+         GridTooSmallError),
+        ("limit check one w", lambda: polarization_limit_check(params, [1.0]),
+         NonMonotoneError),
+        # counts, degrees, levels and indices are ints, not bools or floats
+        ("eigenstate(True)", lambda: eigenstate(True), InvalidArgumentError),
+        ("eigenstate(2.5)", lambda: eigenstate(2.5), InvalidArgumentError),
+        ("spectrum(2.5)", lambda: spectrum(2.5, params), InvalidArgumentError),
+        ("hermite_functions(2.5)", lambda: hermite_functions(2.5, AXIS), InvalidArgumentError),
+        ("bargmann_transform n_max=2.5", lambda: bargmann_transform(gauss, 2.5, 16, params),
+         InvalidArgumentError),
+        ("bargmann_transform quad_order='x'",
+         lambda: bargmann_transform(gauss, 2, "x", params), InvalidArgumentError),
+        ("laplacian n=-1", lambda: laplacian_consistency(-1, params), InvalidArgumentError),
+        ("laplacian n=2.5", lambda: laplacian_consistency(2.5, params), InvalidArgumentError),
+        ("ConeGeometry(2.5)", lambda: ConeGeometry(2.5), InvalidArgumentError),
+        ("ConeGeometry(True)", lambda: ConeGeometry(True), InvalidArgumentError),
+        ("transport n=2.5", lambda: levi_civita_transport(circle_loop(), 2.5),
+         InvalidArgumentError),
+        ("cover_inverse branch=1.5", lambda: cover_inverse(1j, 2, 1.5), InvalidArgumentError),
+        ("cover_inverse branch=-1", lambda: cover_inverse(1j, 2, -1), InvalidArgumentError),
+        ("symplectic_reduce 3.5 samples", lambda: symplectic_reduce(1j, 3.5),
+         InvalidArgumentError),
+        ("trajectory_times 2.5 samples", lambda: trajectory_times(1, 2.5, params),
+         InvalidArgumentError),
+        ("trajectory_times 1 sample", lambda: trajectory_times(1, 1, params),
+         InvalidArgumentError),
+        ("circle_loop -3 samples", lambda: circle_loop(samples=-3), InvalidArgumentError),
+        ("ellipse_loop 2.0 samples", lambda: ellipse_loop(samples=2.0), InvalidArgumentError),
+        ("square_loop True samples", lambda: square_loop(samples=True), InvalidArgumentError),
+        ("GridSection.from_function nx=2.5",
+         lambda: GridSection.from_function(ones, (-1, 1), (-1, 1), 2.5, 3),
+         InvalidArgumentError),
+        ("LineSection.from_function n=-1",
+         lambda: LineSection.from_function(gauss, "x", -1.0, 1.0, -1), InvalidArgumentError),
+        # m, omega and w are real numbers
+        ("OscillatorParams m='1'", lambda: OscillatorParams(m="1"), InvalidArgumentError),
+        ("OscillatorParams m=True", lambda: OscillatorParams(m=True), InvalidArgumentError),
+        ("OscillatorParams omega=1j", lambda: OscillatorParams(omega=1j),
+         InvalidArgumentError),
+        ("OscillatorParams m=10**400", lambda: OscillatorParams(m=10 ** 400),
+         InvalidArgumentError),
+        ("OscillatorParams int m*omega overflow",
+         lambda: OscillatorParams(m=10 ** 200, omega=10 ** 200), InvalidArgumentError),
+        ("limit check w='x'", lambda: polarization_limit_check(params, ["x", 1.0]),
+         InvalidArgumentError),
+        # the two JSON documents README describes
+        ("FockState JSON not JSON", lambda: FockState.from_json("{"), InvalidArgumentError),
+        ("FockState JSON list", lambda: FockState.from_json("[]"), InvalidArgumentError),
+        ("FockState JSON no w", lambda: _fock_json(w=None), InvalidArgumentError),
+        ("FockState JSON w=-1", lambda: _fock_json(w=-1), InvalidArgumentError),
+        ("FockState JSON w=NaN", lambda: _fock_json(w=float("nan")), InvalidArgumentError),
+        ("FockState JSON w='1'", lambda: _fock_json(w="1"), InvalidArgumentError),
+        ("FockState JSON w=10**400", lambda: _fock_json(w=10 ** 400), InvalidArgumentError),
+        ("FockState JSON coeffs 1", lambda: _fock_json(coeffs=1), InvalidArgumentError),
+        ("FockState JSON coeff [1]", lambda: _fock_json(coeffs=[[1.0]]), InvalidArgumentError),
+        ("FockState JSON coeff 'x'", lambda: _fock_json(coeffs=[[1.0, "x"]]),
+         InvalidArgumentError),
+        ("loop spec center 'ab'", lambda: loop_from_spec({"center": "ab"}),
+         InvalidArgumentError),
+        ("loop spec center 3 parts", lambda: loop_from_spec({"center": [0, 0, 0]}),
+         InvalidArgumentError),
+        ("loop spec radius 'x'", lambda: loop_from_spec({"radius": "x"}),
+         InvalidArgumentError),
+        ("loop spec ellipse radius 3 parts",
+         lambda: loop_from_spec({"shape": "ellipse", "radius": [1, 2, 3]}),
+         InvalidArgumentError),
+        ("loop spec samples 2.7", lambda: loop_from_spec({"samples": 2.7}),
+         InvalidArgumentError),
+        ("loop spec point 'a'", lambda: loop_from_spec([[1.0, "a"]]), InvalidArgumentError),
     ]
 
 

@@ -266,6 +266,14 @@ def test_stencil_matches_division_form(axis, form):
     _assert_stencil_matches(values, 1e-300, axis)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_stencil_of_integers_is_float(axis):
+    values = np.round(10.0 * _COMPLEX_GRID.real).astype(np.int64)
+    got = diff_axis(values, 0.25, axis)
+    ref = oracles.diff_axis_reference(values.astype(float), 0.25, axis)
+    assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+
+
 def test_stencil_needs_three_samples():
     with pytest.raises(GridTooSmallError):
         diff_axis(_COMPLEX_GRID[:2], 0.1, 0)

@@ -33,6 +33,25 @@ def _grid(charge=-1, n=9, m=11, seed=0):
                        charge=charge)
 
 
+def _signed_zero_grid(charge):
+    """A random grid whose even rows hold imaginary parts of -0.0 (a saved
+    1-0j once loaded as 1+0j) and whose odd rows hold +0.0."""
+    sec = _grid(charge=charge)
+    sec.values.imag[::2] = -0.0
+    sec.values.imag[1::2] = 0.0
+    return sec
+
+
+def _assert_round_trip_bit_exact(sec, path):
+    save_grid(sec, path)
+    back = load_grid(path)
+    for part in ("x", "p", "values"):
+        a, b = getattr(back, part), getattr(sec, part)
+        assert a.view(np.uint64).tobytes() == b.view(np.uint64).tobytes()
+    assert back.charge == sec.charge
+    back.values[0, 0] = 2.0             # loaded values are writable
+
+
 class TestRowWriter:
     def test_edge_values_match_reference(self):
         rows = np.array(EDGE_VALUES).reshape(-1, 1) * np.array([1.0, -1.0, 1.0])
@@ -84,14 +103,8 @@ class TestCommandBytes:
 
 class TestGridCsv:
     def test_round_trip_bit_exact_with_charge(self, tmp_path):
-        sec = _grid(charge=-1)
-        path = tmp_path / "g.csv"
-        save_grid(sec, path)
-        back = load_grid(path)
-        for part in ("x", "p", "values"):
-            a, b = getattr(back, part), getattr(sec, part)
-            assert a.view(np.uint64).tobytes() == b.view(np.uint64).tobytes()
-        assert back.charge == -1
+        _assert_round_trip_bit_exact(_grid(charge=-1), tmp_path / "g.csv")
+        _assert_round_trip_bit_exact(_signed_zero_grid(+1), tmp_path / "z.csv")
 
     def test_negative_zero_axis_round_trip(self, tmp_path):
         sec = GridSection(x=np.array([-1.0, -0.0, 1.0]), p=np.array([-0.0, 1.0, 2.0]),
@@ -172,6 +185,10 @@ class TestGridBinary:
         path = tmp_path / "g.bqgs"
         write_grid_binary(_grid(charge=charge), path)
         return path
+
+    def test_round_trip_bit_exact_with_charge(self, tmp_path):
+        _assert_round_trip_bit_exact(_grid(charge=-1), tmp_path / "g.bqgs")
+        _assert_round_trip_bit_exact(_signed_zero_grid(+1), tmp_path / "z.bqgs")
 
     def test_caller_charge_must_agree(self, tmp_path):
         path = self._write(tmp_path)
