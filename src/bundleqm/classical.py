@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, OpenCurveError, UndersampledError,
                      ZeroCrossingError, ZeroPointError)
-from .sections import check_charge, check_finite, check_int, check_real, check_sign
+from .sections import (check_array, check_charge, check_finite, check_int, check_positive,
+                       check_sign)
 
 TWO_PI = 2.0 * np.pi
 
@@ -32,11 +33,8 @@ class OscillatorParams:
     def __post_init__(self):
         # stored as floats: an int product m*omega beyond the float range would
         # pass the range check below, then fail to convert in w2
-        object.__setattr__(self, "m", check_real(self.m, "m"))
-        object.__setattr__(self, "omega", check_real(self.omega, "omega"))
-        if not (0 < self.m < np.inf and 0 < self.omega < np.inf):
-            raise InvalidArgumentError(
-                f"m and omega must be finite and positive, got {self.m!r}, {self.omega!r}")
+        object.__setattr__(self, "m", check_positive(self.m, "m"))
+        object.__setattr__(self, "omega", check_positive(self.omega, "omega"))
         # w^4 = w^2 * w^2 in range implies w^2 = 1/(m omega) in range
         if not (0 < self.m * self.omega < np.inf and 0 < self.w4 < np.inf):
             raise InvalidArgumentError(
@@ -157,10 +155,11 @@ def trajectory_times(periods: float, samples: int, params: OscillatorParams) -> 
 def closed_loop_ratios(samples, min_points: int) -> np.ndarray:
     """Validate a sampled closed loop about 0 and return z[1:] / z[:-1].
 
-    The loop needs at least min_points finite samples, none within 1e-9
-    (relative to the largest modulus) of 0, and first ~ last sample.
+    The loop is a 1D array of at least min_points finite complex samples,
+    none within 1e-9 (relative to the largest modulus) of 0, with first ~
+    last sample.
     """
-    z = np.asarray(samples, dtype=complex)
+    z = check_array(samples, complex, "loop samples", ndim=1)
     if z.size < min_points:
         raise OpenCurveError(f"need at least {min_points} samples")
     check_finite(z, "loop samples")

@@ -27,7 +27,7 @@ import numpy as np
 from . import bundles, classical, orbifold, oscillator, polarizations
 from .classical import OscillatorParams
 from .errors import BundleqmError, ConfigError, InvalidArgumentError, NonFiniteError
-from .sections import FLOAT_FORMAT, check_real, check_sign, write_rows
+from .sections import FLOAT_FORMAT, check_positive, check_real, check_sign, write_rows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,14 +71,12 @@ class RunConfig:
                               f"known keys: {sorted(TOLERANCES)}")
         try:
             OscillatorParams(m=self.m, omega=self.omega)
-            half_width = check_real(self.grid_half_width, "grid_half_width")
+            check_positive(self.grid_half_width, "grid_half_width")
             check_sign(self.frequency_sign, "frequency_sign")
             tolerances = {name: check_real(value, f"tolerance {name}")
                           for name, value in self.tolerances.items()}
         except InvalidArgumentError as exc:
             raise ConfigError(str(exc)) from None
-        if not 0 < half_width < np.inf:
-            raise ConfigError("grid_half_width must be finite and positive")
         for name, value in tolerances.items():
             if not 0 <= value < np.inf:
                 raise ConfigError(f"tolerance {name} must be >= 0 and finite, got {value!r}")

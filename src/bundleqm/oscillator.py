@@ -19,8 +19,8 @@ from .bundles import covariant_derivative, vacuum_connection
 from .classical import OscillatorParams, complex_coordinate
 from .errors import GridTooSmallError, NotNormalizedError, ResolutionInsufficientError
 from .polarizations import FockState, hermite_basis
-from .sections import (GridSection, LineSection, check_charge, check_finite, check_int,
-                       check_sign, trapezoid_weights)
+from .sections import (GridSection, LineSection, check_array, check_charge, check_finite,
+                       check_int, check_positive, check_sign, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,11 @@ def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     Q = |psi(z')|^2 exp(-|z'|^2) / pi; for the eigenstate n this is
     (1/pi n!) |z'|^{2n} exp(-|z'|^2), nonnegative and of unit total mass.
     Charge -1 states are antiholomorphic: their argument is conj(z').  u and
-    v are flattened; a field that is not finite raises NonFiniteError.
+    v are flattened (input numpy cannot read as floats raises
+    InvalidArgumentError); a field that is not finite raises NonFiniteError.
     """
-    u = np.ravel(np.asarray(u, float))[:, None]
-    v = np.ravel(np.asarray(v, float))[None, :]
+    u = np.ravel(check_array(u, float, "u"))[:, None]
+    v = np.ravel(check_array(v, float, "v"))[None, :]
     zp = u + 1j * v
     if state.charge == -1:
         zp = np.conj(zp)
@@ -180,12 +181,14 @@ def laplacian_consistency(n: int, params: OscillatorParams,
     Psi_n = z^n exp(-z zbar / 2 w^2) must return -(2/w^2)(n + 1/2) Psi_n; the
     eigenvalue is measured as a Rayleigh quotient two cells in from each edge
     (the monomial vanishes at the origin, so pointwise ratios are ill-posed).
-    Equivalently -Laplacian/2m has eigenvalue omega(n + 1/2).
+    Equivalently -Laplacian/2m has eigenvalue omega(n + 1/2).  half_width
+    and h must be finite and positive, else InvalidArgumentError.
     """
     n = check_int(n, "n", 0)
     if n > 8:
         raise ResolutionInsufficientError("n must be <= 8 (grid-resolvable)")
     check_charge(charge)
+    half_width, h = check_positive(half_width, "half_width"), check_positive(h, "h")
     w2 = params.w2
     nx = int(round(2 * half_width / h)) + 1
 
@@ -232,7 +235,9 @@ def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
     raising amplifies grid noise and cannot build it).  H applied to the basis
     is built _HAMILTONIAN_BLOCK samples at a time, so no full-size temporary is
     made.  The eigenvalues reproduce the Fock spectrum omega(n + 1/2).
+    half_width and h must be finite and positive, else InvalidArgumentError.
     """
+    half_width, h = check_positive(half_width, "half_width"), check_positive(h, "h")
     n_pts = int(round(2 * half_width / h)) + 1
     if n_pts < 3:
         raise GridTooSmallError(f"need at least 3 samples, got {n_pts}")

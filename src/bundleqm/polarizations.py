@@ -23,8 +23,9 @@ from .bundles import GaugeConnection
 from .classical import OscillatorParams, complex_coordinate
 from .errors import (ChargeMismatchError, DecayViolationError, InvalidArgumentError,
                      NonMonotoneError, QuadratureUnderResolvedError)
-from .sections import (GridSection, LineSection, check_charge, check_finite, check_int,
-                       check_pair, check_real, diff_axis, require_axis, trapezoid_weights)
+from .sections import (GridSection, LineSection, check_array, check_charge, check_finite,
+                       check_int, check_pair, check_positive, diff_axis, require_axis,
+                       trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class FockState:
     charge: int = +1
 
     def __post_init__(self):
-        self.coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
+        self.coeffs = np.atleast_1d(check_array(self.coeffs, complex, "coeffs"))
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise InvalidArgumentError("coeffs must be a nonempty 1D array")
         check_finite(self.coeffs, "coefficients")
@@ -100,9 +101,7 @@ class FockState:
         if not isinstance(doc["coeffs"], list):
             raise InvalidArgumentError("coeffs must be a list of [re, im] pairs")
         coeffs = [check_pair(pair, "coefficient") for pair in doc["coeffs"]]
-        w = check_real(doc["w"], "w")
-        if not 0 < w < np.inf:
-            raise InvalidArgumentError(f"w must be finite and positive, got {w!r}")
+        w = check_positive(doc["w"], "w")
         return cls(coeffs=coeffs, charge=doc["charge"]), w
 
 
@@ -357,10 +356,7 @@ def polarization_limit_check(params: OscillatorParams, w_sequence: Sequence[floa
     (w outside about 1e-81..1e77), raises InvalidArgumentError.
     """
     q = check_charge(charge)
-    ws = [check_real(v, "w") for v in w_sequence]
-    for w in ws:
-        if not 0 < w < np.inf:
-            raise InvalidArgumentError(f"w must be finite and positive, got {w!r}")
+    ws = [check_positive(v, "w") for v in w_sequence]
     # OscillatorParams rejects a w whose omega = 1/m/w/w, w^2 or w^4 leaves the
     # float range, so every accepted entry has params.w == w up to rounding
     scales = [OscillatorParams(m=params.m, omega=1.0 / params.m / w / w) for w in ws]

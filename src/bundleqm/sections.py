@@ -11,6 +11,8 @@ the quantum charge q_v as a plain validated integer, +1 for particles and
 
 from __future__ import annotations
 
+import functools
+import itertools
 import numbers
 import struct
 import warnings
@@ -51,6 +53,28 @@ def check_real(value, name: str) -> float:
         return float(value)
     except OverflowError:
         raise InvalidArgumentError(f"{name} is outside the float range") from None
+
+
+def check_positive(value, name: str) -> float:
+    """Validate a finite positive real (a width, a step, a scale), returned as
+    a float; else InvalidArgumentError."""
+    x = check_real(value, name)
+    if not 0 < x < np.inf:
+        raise InvalidArgumentError(f"{name} must be finite and positive, got {value!r}")
+    return x
+
+
+def check_array(value, dtype, name: str, ndim: Optional[int] = None) -> np.ndarray:
+    """`value` as an array of dtype, with ndim dimensions when ndim is given;
+    else InvalidArgumentError (say for text, ragged lists or a 2D loop)."""
+    try:
+        arr = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must be an array of {np.dtype(dtype).name} "
+                                   f"numbers, got {value!r}") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise InvalidArgumentError(f"{name} must be a {ndim}D array, got shape {arr.shape}")
+    return arr
 
 
 def check_pair(value, name: str) -> complex:
@@ -269,12 +293,186 @@ class DoubledSection:
 # Text rows.
 #
 # Every float in a text artifact is written with 17 significant digits, which
-# round-trips any float64 exactly.  Rows are formatted ROW_CHUNK at a time with
-# one `%` operation per block, which keeps the transient text to a few MB.
+# round-trips any float64 exactly.  Comma-separated float rows go through
+# _float_text, a numpy kernel that gives the bytes of FLOAT_FORMAT % v,
+# _KERNEL_VALUES values at a time; the values it cannot decide go through `%`
+# itself.  Other rows are formatted ROW_CHUNK at a time with one `%` operation
+# per block.  Either way the transient text stays within a few MB.
 # ---------------------------------------------------------------------------
 
 FLOAT_FORMAT = "%.17g"
 ROW_CHUNK = 4096
+
+# decimal exponents of the values the kernel scales (|v| about 1e-290..1e290);
+# 10**s is tabled for every s = 16 - exponent that it can need there
+_K_MAX = 290
+_S_MIN, _S_MAX = -276, 308
+# the computed fraction of v * 10**s is within 4e-15 of the exact one when
+# 10**s is inexact (exact for s = 0..22); a fraction this near a tie is left
+_TIE_BAND = 2.0 ** -44
+_KERNEL_VALUES = 2048   # values per call: its temporaries (about 1 MB) stay in cache
+_WIDTH = 25             # "-1.2345678901234567e-308" and its separator
+# byte offsets in a value's 32-byte source row: "-.0", the 17 digits, the
+# exponent ("e+dd" or "e-ddd"), the separator ("," or a newline) and a NUL
+_MINUS, _DOT, _ZERO, _DIGIT0, _EXP, _SEP, _NUL = 0, 1, 2, 3, 20, 28, 29
+# word offsets in _text_tables' words: after the 10000 4-digit groups
+_LEAD = 10000
+_COMMA, _NEWLINE = _LEAD + 10, _LEAD + 11
+_EXPS = _LEAD + 12
+
+
+def _split(x):
+    """Veltkamp split: x = hi + lo exactly, each part on at most 26 bits."""
+    c = x * 134217729.0     # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _layout(cls: int, sig: int, neg: bool) -> list:
+    """Source offsets of one %.17g field whose digits are d0..d(sig-1) (no
+    trailing zero): class 0..20 is the fixed form at decimal exponent cls - 4,
+    21 the e form, 22 a zero."""
+    digits = [_DIGIT0 + j for j in range(sig)]
+    out = [_MINUS] if neg else []
+    if cls == 22:
+        out += [_ZERO]
+    elif cls == 21:
+        out += digits[:1] + ([_DOT] + digits[1:] if sig > 1 else [])
+        out += range(_EXP, _EXP + 5)
+    elif cls >= 4:
+        out += range(_DIGIT0, _DIGIT0 + cls - 3)
+        out += [_DOT] + digits[cls - 3:] if sig > cls - 3 else []
+    else:
+        out += [_ZERO, _DOT] + [_ZERO] * (3 - cls) + digits
+    return out + [_SEP] + [_NUL] * (_WIDTH - 1 - len(out))
+
+
+@functools.lru_cache(maxsize=None)
+def _text_tables():
+    """The float kernel's tables, built on first use with integer arithmetic.
+    Indexed by s - _S_MIN: rows (hi, lo, hi's Veltkamp halves, tie band) of
+    10**s = hi + lo, the band -1 where lo = 0, and the layout class of the
+    exponent 16 - s.  Then 32-bit words of text: the 4-digit groups, "-.0d"
+    for each leading digit d at _LEAD, "," and a newline, and the exponent
+    texts "e+dd" or "e-ddd" as word pairs at _EXPS; the trailing-zero
+    counts of 4-digit groups; and the layouts, indexed by ((class * 17 +
+    sig - 1) * 2 + negative)."""
+    his, los = [], []
+    for s in range(_S_MIN, _S_MAX + 1):
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        hi = num / den                      # int / int rounds correctly
+        hn, hd = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * hd - hn * den) / (den * hd))
+    hi, lo = np.array(his), np.array(los)
+    mant, ex = np.frexp(hi)                 # split the mantissa: no overflow
+    hh = np.ldexp(_split(mant)[0], ex)
+    pow10 = np.column_stack([hi, lo, hh, hi - hh, np.where(lo == 0, -1.0, _TIE_BAND)])
+    k = 16 - np.arange(_S_MIN, _S_MAX + 1)
+    classes = np.where((k >= -4) & (k <= 16), k + 4, 21)
+    g = np.arange(10000, dtype=np.uint16)
+    ascii4 = np.empty((10000, 4), np.uint8)  # column by column: small temporaries
+    ntz4 = np.zeros(10000, np.uint8)
+    for j in range(4):
+        ascii4[:, j] = g // 10 ** (3 - j) % 10 + 48
+        ntz4 += g % 10 ** (j + 1) == 0
+    lead = [b"-.0%d" % d for d in range(10)] + [b",", b"\n"]
+    exp_text = [b"e%+03d" % e for e in k]
+    words = np.concatenate([ascii4.ravel(), np.array(lead, dtype="S4").view(np.uint8),
+                            np.array(exp_text, dtype="S8").view(np.uint8)]).view(np.uint32)
+    layouts = np.empty((23 * 17 * 2, _WIDTH), np.uint8)
+    for i, (cls, sig, neg) in enumerate(itertools.product(range(23), range(1, 18), (0, 1))):
+        layouts[i] = _layout(cls, sig, neg)
+    return pow10, classes, words, ntz4, layouts
+
+
+def _round_scaled(a, k, pow10):
+    """Round a * 10**(16 - k) to an integer D, half to even: p = fl(a * hi)
+    and a small t, the exact error of that product (Dekker's two-product)
+    plus a * lo, sum to it, and p is an even integer wherever D is in the
+    decade, so D = p + rint(t).  Returns D, the decade step k needs (-1 when
+    the product is below 1e16, +1 when D is above 1e17) and a mask of the
+    products within _TIE_BAND of a tie where 10**s is inexact."""
+    hi, lo, hh, hl, band = pow10.take(16 - k - _S_MIN, axis=0).T
+    p = a * hi
+    ah, al = _split(a)
+    t = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    whole = p.astype(np.int64)
+    r = np.rint(t)
+    d = whole + r.astype(np.int64)
+    step = (d > 10 ** 17).astype(np.int64) - (t < 10 ** 16 - whole)
+    return d, step, 0.5 - np.abs(t - r) <= band
+
+
+def _decimal_digits(v, pow10):
+    """The 17 significant digits of each float v as an integer D in [1e16,
+    1e17), and the decimal exponent k of D's first digit, as %.17g rounds
+    them.  `undecided` marks the values it cannot scale: zeros, non-finite
+    and extreme values, and products too near a tie."""
+    a = np.abs(v)
+    with np.errstate(divide="ignore"):     # log10(0) = -inf is left below
+        k = np.floor(np.log10(a))
+    undecided = ~(np.abs(k) <= _K_MAX)
+    a[undecided] = 1.0
+    k[undecided] = 0.0
+    k = k.astype(np.int64)
+    d, step, tie = _round_scaled(a, k, pow10)
+    # log10 may round across a power of ten: move those values one decade
+    for _ in range(2):
+        i = np.flatnonzero(step)
+        if i.size == 0:
+            break
+        k[i] += step[i]
+        d[i], step[i], tie[i] = _round_scaled(a[i], k[i], pow10)
+    undecided |= tie | (step != 0)
+    top = d == 10 ** 17                     # rounded up into the next decade
+    d[top] = 10 ** 16
+    k[top] += 1
+    return d, k, undecided
+
+
+def _float_text(block: np.ndarray) -> str:
+    """FLOAT_FORMAT % v for each value of the 2D float64 block, joined by
+    commas and ended by a newline per row, byte for byte."""
+    pow10, classes, words, ntz4, layouts = _text_tables()
+    n_rows, n_cols = block.shape
+    v = block.ravel()
+    d, k, undecided = _decimal_digits(v, pow10)
+    n = v.size
+    # word indices of the source rows: "-.0" and the leading digit, four
+    # 4-digit groups, the exponent text and the separator
+    words_at = np.empty((n, 8), np.intp)
+    high, low = np.divmod(d, 10 ** 8)
+    high, low = high.astype(np.uint32), low.astype(np.uint32)
+    words_at[:, 0], r = np.divmod(high, 10 ** 8)
+    words_at[:, 1], words_at[:, 2] = np.divmod(r, 10 ** 4)
+    words_at[:, 3], words_at[:, 4] = np.divmod(low, 10 ** 4)
+    ntz = ntz4[words_at[:, 4]]              # trailing zeros of d
+    i = np.flatnonzero(ntz == 4)
+    for j in (3, 2, 1):
+        if i.size == 0:
+            break
+        ntz[i] += ntz4[words_at[i, j]]
+        i = i[ntz[i] == 4 * (5 - j)]
+    words_at[:, 0] += _LEAD
+    s = 16 - k - _S_MIN
+    words_at[:, 5] = _EXPS + 2 * s
+    words_at[:, 6] = words_at[:, 5] + 1
+    words_at.reshape(n_rows, n_cols, 8)[:, :, 7] = [_COMMA] * (n_cols - 1) + [_NEWLINE]
+    src_bytes = words.take(words_at).view(np.uint8).ravel()
+    cls = classes[s]
+    zero = v == 0
+    cls[zero] = 22
+    undecided[zero] = False
+    key = (cls * 17 + 16 - ntz) * 2 + np.signbit(v)
+    idx = layouts.take(key, axis=0) + 32 * np.arange(n)[:, None]
+    rec = src_bytes.take(idx)
+    left = np.flatnonzero(undecided)
+    if left.size:
+        rec[left] = np.frombuffer(FLOAT_FORMAT.encode().ljust(_WIDTH, b"\0"), np.uint8)
+        rec[left, len(FLOAT_FORMAT)] = src_bytes[32 * left + _SEP]
+    text = rec.tobytes().translate(None, b"\0").decode("ascii")
+    return text % tuple(v[left].tolist()) if left.size else text
 
 
 def write_rows(fh, header: str, rows: np.ndarray, field: str = FLOAT_FORMAT,
@@ -282,6 +480,11 @@ def write_rows(fh, header: str, rows: np.ndarray, field: str = FLOAT_FORMAT,
     """Write `header` and a newline, then each row of the 2D `rows` as
     `field`-formatted values joined by `sep`, one line per row."""
     fh.write(header + "\n")
+    if field == FLOAT_FORMAT and sep == "," and rows.dtype == np.float64 and rows.shape[1]:
+        step = max(1, _KERNEL_VALUES // rows.shape[1])
+        for start in range(0, rows.shape[0], step):
+            fh.write(_float_text(rows[start:start + step]))
+        return
     row_fmt = sep.join([field] * rows.shape[1]) + "\n"
     for start in range(0, rows.shape[0], ROW_CHUNK):
         block = rows[start:start + ROW_CHUNK]
@@ -331,16 +534,16 @@ def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:
     """Load a CSV grid.  The charge comes from the file; a `charge` given here
     must agree with it (files without a charge column take `charge`, else +1)."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header not in (_CSV_HEADER, _CSV_HEADER_NO_CHARGE):
-            raise GridFormatError(f"{path}: unrecognised grid CSV header {header!r}")
         try:
+            header = fh.readline().strip()
+            if header not in (_CSV_HEADER, _CSV_HEADER_NO_CHARGE):
+                raise GridFormatError(f"{path}: unrecognised grid CSV header {header!r}")
             with warnings.catch_warnings():
                 # a file without rows is reported below as a GridFormatError
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise GridFormatError(f"{path}: malformed grid CSV rows: {exc}") from None
+        except ValueError as exc:   # UnicodeDecodeError included
+            raise GridFormatError(f"{path}: malformed grid CSV: {exc}") from None
     ncols = len(header.split(","))
     if data.shape[0] == 0 or data.shape[1] != ncols:
         raise GridFormatError(f"{path}: expected rows of {ncols} columns, "

@@ -25,8 +25,8 @@ from bundleqm.errors import (BundleqmError, GridFormatError, GridTooSmallError,
 from bundleqm.orbifold import (ConeGeometry, branched_cover, circle_loop, cone_metric,
                                cover_inverse, ellipse_loop, levi_civita_transport,
                                loop_from_spec, square_loop)
-from bundleqm.oscillator import (EvolvingState, eigenstate, evolve_schrodinger, husimi,
-                                 laplacian_consistency, spectrum)
+from bundleqm.oscillator import (EvolvingState, coordinate_hamiltonian_matrix, eigenstate,
+                                 evolve_schrodinger, husimi, laplacian_consistency, spectrum)
 from bundleqm.polarizations import (FockState, Polarization, bargmann_transform,
                                     hermite_functions, holomorphic_gauge, ladder_apply,
                                     ladder_coordinate, polarization_limit_check)
@@ -291,6 +291,10 @@ ZERO_CHARGE_BINARY = (struct.pack("<4sHhII", b"BQGS", 1, 0, 3, 3)
                       + np.concatenate([AXIS, AXIS, np.ones(18)]).astype("<f8").tobytes())
 FOUR_COLUMN_ROWS_CSV = "x,p,re,im,charge\n" + "".join(f"{x},{p},1,0\n" for x in AXIS
                                                     for p in AXIS)
+# CSV grids that are not UTF-8: a UTF-16 byte-order mark, and a stray byte in a row
+GRID_CSV = "x,p,re,im,charge\n" + "".join(f"{x},{p},1,0,1\n" for x in AXIS for p in AXIS)
+UTF16_CSV = b"\xff\xfe" + GRID_CSV.encode("utf-16-le")
+STRAY_BYTE_CSV = GRID_CSV.encode().replace(b",1,0,1\n", b",1,\xff0,1\n", 1)
 
 
 def _fock_json(**doc):
@@ -382,6 +386,8 @@ def _bad_calls():
          GridFormatError),
         ("grid CSV 4-column rows", lambda: _load_file(".csv", FOUR_COLUMN_ROWS_CSV),
          GridFormatError),
+        ("grid CSV UTF-16", lambda: _load_file(".csv", UTF16_CSV), GridFormatError),
+        ("grid CSV stray byte", lambda: _load_file(".csv", STRAY_BYTE_CSV), GridFormatError),
         ("curvature 4x4 probe",
          lambda: curvature_numeric(vacuum_connection(),
                                    GridSection.from_function(ones, (-1, 1), (-1, 1), 4, 4)),
@@ -454,6 +460,25 @@ def _bad_calls():
         ("loop spec samples 2.7", lambda: loop_from_spec({"samples": 2.7}),
          InvalidArgumentError),
         ("loop spec point 'a'", lambda: loop_from_spec([[1.0, "a"]]), InvalidArgumentError),
+        # array arguments numpy cannot read, and a loop that is not 1D
+        ("winding_number 2D samples", lambda: winding_number(np.ones((3, 3))),
+         InvalidArgumentError),
+        ("transport loop 'abc'", lambda: levi_civita_transport("abc", 3), InvalidArgumentError),
+        ("FockState('ab')", lambda: FockState("ab"), InvalidArgumentError),
+        ("husimi u 'a'", lambda: husimi(eigenstate(1), "a", [0.0]), InvalidArgumentError),
+        # grid widths and steps are finite and positive
+        ("hamiltonian matrix h=0", lambda: coordinate_hamiltonian_matrix(3, params, h=0.0),
+         InvalidArgumentError),
+        ("hamiltonian matrix h=nan",
+         lambda: coordinate_hamiltonian_matrix(3, params, h=np.nan), InvalidArgumentError),
+        ("hamiltonian matrix half_width=nan",
+         lambda: coordinate_hamiltonian_matrix(3, params, half_width=np.nan),
+         InvalidArgumentError),
+        ("laplacian h=0", lambda: laplacian_consistency(1, params, h=0.0), InvalidArgumentError),
+        ("laplacian h=nan", lambda: laplacian_consistency(1, params, h=np.nan),
+         InvalidArgumentError),
+        ("laplacian half_width=nan", lambda: laplacian_consistency(1, params, half_width=np.nan),
+         InvalidArgumentError),
     ]
 
 

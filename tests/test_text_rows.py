@@ -1,7 +1,9 @@
 """Byte identity of the chunked text writers, and the grid file contracts."""
 
 import io
+import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,18 +14,94 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from bundleqm.cli import RunConfig, cmd_simulate, write_pgm
 from bundleqm.errors import ChargeMismatchError, GridFormatError
-from bundleqm.sections import (ROW_CHUNK, GridSection, load_grid, read_grid_binary,
+from bundleqm.sections import (_KERNEL_VALUES, FLOAT_FORMAT, ROW_CHUNK, GridSection,
+                               _decimal_digits, _text_tables, load_grid, read_grid_binary,
                                read_grid_csv, save_grid, write_grid_binary,
                                write_grid_csv, write_rows)
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308,
                -1.7976931348623157e308, 1.0, -3.0, 1e16, 2.0 ** 53, 0.1, 1 / 3]
+# rows of 3 values per call of the float kernel
+KERNEL_ROWS = _KERNEL_VALUES // 3
 
 
-def _rows_text(header, rows):
+def _rows_text(header, rows, sep=","):
     fh = io.StringIO()
-    write_rows(fh, header, np.asarray(rows, dtype=float))
+    write_rows(fh, header, np.asarray(rows, dtype=float), sep=sep)
     return fh.getvalue()
+
+
+def _percent_text(header, rows, sep=","):
+    """The rows as FLOAT_FORMAT % v formats each value, the oracle of the
+    float kernel."""
+    return header + "\n" + "".join(sep.join(FLOAT_FORMAT % v for v in row) + "\n"
+                                   for row in np.asarray(rows).tolist())
+
+
+def _assert_like_percent(values, cols=3):
+    """Format values (both signs, `cols` to a row) and compare with `%`."""
+    values = np.asarray(values, dtype=float)
+    values = np.concatenate([values, -values])
+    rows = values[:values.size - values.size % cols].reshape(-1, cols)
+    assert _rows_text("v", rows) == _percent_text("v", rows)
+
+
+def _undecided(values):
+    return _decimal_digits(np.asarray(values, dtype=float), _text_tables()[0])[2]
+
+
+def _scaled(v):
+    """v * 10**s exactly, with s = 16 - the decimal exponent of v's first
+    digit, so the product lies in [1e16, 1e17); and s."""
+    s = 16 - math.floor(math.log10(abs(v)))
+    while True:
+        x = Fraction(abs(v)) * Fraction(10) ** s
+        if x < 10 ** 16:
+            s += 1
+        elif x >= 10 ** 17:
+            s -= 1
+        else:
+            return x, s
+
+
+def _near_ties():
+    """Floats v whose 17-digit product v * 10**s is within 2**-46 of a rounding
+    tie while 10**s is not a float (s outside 0..22).  With v = m / 2**(c + s)
+    the product is m 5**s / 2**c, and with v = m 2**(j + n), s = -n, it is
+    m 2**j / 5**n; m is solved modulo 2**c or 5**n for a fractional part of
+    1/2 + r / 2**c or 1/2 + (2r + 1) / (2 * 5**n), r small."""
+    out = []
+    for s, c in ((23, 50), (24, 50), (24, 52)):
+        inv = pow(5 ** s, -1, 2 ** c)
+        lo = -(-10 ** 16 * 2 ** c // 5 ** s)
+        for r in range(-4, 5):
+            m = (2 ** (c - 1) + r) * inv % 2 ** c
+            m += -(-(lo - m) // 2 ** c) * 2 ** c        # the first such m >= lo
+            out.append(math.ldexp(m, -(c + s)))
+    for n in (21, 22):
+        j = math.ceil(math.log2(11.2 * 5 ** n))         # product < 1e17 for m < 2**53
+        inv = pow(2 ** j, -1, 5 ** n)
+        lo = -(-10 ** 16 * 5 ** n // 2 ** j)
+        for r in range(-4, 4):
+            m = ((5 ** n - 1) // 2 - r) * inv % 5 ** n
+            m += -(-(lo - m) // 5 ** n) * 5 ** n
+            out.append(math.ldexp(m, j + n))
+    return out
+
+
+def _edge_table():
+    """Powers of ten from 1e-300 to 1e300 (as 10.0 ** e and as the literal)
+    with both neighbours, 2**53 and its neighbours, the 1e16 and 1e17 edges,
+    the %g switch from the fixed to the e form near 1e-4 and 1e17, a signed
+    zero, NaN and inf."""
+    exps = range(-300, 301)
+    powers = np.concatenate([10.0 ** np.arange(-300, 301), [float(f"1e{e}") for e in exps]])
+    specials = [2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2, 1e16, 1e17, 99999999999999990.0,
+                99999999999999984.0, 1.0000000000000002e17, 1e-4, 9.9999999999999991e-05,
+                1.0000000000000001e-04, 0.00010000000000000002, 1e-5, 1.5e-5,
+                -0.0, np.nan, np.inf]
+    values = np.concatenate([powers, specials])
+    return np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
 
 
 def _grid(charge=-1, n=9, m=11, seed=0):
@@ -59,7 +137,8 @@ class TestRowWriter:
         assert "-0,0,-0\n" in _rows_text("a,b,c", rows)
 
     @pytest.mark.parametrize("n", [0, 1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1,
-                                   2 * ROW_CHUNK + 3])
+                                   2 * ROW_CHUNK + 3, KERNEL_ROWS - 1, KERNEL_ROWS,
+                                   KERNEL_ROWS + 1])
     def test_chunk_boundaries(self, n):
         rows = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-3, 6, 4)
         assert _rows_text("u,v,w", rows) == oracles.format_rows_reference("u,v,w", rows)
@@ -71,11 +150,64 @@ class TestRowWriter:
     def test_random_finite_arrays_match_reference(self, rows):
         assert _rows_text("h", rows) == oracles.format_rows_reference("h", rows)
 
+    @pytest.mark.parametrize("sep", [" ", ";", ", "])
+    def test_other_separators(self, sep):
+        rows = np.random.default_rng(5).normal(size=(7, 3)) * [1e-7, 1.0, 1e20]
+        rows[0] = [0.0, -0.0, np.nan]
+        assert _rows_text("a", rows, sep=sep) == _percent_text("a", rows, sep=sep)
+
     def test_integer_fields(self):
         pixels = np.array([[0, 7, 255], [255, 0, 13]], dtype=np.uint8)
         fh = io.StringIO()
         write_rows(fh, "P2\n3 2\n255", pixels, field="%d", sep=" ")
         assert fh.getvalue() == oracles.pgm_p2_reference(pixels)
+
+
+class TestFloatKernel:
+    """The numpy float formatter against `%`, its oracle."""
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+           st.integers(1, 4))
+    def test_raw_bit_patterns_match_percent(self, bits, cols):
+        # integers viewed as float64 reach subnormals and every exponent
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        rows = values[:values.size - values.size % cols].reshape(-1, cols)
+        text = _rows_text("h", rows)
+        assert text == _percent_text("h", rows)
+        assert text == oracles.format_rows_reference("h", rows)
+
+    def test_edge_table_matches_percent(self):
+        _assert_like_percent(_edge_table())
+
+    def test_near_ties_are_left_to_percent(self):
+        values = np.array(_near_ties())
+        for v in values:
+            x, s = _scaled(v)
+            assert not 0 <= s <= 22
+            assert abs(x - math.floor(x) - Fraction(1, 2)) < Fraction(1, 2 ** 46)
+        assert _undecided(np.concatenate([values, -values])).all()
+        _assert_like_percent(values)
+
+    def test_exact_ties_are_decided_half_even(self):
+        # m / 2**(s + 1), m odd, is a tie at an exact power 10**s
+        values = []
+        for s in range(12, 23):
+            m = -(-2 * 10 ** 16 // 5 ** s) | 1          # product >= 1e16
+            values += [math.ldexp(m + 2 * i, -(s + 1)) for i in range(4)]
+        for v in values:
+            x, s = _scaled(v)
+            assert x - math.floor(x) == Fraction(1, 2) and 0 <= s <= 22
+        assert not _undecided(values).any()
+        _assert_like_percent(values)
+
+    def test_decade_edges_are_decided(self):
+        # the powers of ten and their neighbours need no `%` (inside the range
+        # the kernel scales, |v| about 1e-290..1e290)
+        values = _edge_table()
+        values = values[(np.abs(values) >= 1e-289) & (np.abs(values) <= 1e289)]
+        assert not _undecided(values).any()
 
 
 class TestCommandBytes:
