@@ -111,8 +111,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def format_float(x: float) -> str:
-    if not isinstance(x, float):
-        return str(x)
     return FLOAT_FORMAT % x
 
 
@@ -144,18 +142,23 @@ def run_directory(config: RunConfig, command: str, args_doc: dict) -> Path:
     return out
 
 
+# P2 text of each pixel value, NUL-padded: "%d " in a row, "%d\n" at its end
+_P2_TEXT = np.array([[b"%d " % i, b"%d\n" % i] for i in range(256)], dtype="S4")
+
+
 def write_pgm(path, field2d: np.ndarray, ascii_mode: bool = False) -> None:
     """Grayscale PGM scaled to [0, max]; P5 by default, P2 with ascii_mode."""
     vmax = float(np.max(field2d))
     scaled = np.zeros_like(field2d) if vmax == 0 else field2d / vmax
     pixels = np.rint(255 * np.clip(scaled, 0.0, 1.0)).astype(np.uint8)
     ny, nx = pixels.shape
-    if ascii_mode:
-        with open(path, "w") as fh:
-            write_rows(fh, f"P2\n{nx} {ny}\n255", pixels, field="%d", sep=" ")
-    else:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{nx} {ny}\n255\n".encode())
+    with open(path, "wb") as fh:
+        fh.write(b"P%d\n%d %d\n255\n" % (2 if ascii_mode else 5, nx, ny))
+        if ascii_mode:
+            cells = _P2_TEXT[pixels, 0]
+            cells[:, -1] = _P2_TEXT[pixels[:, -1], 1]
+            fh.write(cells.tobytes().translate(None, b"\0"))
+        else:
             fh.write(pixels.tobytes())
 
 

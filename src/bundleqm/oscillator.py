@@ -17,7 +17,8 @@ import numpy as np
 
 from .bundles import covariant_derivative, vacuum_connection
 from .classical import OscillatorParams, complex_coordinate
-from .errors import GridTooSmallError, NotNormalizedError, ResolutionInsufficientError
+from .errors import (GridTooSmallError, InvalidArgumentError, NotNormalizedError,
+                     ResolutionInsufficientError)
 from .polarizations import FockState, hermite_basis
 from .sections import (GridSection, LineSection, check_array, check_charge, check_finite,
                        check_int, check_positive, check_sign, trapezoid_weights)
@@ -148,16 +149,12 @@ def charge_density(state: Union[FockState, LineSection]):
     per-level weights; line sections the sampled density with a trapezoid
     total.  The state's norm^2 must be 1 within 1e-6 (NotNormalizedError).
     """
-    if isinstance(state, FockState):
-        norm_sq = state.norm_sq()
-        density = state.charge * np.abs(state.coeffs) ** 2
-    else:
-        norm_sq = state.norm_sq()
-        density = state.charge * np.abs(state.values) ** 2
+    norm_sq = state.norm_sq()
+    amplitudes = state.coeffs if isinstance(state, FockState) else state.values
+    density = state.charge * np.abs(amplitudes) ** 2
     if abs(norm_sq - 1.0) > 1e-6:
         raise NotNormalizedError(f"state norm^2 = {norm_sq}, not 1 within 1e-6")
-    total = state.charge * norm_sq
-    return density, total
+    return density, state.charge * norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +179,14 @@ def laplacian_consistency(n: int, params: OscillatorParams,
     eigenvalue is measured as a Rayleigh quotient two cells in from each edge
     (the monomial vanishes at the origin, so pointwise ratios are ill-posed).
     Equivalently -Laplacian/2m has eigenvalue omega(n + 1/2).  half_width
-    and h must be finite and positive, else InvalidArgumentError.
+    and h: finite, positive, at most 2**22 grid samples, else InvalidArgumentError.
     """
     n = check_int(n, "n", 0)
     if n > 8:
         raise ResolutionInsufficientError("n must be <= 8 (grid-resolvable)")
     check_charge(charge)
-    half_width, h = check_positive(half_width, "half_width"), check_positive(h, "h")
+    half_width, nx = _grid_samples(half_width, h, 2)
     w2 = params.w2
-    nx = int(round(2 * half_width / h)) + 1
 
     def psi_n(X, P):
         z = complex_coordinate(X, P, charge, params)
@@ -223,6 +219,17 @@ def laplacian_consistency(n: int, params: OscillatorParams,
 # ---------------------------------------------------------------------------
 
 _HAMILTONIAN_BLOCK = 4096      # samples per block, so its temporaries stay in cache
+_MAX_GRID_SAMPLES = 2 ** 22    # in all; the default grids have 80001 and 601^2
+
+
+def _grid_samples(half_width: float, h: float, dims: int):
+    """Checked half_width, samples per axis at step h; dims axes hold <= _MAX_GRID_SAMPLES."""
+    half_width, h = check_positive(half_width, "half_width"), check_positive(h, "h")
+    span = 2 * half_width / h                   # inf for a step far below the width
+    if span < _MAX_GRID_SAMPLES and (round(span) + 1) ** dims <= _MAX_GRID_SAMPLES:
+        return half_width, round(span) + 1
+    raise InvalidArgumentError(f"grid half_width={half_width!r}, h={h!r} exceeds "
+                               f"{_MAX_GRID_SAMPLES} samples")
 
 
 def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
@@ -235,10 +242,9 @@ def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
     raising amplifies grid noise and cannot build it).  H applied to the basis
     is built _HAMILTONIAN_BLOCK samples at a time, so no full-size temporary is
     made.  The eigenvalues reproduce the Fock spectrum omega(n + 1/2).
-    half_width and h must be finite and positive, else InvalidArgumentError.
+    half_width and h: finite, positive, at most 2**22 samples, else InvalidArgumentError.
     """
-    half_width, h = check_positive(half_width, "half_width"), check_positive(h, "h")
-    n_pts = int(round(2 * half_width / h)) + 1
+    half_width, n_pts = _grid_samples(half_width, h, 1)
     if n_pts < 3:
         raise GridTooSmallError(f"need at least 3 samples, got {n_pts}")
     x = np.linspace(-half_width, half_width, n_pts)

@@ -293,15 +293,12 @@ class DoubledSection:
 # Text rows.
 #
 # Every float in a text artifact is written with 17 significant digits, which
-# round-trips any float64 exactly.  Comma-separated float rows go through
-# _float_text, a numpy kernel that gives the bytes of FLOAT_FORMAT % v,
-# _KERNEL_VALUES values at a time; the values it cannot decide go through `%`
-# itself.  Other rows are formatted ROW_CHUNK at a time with one `%` operation
-# per block.  Either way the transient text stays within a few MB.
+# round-trips any float64 exactly.  Rows go through _float_text, a numpy kernel
+# byte-exact to FLOAT_FORMAT % v, _KERNEL_VALUES values at a time, so the text
+# in flight stays small; the values it cannot decide go through `%` itself.
 # ---------------------------------------------------------------------------
 
 FLOAT_FORMAT = "%.17g"
-ROW_CHUNK = 4096
 
 # decimal exponents of the values the kernel scales (|v| about 1e-290..1e290);
 # 10**s is tabled for every s = 16 - exponent that it can need there
@@ -475,20 +472,13 @@ def _float_text(block: np.ndarray) -> str:
     return text % tuple(v[left].tolist()) if left.size else text
 
 
-def write_rows(fh, header: str, rows: np.ndarray, field: str = FLOAT_FORMAT,
-               sep: str = ",") -> None:
-    """Write `header` and a newline, then each row of the 2D `rows` as
-    `field`-formatted values joined by `sep`, one line per row."""
+def write_rows(fh, header: str, rows) -> None:
+    """Write the `header` line, then one line of comma-separated values per row."""
+    rows = np.asarray(rows, dtype=np.float64)
     fh.write(header + "\n")
-    if field == FLOAT_FORMAT and sep == "," and rows.dtype == np.float64 and rows.shape[1]:
-        step = max(1, _KERNEL_VALUES // rows.shape[1])
-        for start in range(0, rows.shape[0], step):
-            fh.write(_float_text(rows[start:start + step]))
-        return
-    row_fmt = sep.join([field] * rows.shape[1]) + "\n"
-    for start in range(0, rows.shape[0], ROW_CHUNK):
-        block = rows[start:start + ROW_CHUNK]
-        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+    step = max(1, _KERNEL_VALUES // (rows.shape[1] or 1))
+    for start in range(0, rows.shape[0], step):
+        fh.write(_float_text(rows[start:start + step]))
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,18 @@ def _bad_calls():
          InvalidArgumentError),
         ("laplacian half_width=nan", lambda: laplacian_consistency(1, params, half_width=np.nan),
          InvalidArgumentError),
+        # grids too large to allocate are refused before numpy tries
+        ("hamiltonian matrix h=1e-300",
+         lambda: coordinate_hamiltonian_matrix(3, params, h=1e-300), InvalidArgumentError),
+        ("hamiltonian matrix h=1e-9",
+         lambda: coordinate_hamiltonian_matrix(3, params, h=1e-9), InvalidArgumentError),
+        ("laplacian h=1e-300", lambda: laplacian_consistency(1, params, h=1e-300),
+         InvalidArgumentError),
+        ("laplacian h=1e-9", lambda: laplacian_consistency(1, params, h=1e-9),
+         InvalidArgumentError),
+        # 6001 samples per axis pass alone, but the 6001^2 grid is over the cap
+        ("laplacian h=1e-3", lambda: laplacian_consistency(1, params, h=1e-3),
+         InvalidArgumentError),
     ]
 
 
