@@ -19,9 +19,9 @@ from .polarizations import (FockState, Polarization, bargmann_inverse,
                             dolbeault_residual, gauss_hermite, hermite_basis,
                             holomorphic_gauge, ladder_apply, ladder_coordinate,
                             polarization_limit_check)
-from .oscillator import (EnergyLevel, EvolvingState, charge_density, eigenstate,
-                         evolve_schrodinger, hamiltonian_apply, husimi,
-                         laplacian_consistency, spectrum, winding_charges)
+from .oscillator import (EnergyLevel, charge_density, eigenstate, evolve_schrodinger,
+                         hamiltonian_apply, husimi, laplacian_consistency, spectrum,
+                         winding_charges)
 from .orbifold import (ConeGeometry, branched_cover, cone_metric, cover_inverse,
                        levi_civita_transport, loop_from_spec)
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (InvalidArgumentError, OpenCurveError, UndersampledError,
                      ZeroCrossingError, ZeroPointError)
 from .sections import (check_array, check_charge, check_finite, check_int, check_positive,
-                       check_sign)
+                       check_samples, check_sign)
 
 TWO_PI = 2.0 * np.pi
 
@@ -144,9 +144,10 @@ def evolve_classical(state: ClassicalState, t, params: OscillatorParams,
 
 
 def trajectory_times(periods: float, samples: int, params: OscillatorParams) -> np.ndarray:
-    """`samples` (an int >= 2) uniform times covering `periods` full periods,
-    endpoints included; NonFiniteError if the end time is not finite."""
-    samples = check_int(samples, "samples", 2)
+    """`samples` (an int from 2 to MAX_SAMPLES) uniform times covering
+    `periods` full periods, endpoints included; NonFiniteError if the end time
+    is not finite."""
+    samples = check_samples(check_int(samples, "samples", 2), "trajectory")
     end = periods * TWO_PI / params.omega
     check_finite(end, "trajectory end time")
     return np.linspace(0.0, end, samples)

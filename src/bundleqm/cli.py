@@ -27,7 +27,8 @@ import numpy as np
 from . import bundles, classical, orbifold, oscillator, polarizations
 from .classical import OscillatorParams
 from .errors import BundleqmError, ConfigError, InvalidArgumentError, NonFiniteError
-from .sections import FLOAT_FORMAT, check_positive, check_real, check_sign, write_rows
+from .sections import (FLOAT_FORMAT, check_positive, check_real, check_samples, check_sign,
+                       write_rows)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -110,10 +111,6 @@ class RunConfig:
 # Deterministic serialization: 17 significant digits, lowercase exponent
 # ---------------------------------------------------------------------------
 
-def format_float(x: float) -> str:
-    return FLOAT_FORMAT % x
-
-
 def canonical_json(obj, indent: int = 0) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
@@ -126,7 +123,7 @@ def canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise NonFiniteError(f"JSON has no value for the non-finite float {obj!r}")
-        return pad + format_float(obj)
+        return pad + FLOAT_FORMAT % obj
     if obj is None or isinstance(obj, (int, str)):      # True and False are ints
         return pad + json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
@@ -205,6 +202,7 @@ def cmd_husimi(config: RunConfig, n: int, charge: int, resolution: int,
                ascii_mode: bool = False) -> Path:
     if resolution < 16:
         raise ConfigError("resolution must be >= 16")
+    check_samples(resolution ** 2, f"husimi resolution {resolution}")
     state = oscillator.eigenstate(n, charge)
     u = np.linspace(-config.grid_half_width, config.grid_half_width, resolution)
     q_field = oscillator.husimi(state, u, u)
@@ -411,12 +409,11 @@ def suite_charge_mirror(config: RunConfig):
     rng = np.random.default_rng(3)
     c = rng.normal(size=6) + 1j * rng.normal(size=6)
     c /= np.linalg.norm(c)
-    ev_p = oscillator.evolve_schrodinger(
-        oscillator.EvolvingState(polarizations.FockState(np.conj(c), +1)), 0.37, params, sign)
-    ev_m = oscillator.evolve_schrodinger(
-        oscillator.EvolvingState(polarizations.FockState(c, -1)), 0.37, params, sign)
+    ev_p = oscillator.evolve_schrodinger(polarizations.FockState(np.conj(c), +1), 0.37,
+                                         params, sign)
+    ev_m = oscillator.evolve_schrodinger(polarizations.FockState(c, -1), 0.37, params, sign)
     checks.append(Check("mirror schrodinger evolution",
-                        float(np.max(np.abs(np.conj(ev_p.state.coeffs) - ev_m.state.coeffs))),
+                        float(np.max(np.abs(np.conj(ev_p.coeffs) - ev_m.coeffs))),
                         config.tolerance("mirror")))
     # quantum numbers and charge totals
     worst_qn = 0
@@ -459,8 +456,8 @@ def cmd_verify(config: RunConfig, suite: str) -> int:
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         all_passed &= c.passed
-        print(f"[{status}] {c.name}: measured={format_float(c.measured)} "
-              f"tolerance={format_float(c.tolerance)}")
+        print(f"[{status}] {c.name}: measured={FLOAT_FORMAT % c.measured} "
+              f"tolerance={FLOAT_FORMAT % c.tolerance}")
         report.append({"name": c.name, "measured": float(c.measured),
                        "tolerance": float(c.tolerance), "passed": c.passed})
     text = canonical_json(report) + "\n"

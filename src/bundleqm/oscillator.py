@@ -20,8 +20,9 @@ from .classical import OscillatorParams, complex_coordinate
 from .errors import (GridTooSmallError, InvalidArgumentError, NotNormalizedError,
                      ResolutionInsufficientError)
 from .polarizations import FockState, hermite_basis
-from .sections import (GridSection, LineSection, check_array, check_charge, check_finite,
-                       check_int, check_positive, check_sign, trapezoid_weights)
+from .sections import (MAX_SAMPLES, GridSection, LineSection, check_array, check_charge,
+                       check_finite, check_int, check_positive, check_samples, check_sign,
+                       trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -34,19 +35,8 @@ class EnergyLevel:
     q_v: int
 
 
-@dataclass
-class EvolvingState:
-    """A Fock state with its clock."""
-
-    state: FockState
-    t: float = 0.0
-
-    @property
-    def charge(self) -> int:
-        return self.state.charge
-
-
-def energy(n: int, params: OscillatorParams) -> float:
+def energy(n, params: OscillatorParams):
+    """E_n = omega(n + 1/2), for a level n or an array of levels."""
     return params.omega * (n + 0.5)
 
 
@@ -61,9 +51,10 @@ def spectrum(n_max: int, params: OscillatorParams):
 
 
 def eigenstate(n: int, charge: int = +1) -> FockState:
-    """Unit-norm Fock basis state delta_{kn}."""
+    """Unit-norm Fock basis state delta_{kn}; n + 1 coefficients within
+    MAX_SAMPLES, else InvalidArgumentError."""
     n = check_int(n, "n", 0)
-    coeffs = np.zeros(n + 1, dtype=complex)
+    coeffs = np.zeros(check_samples(n + 1, f"eigenstate n={n}"), dtype=complex)
     coeffs[n] = 1.0
     return FockState(coeffs=coeffs, charge=check_charge(charge))
 
@@ -71,11 +62,11 @@ def eigenstate(n: int, charge: int = +1) -> FockState:
 def hamiltonian_apply(state: FockState, params: OscillatorParams) -> FockState:
     """c_n -> omega(n + 1/2) c_n; identical action for both charges."""
     n = np.arange(state.coeffs.size)
-    return FockState(coeffs=params.omega * (n + 0.5) * state.coeffs, charge=state.charge)
+    return FockState(coeffs=energy(n, params) * state.coeffs, charge=state.charge)
 
 
-def evolve_schrodinger(ev: EvolvingState, dt: float, params: OscillatorParams,
-                       frequency_sign: int = +1) -> EvolvingState:
+def evolve_schrodinger(state: FockState, dt: float, params: OscillatorParams,
+                       frequency_sign: int = +1) -> FockState:
     """Advance by exact diagonal phases exp(i q omega (n+1/2) dt).
 
     Particle phases rotate counterclockwise (the -i d/dt convention);
@@ -83,11 +74,9 @@ def evolve_schrodinger(ev: EvolvingState, dt: float, params: OscillatorParams,
     exactly.
     """
     check_sign(frequency_sign, "frequency_sign")
-    n = np.arange(ev.state.coeffs.size)
-    phases = np.exp(1j * frequency_sign * ev.charge * params.omega * (n + 0.5) * dt)
-    return EvolvingState(state=FockState(coeffs=phases * ev.state.coeffs,
-                                         charge=ev.charge),
-                         t=ev.t + dt)
+    n = np.arange(state.coeffs.size)
+    phases = np.exp(1j * frequency_sign * state.charge * energy(n, params) * dt)
+    return FockState(coeffs=phases * state.coeffs, charge=state.charge)
 
 
 def winding_charges(state: FockState):
@@ -126,15 +115,14 @@ def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Q = |psi(z')|^2 exp(-|z'|^2) / pi; for the eigenstate n this is
     (1/pi n!) |z'|^{2n} exp(-|z'|^2), nonnegative and of unit total mass.
-    Charge -1 states are antiholomorphic: their argument is conj(z').  u and
-    v are flattened (input numpy cannot read as floats raises
-    InvalidArgumentError); a field that is not finite raises NonFiniteError.
+    The argument is u + i q v, so charge -1 states are antiholomorphic: they
+    see conj(z').  u and v are flattened (input numpy cannot read as floats
+    raises InvalidArgumentError); a field that is not finite raises
+    NonFiniteError.
     """
     u = np.ravel(check_array(u, float, "u"))[:, None]
     v = np.ravel(check_array(v, float, "v"))[None, :]
-    zp = u + 1j * v
-    if state.charge == -1:
-        zp = np.conj(zp)
+    zp = u + 1j * state.charge * v
     with np.errstate(over="ignore", invalid="ignore"):     # reported just below
         amp = bargmann_function(state, zp)
         q_field = np.abs(amp) ** 2 * np.exp(-(u ** 2 + v ** 2)) / np.pi
@@ -219,17 +207,16 @@ def laplacian_consistency(n: int, params: OscillatorParams,
 # ---------------------------------------------------------------------------
 
 _HAMILTONIAN_BLOCK = 4096      # samples per block, so its temporaries stay in cache
-_MAX_GRID_SAMPLES = 2 ** 22    # in all; the default grids have 80001 and 601^2
 
 
 def _grid_samples(half_width: float, h: float, dims: int):
-    """Checked half_width, samples per axis at step h; dims axes hold <= _MAX_GRID_SAMPLES."""
+    """Checked half_width, samples per axis at step h; dims axes hold <= MAX_SAMPLES."""
     half_width, h = check_positive(half_width, "half_width"), check_positive(h, "h")
     span = 2 * half_width / h                   # inf for a step far below the width
-    if span < _MAX_GRID_SAMPLES and (round(span) + 1) ** dims <= _MAX_GRID_SAMPLES:
+    if span < MAX_SAMPLES and (round(span) + 1) ** dims <= MAX_SAMPLES:
         return half_width, round(span) + 1
     raise InvalidArgumentError(f"grid half_width={half_width!r}, h={h!r} exceeds "
-                               f"{_MAX_GRID_SAMPLES} samples")
+                               f"{MAX_SAMPLES} samples")
 
 
 def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,

@@ -43,6 +43,19 @@ def check_int(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+# The one cap on an array whose size an argument sets (32 MiB of float64),
+# checked before it is allocated.  The default grids hold 80001 and 601^2 samples.
+MAX_SAMPLES = 2 ** 22
+
+
+def check_samples(count: int, name: str) -> int:
+    """`count` if it is at most MAX_SAMPLES, else InvalidArgumentError."""
+    if count > MAX_SAMPLES:
+        raise InvalidArgumentError(f"{name} asks for {count} samples, over the cap of "
+                                   f"{MAX_SAMPLES}")
+    return count
+
+
 def check_real(value, name: str) -> float:
     """Validate a real parameter: a real number that is not a bool, returned
     as a float; else InvalidArgumentError, also for an int beyond the float

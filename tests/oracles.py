@@ -212,6 +212,12 @@ def husimi_reference(coeffs, charge, u, v):
     return np.abs(amp) ** 2 * np.exp(-(U ** 2 + V ** 2)) / np.pi
 
 
+def evolve_schrodinger_reference(coeffs, charge, params, dt, frequency_sign=+1):
+    """The Fock phases with omega(n + 1/2) written out in the exponent."""
+    n = np.arange(len(coeffs))
+    return np.exp(1j * frequency_sign * charge * params.omega * (n + 0.5) * dt) * coeffs
+
+
 # The charge-q complex coordinate and its inverse as each call site once
 # wrote them out.
 

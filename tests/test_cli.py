@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, TOLERANCES,
                           ConfigError, RunConfig, canonical_json, cmd_husimi,
-                          cmd_simulate, cmd_spectrum, format_float, main)
+                          cmd_simulate, cmd_spectrum, main)
 from bundleqm import cli
 from bundleqm.errors import BundleqmError, InvalidChargeError, NonFiniteError
 
@@ -162,18 +162,19 @@ def test_any_config_object_exits_ok_or_usage(doc, tmp_path, monkeypatch):
 
 
 class TestSerialization:
-    def test_float_formatting(self):
-        assert format_float(0.5) == "0.5"
-        assert format_float(1e-300) == "1e-300"
-        # 17 significant digits round-trip exactly
-        x = 1.0 / 3.0
-        assert float(format_float(x)) == x
-
     def test_canonical_json_sorted_and_stable(self):
-        doc = {"b": [1.5, 2], "a": {"y": True, "x": None}}
+        doc = {"b": [1.5, 2, 0.5, 1e-300, 1.0 / 3.0], "a": {"y": True, "x": None}}
         text = canonical_json(doc)
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == doc
+        assert canonical_json(0.5) == "0.5"
+        assert canonical_json(1e-300) == "1e-300"
+
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_canonical_json_floats_round_trip(self, x):
+        # 17 significant digits round-trip every finite float64, -0.0 included
+        back = float(canonical_json(x))
+        assert back == x and np.signbit(back) == np.signbit(x)
 
 
 class TestSpectrumCommand:
@@ -307,6 +308,24 @@ class TestHusimiCommand:
         with pytest.raises(InvalidChargeError):
             cmd_husimi(RunConfig(), 1, bad, 32)
         assert not out_dir.exists()
+
+
+# Each once leaked numpy's allocation error as a traceback with exit code 1.
+# The cap is checked before anything is allocated, so these allocate nothing.
+@pytest.mark.parametrize("argv", [
+    ["husimi", "--n", "4", "--resolution", "100000"],
+    ["husimi", "--n", "4", "--resolution", "2049"],
+    ["husimi", "--n", "1000000000"],
+    ["simulate", "--z0", "1", "--samples", "1000000000"],
+    ["simulate", "--z0", "1", "--samples", str(2 ** 22 + 1)],
+], ids=["husimi resolution 1e5", "husimi resolution 2049", "husimi n 1e9",
+        "simulate samples 1e9", "simulate samples 2**22+1"])
+def test_oversized_inputs_exit_usage(out_dir, capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "over the cap of 4194304" in err
+    assert not out_dir.exists()
 
 
 class TestVerifyCommand:

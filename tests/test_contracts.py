@@ -25,14 +25,15 @@ from bundleqm.errors import (BundleqmError, GridFormatError, GridTooSmallError,
 from bundleqm.orbifold import (ConeGeometry, branched_cover, circle_loop, cone_metric,
                                cover_inverse, ellipse_loop, levi_civita_transport,
                                loop_from_spec, square_loop)
-from bundleqm.oscillator import (EvolvingState, coordinate_hamiltonian_matrix, eigenstate,
-                                 evolve_schrodinger, husimi, laplacian_consistency, spectrum)
+from bundleqm.oscillator import (coordinate_hamiltonian_matrix, eigenstate, evolve_schrodinger,
+                                 husimi, laplacian_consistency, spectrum)
 from bundleqm.polarizations import (FockState, Polarization, bargmann_transform,
                                     hermite_functions, holomorphic_gauge, ladder_apply,
                                     ladder_coordinate, polarization_limit_check)
-from bundleqm.sections import (DoubledSection, GridSection, LineSection, check_charge,
-                               check_int, check_real, load_grid, read_grid_binary,
-                               read_grid_csv, write_grid_binary, write_grid_csv)
+from bundleqm.sections import (MAX_SAMPLES, DoubledSection, GridSection, LineSection,
+                               check_charge, check_int, check_real, check_samples, load_grid,
+                               read_grid_binary, read_grid_csv, write_grid_binary,
+                               write_grid_csv)
 
 AXIS = np.linspace(-1.0, 1.0, 3)
 
@@ -336,10 +337,10 @@ def _bad_calls():
          lambda: evolve_classical(ClassicalState(1j), 0.5, params, frequency_sign=-1.0),
          InvalidArgumentError),
         ("evolve_schrodinger frequency_sign=3",
-         lambda: evolve_schrodinger(EvolvingState(eigenstate(1)), 0.5, params, 3),
+         lambda: evolve_schrodinger(eigenstate(1), 0.5, params, 3),
          InvalidArgumentError),
         ("evolve_schrodinger frequency_sign=True",
-         lambda: evolve_schrodinger(EvolvingState(eigenstate(1)), 0.5, params, True),
+         lambda: evolve_schrodinger(eigenstate(1), 0.5, params, True),
          InvalidArgumentError),
         ("limit check w=0", lambda: polarization_limit_check(params, [1.0, 0.0]),
          InvalidArgumentError),
@@ -491,6 +492,13 @@ def _bad_calls():
         # 6001 samples per axis pass alone, but the 6001^2 grid is over the cap
         ("laplacian h=1e-3", lambda: laplacian_consistency(1, params, h=1e-3),
          InvalidArgumentError),
+        # so are coefficient and time arrays over the same cap of 2**22 samples
+        ("eigenstate n=2**22", lambda: eigenstate(2 ** 22), InvalidArgumentError),
+        ("eigenstate n=10**9", lambda: eigenstate(10 ** 9), InvalidArgumentError),
+        ("trajectory_times 2**22+1 samples",
+         lambda: trajectory_times(1, 2 ** 22 + 1, params), InvalidArgumentError),
+        ("trajectory_times 10**9 samples", lambda: trajectory_times(1, 10 ** 9, params),
+         InvalidArgumentError),
     ]
 
 
@@ -502,6 +510,15 @@ BAD_CALLS = _bad_calls()
 def test_invalid_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_sample_cap_bounds():
+    # 2048^2 is the largest husimi grid; the benchmark's 1025^2 and 5e4 samples pass
+    assert check_samples(MAX_SAMPLES, "grid") == MAX_SAMPLES == 2048 ** 2
+    assert check_samples(1025 ** 2, "grid") == 1025 ** 2
+    assert check_samples(50_000, "trajectory") == 50_000
+    with pytest.raises(InvalidArgumentError, match="over the cap of 4194304"):
+        check_samples(MAX_SAMPLES + 1, "grid")
 
 
 def test_package_does_not_import_scipy():

@@ -1,7 +1,7 @@
 """The coordinate Hamiltonian matrix, the trapezoid weights, the Gauss-Hermite
-rule, the Husimi recurrence, the first-derivative stencil and the grid kernels
-on broadcast axes against the forms the package used before they were sped
-up."""
+rule, the Husimi recurrence, the Fock phases, the first-derivative stencil and
+the grid kernels on broadcast axes against the forms the package used before
+they were sped up or simplified."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,8 @@ from bundleqm.cli import _gauge_family
 from bundleqm.errors import (BundleqmError, GridTooSmallError, InvalidArgumentError,
                              QuadratureUnderResolvedError)
 from bundleqm.oscillator import (_HAMILTONIAN_BLOCK, bargmann_function,
-                                 coordinate_hamiltonian_matrix, eigenstate, husimi)
+                                 coordinate_hamiltonian_matrix, eigenstate,
+                                 evolve_schrodinger, hamiltonian_apply, husimi)
 from bundleqm.polarizations import (GAUSS_HERMITE_MAX_ORDER, FockState,
                                     dolbeault_residual, gauss_hermite)
 from bundleqm.sections import GridSection, diff_axis, trapezoid_weights
@@ -173,6 +174,27 @@ def test_husimi_flattens_multidimensional_axes():
     got = husimi(state, u, V)
     assert got.shape == (12, V.size)
     assert got.tobytes() == oracles.husimi_reference(state.coeffs, -1, u, V).tobytes()
+
+
+@pytest.mark.parametrize("charge", [+1, -1])
+@pytest.mark.parametrize("frequency_sign", [+1, -1])
+def test_fock_phases_bit_identical_to_inline_energy(charge, frequency_sign):
+    # E_n comes from oscillator.energy; the exponent once wrote omega(n + 1/2) out
+    rng = np.random.default_rng(5)
+    for m, omega in [(1.0, 1.0), (0.7, 2.3), (4.0, 0.5), (1e-3, 37.0)]:
+        params = OscillatorParams(m=m, omega=omega)
+        for size in (1, 7, 40):
+            c = rng.normal(size=size) + 1j * rng.normal(size=size)
+            state = FockState(c, charge)
+            n = np.arange(size)
+            assert (hamiltonian_apply(state, params).coeffs.tobytes()
+                    == (params.omega * (n + 0.5) * c).tobytes())
+            for dt in (0.0, 0.37, -1.25, 1e3):
+                got = evolve_schrodinger(state, dt, params, frequency_sign)
+                ref = oracles.evolve_schrodinger_reference(c, charge, params, dt,
+                                                           frequency_sign)
+                assert got.charge == charge
+                assert got.coeffs.tobytes() == ref.tobytes()
 
 
 # Grid kernels evaluate callables on the column x[:, None] and the row

@@ -3,9 +3,8 @@ import pytest
 
 from bundleqm.classical import OscillatorParams
 from bundleqm.errors import NotNormalizedError, ResolutionInsufficientError
-from bundleqm.oscillator import (EvolvingState, charge_density,
-                                 coordinate_hamiltonian_matrix, eigenstate, energy,
-                                 evolve_schrodinger, hamiltonian_apply, husimi,
+from bundleqm.oscillator import (charge_density, coordinate_hamiltonian_matrix, eigenstate,
+                                 energy, evolve_schrodinger, hamiltonian_apply, husimi,
                                  laplacian_consistency, spectrum, winding_charges)
 from bundleqm.polarizations import FockState, bargmann_inverse, hermite_basis
 from bundleqm.sections import DoubledSection, LineSection
@@ -79,35 +78,33 @@ class TestEigenstate:
 class TestEvolveSchrodinger:
     def test_full_period_gives_minus_one(self):
         for n in (0, 1, 4):
-            ev = EvolvingState(eigenstate(n))
-            out = evolve_schrodinger(ev, 2 * np.pi / DEFAULT.omega, DEFAULT)
-            assert out.state.coeffs[n] == pytest.approx(-1.0, abs=1e-12)
+            out = evolve_schrodinger(eigenstate(n), 2 * np.pi / DEFAULT.omega, DEFAULT)
+            assert out.coeffs[n] == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_dt_is_identity(self):
         c = np.array([0.6, 0.8j])
-        out = evolve_schrodinger(EvolvingState(FockState(c)), 0.0, DEFAULT)
-        assert np.array_equal(out.state.coeffs, c)
-        assert out.t == 0.0
+        out = evolve_schrodinger(FockState(c), 0.0, DEFAULT)
+        assert np.array_equal(out.coeffs, c)
 
     def test_conjugation_oracle(self):
         rng = np.random.default_rng(1)
         c = rng.normal(size=7) + 1j * rng.normal(size=7)
         dt = 0.83
-        plus = evolve_schrodinger(EvolvingState(FockState(np.conj(c), +1)), dt, DEFAULT)
-        minus = evolve_schrodinger(EvolvingState(FockState(c, -1)), dt, DEFAULT)
-        assert np.max(np.abs(np.conj(plus.state.coeffs) - minus.state.coeffs)) < 1e-14
+        plus = evolve_schrodinger(FockState(np.conj(c), +1), dt, DEFAULT)
+        minus = evolve_schrodinger(FockState(c, -1), dt, DEFAULT)
+        assert np.max(np.abs(np.conj(plus.coeffs) - minus.coeffs)) < 1e-14
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(2)
         c = rng.normal(size=12) + 1j * rng.normal(size=12)
         state = FockState(c / np.linalg.norm(c))
-        out = evolve_schrodinger(EvolvingState(state), 7.7, DEFAULT)
-        assert out.state.norm_sq() == pytest.approx(1.0, rel=1e-14)
+        out = evolve_schrodinger(state, 7.7, DEFAULT)
+        assert out.norm_sq() == pytest.approx(1.0, rel=1e-14)
 
     def test_frequency_sign_flip(self):
-        ev = EvolvingState(eigenstate(1))
-        paper = evolve_schrodinger(ev, 0.4, DEFAULT).state.coeffs[1]
-        physics = evolve_schrodinger(ev, 0.4, DEFAULT, frequency_sign=-1).state.coeffs[1]
+        state = eigenstate(1)
+        paper = evolve_schrodinger(state, 0.4, DEFAULT).coeffs[1]
+        physics = evolve_schrodinger(state, 0.4, DEFAULT, frequency_sign=-1).coeffs[1]
         assert physics == np.conj(paper)
 
     def test_crank_nicolson_oracle_agrees(self):
@@ -116,8 +113,8 @@ class TestEvolveSchrodinger:
         t_final = np.pi / 2
         x = np.linspace(-10, 10, 2001)
         start = bargmann_inverse(FockState(c), x, DEFAULT)
-        evolved = evolve_schrodinger(EvolvingState(FockState(c)), t_final, DEFAULT)
-        expected = bargmann_inverse(evolved.state, x, DEFAULT)
+        evolved = evolve_schrodinger(FockState(c), t_final, DEFAULT)
+        expected = bargmann_inverse(evolved, x, DEFAULT)
         stepped = oracles.crank_nicolson(start.values, x, DEFAULT, t_final, 4000)
         assert np.max(np.abs(stepped - expected.values)) < 1e-4
 
@@ -127,13 +124,13 @@ class TestEvolveSchrodinger:
         cp = np.array([0.6, 0.0, 0.48j])
         cm = np.array([0.64j])
         dt = 1.234
-        ep = evolve_schrodinger(EvolvingState(FockState(cp, +1)), dt, DEFAULT)
-        em = evolve_schrodinger(EvolvingState(FockState(cm, -1)), dt, DEFAULT)
+        ep = evolve_schrodinger(FockState(cp, +1), dt, DEFAULT)
+        em = evolve_schrodinger(FockState(cm, -1), dt, DEFAULT)
         before = DoubledSection(cp, np.concatenate([cm, [0, 0]]))
-        after = DoubledSection(ep.state.coeffs, np.concatenate([em.state.coeffs, [0, 0]]))
+        after = DoubledSection(ep.coeffs, np.concatenate([em.coeffs, [0, 0]]))
         assert np.sum(after.norm_sq()) == pytest.approx(np.sum(before.norm_sq()), rel=1e-14)
-        norm_plus = np.sum(np.abs(ep.state.coeffs) ** 2)
-        norm_minus = np.sum(np.abs(em.state.coeffs) ** 2)
+        norm_plus = np.sum(np.abs(ep.coeffs) ** 2)
+        norm_minus = np.sum(np.abs(em.coeffs) ** 2)
         assert np.sum(after.norm_sq()) == pytest.approx(norm_plus + norm_minus, rel=1e-14)
 
 

@@ -415,15 +415,29 @@ class TestLimitChecks:
             polarization_limit_check(DEFAULT, [1.0, 2.0, 1.5])
 
 
+# every finite float64, subnormals and both signed zeros included
+_part = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestFockStateSerialization:
-    def test_json_round_trip(self):
-        state = FockState([0.5, -0.25j, 0.1 + 0.2j], charge=-1)
-        text = state.to_json(OscillatorParams(m=1.0, omega=4.0))
-        doc = json.loads(text)
-        assert doc["charge"] == -1 and doc["w"] == pytest.approx(0.5)
-        back, w = FockState.from_json(text)
-        assert np.array_equal(back.coeffs, state.coeffs)
-        assert back.charge == -1 and w == pytest.approx(0.5)
+    def test_json_text(self):
+        text = FockState([0.1, -0.25j], charge=-1).to_json(OscillatorParams(omega=4.0))
+        # Python's shortest round-trip text, not %.17g: 0.1 stays 0.1, -0.0 stays a float
+        assert json.loads(text) == {"coeffs": [[0.1, 0.0], [-0.0, -0.25]], "charge": -1,
+                                    "w": 0.5}
+        assert '[0.1, 0.0]' in text and '[-0.0, -0.25]' in text
+
+    @given(pairs=st.lists(st.tuples(_part, _part), min_size=1, max_size=8),
+           charge=st.sampled_from([+1, -1]),
+           m=st.floats(1e-3, 1e3), omega=st.floats(1e-3, 1e3))
+    def test_json_round_trip(self, pairs, charge, m, omega):
+        state = FockState(np.array([complex(re, im) for re, im in pairs]), charge=charge)
+        params = OscillatorParams(m=m, omega=omega)
+        back, w = FockState.from_json(state.to_json(params))
+        # bytes, not np.array_equal, so that the sign of a zero part counts
+        assert back.coeffs.tobytes() == state.coeffs.tobytes()
+        assert back.charge == charge and w == params.w
 
 
 class TestHermiteFunctions:
