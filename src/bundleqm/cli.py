@@ -26,7 +26,8 @@ import numpy as np
 
 from . import bundles, classical, orbifold, oscillator, polarizations
 from .classical import OscillatorParams
-from .errors import BundleqmError, ConfigError, InvalidArgumentError, NonFiniteError
+from .errors import (BundleqmError, ConfigError, InvalidArgumentError, NonFiniteError,
+                     ResolutionInsufficientError)
 from .sections import (FLOAT_FORMAT, check_positive, check_real, check_samples, check_sign,
                        write_rows)
 
@@ -187,7 +188,7 @@ def cmd_simulate(config: RunConfig, z0: complex, charge: int, periods: float,
                         {"z0": [z0.real, z0.imag], "charge": charge,
                          "periods": periods, "samples": samples})
     path = out / "trajectory.csv"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         write_rows(fh, "t,x,p,re_z,im_z",
                    np.column_stack([times, xs, ps, zs.real, zs.imag]))
     try:
@@ -204,8 +205,17 @@ def cmd_husimi(config: RunConfig, n: int, charge: int, resolution: int,
         raise ConfigError("resolution must be >= 16")
     check_samples(resolution ** 2, f"husimi resolution {resolution}")
     state = oscillator.eigenstate(n, charge)
-    u = np.linspace(-config.grid_half_width, config.grid_half_width, resolution)
+    hw = config.grid_half_width
+    # the field peaks on the ring u^2 + v^2 = n: past the grid's corners it is blank
+    if n > 2.0 * hw ** 2:
+        raise ResolutionInsufficientError(
+            f"husimi n={n}: the ring of radius sqrt(n) = {math.sqrt(n):.6g} lies beyond "
+            f"the corners of the grid [-{hw:g}, {hw:g}]^2")
+    u = np.linspace(-hw, hw, resolution)
     q_field = oscillator.husimi(state, u, u)
+    q_max = float(np.max(q_field))
+    if not q_max > 0:
+        raise ResolutionInsufficientError(f"husimi n={n}: the field is 0 on the whole grid")
     i, j = np.unravel_index(int(np.argmax(q_field)), q_field.shape)
     out = run_directory(config, "husimi",
                         {"n": n, "charge": charge, "resolution": resolution,
@@ -214,7 +224,7 @@ def cmd_husimi(config: RunConfig, n: int, charge: int, resolution: int,
     write_pgm(pgm_path, q_field, ascii_mode=ascii_mode)
     sidecar = {
         "n": n, "charge": charge, "resolution": resolution,
-        "min_value": float(np.min(q_field)), "max_value": float(np.max(q_field)),
+        "min_value": float(np.min(q_field)), "max_value": q_max,
         "max_location": [float(u[i]), float(u[j])],
         "max_radius_sq": float(u[i] ** 2 + u[j] ** 2),
         "cell": float(u[1] - u[0]),

@@ -40,9 +40,16 @@ def energy(n, params: OscillatorParams):
     return params.omega * (n + 0.5)
 
 
+# The highest n_max of spectrum: its 2(n_max + 1) levels are Python objects.
+MAX_SPECTRUM_N = 2 ** 16
+
+
 def spectrum(n_max: int, params: OscillatorParams):
-    """Levels for both charges: antiparticles share E_n with opposite q_l, q_v."""
+    """Levels for both charges: antiparticles share E_n with opposite q_l, q_v.
+    n_max above MAX_SPECTRUM_N raises InvalidArgumentError."""
     n_max = check_int(n_max, "n_max", 0)
+    if n_max > MAX_SPECTRUM_N:
+        raise InvalidArgumentError(f"n_max={n_max} is over the cap of {MAX_SPECTRUM_N}")
     out = []
     for q in (+1, -1):
         for n in range(n_max + 1):

@@ -306,9 +306,14 @@ class DoubledSection:
 # Text rows.
 #
 # Every float in a text artifact is written with 17 significant digits, which
-# round-trips any float64 exactly.  Rows go through _float_text, a numpy kernel
-# byte-exact to FLOAT_FORMAT % v, _KERNEL_VALUES values at a time, so the text
-# in flight stays small; the values it cannot decide go through `%` itself.
+# round-trips any float64 exactly.  The numpy kernel _float_records turns each
+# value into a record, FLOAT_FORMAT % v byte for byte and its separator ("," or
+# a newline), NUL-padded to _WIDTH bytes; a value it cannot decide gets its
+# record from `%` itself.  Records become text by dropping the NULs.
+# write_rows formats _KERNEL_VALUES values at a time, so the text in flight
+# stays small.  write_grid_csv formats the x axis, the p axis and the charge
+# once, and per block only the re/im pairs: a block of x-rows is assembled
+# from broadcast copies of the axis and charge records.
 # ---------------------------------------------------------------------------
 
 FLOAT_FORMAT = "%.17g"
@@ -320,7 +325,7 @@ _S_MIN, _S_MAX = -276, 308
 # the computed fraction of v * 10**s is within 4e-15 of the exact one when
 # 10**s is inexact (exact for s = 0..22); a fraction this near a tie is left
 _TIE_BAND = 2.0 ** -44
-_KERNEL_VALUES = 2048   # values per call: its temporaries (about 1 MB) stay in cache
+_KERNEL_VALUES = 8192   # values per call: its temporaries stay near 3 MB
 _WIDTH = 25             # "-1.2345678901234567e-308" and its separator
 # byte offsets in a value's 32-byte source row: "-.0", the 17 digits, the
 # exponent ("e+dd" or "e-ddd"), the separator ("," or a newline) and a NUL
@@ -441,12 +446,14 @@ def _decimal_digits(v, pow10):
     return d, k, undecided
 
 
-def _float_text(block: np.ndarray) -> str:
-    """FLOAT_FORMAT % v for each value of the 2D float64 block, joined by
-    commas and ended by a newline per row, byte for byte."""
+def _float_records(v: np.ndarray, sep: bytes) -> np.ndarray:
+    """FLOAT_FORMAT % x for each value x of the float64 array v, followed by
+    a separator, as a NUL-padded _WIDTH-byte record: an array of shape
+    v.shape + (_WIDTH,).  sep holds the separator ("," or a newline) of each
+    position along v's last axis, or one for every value."""
     pow10, classes, words, ntz4, layouts = _text_tables()
-    n_rows, n_cols = block.shape
-    v = block.ravel()
+    shape = v.shape
+    v = v.ravel()
     d, k, undecided = _decimal_digits(v, pow10)
     n = v.size
     # word indices of the source rows: "-.0" and the leading digit, four
@@ -468,7 +475,8 @@ def _float_text(block: np.ndarray) -> str:
     s = 16 - k - _S_MIN
     words_at[:, 5] = _EXPS + 2 * s
     words_at[:, 6] = words_at[:, 5] + 1
-    words_at.reshape(n_rows, n_cols, 8)[:, :, 7] = [_COMMA] * (n_cols - 1) + [_NEWLINE]
+    words_at.reshape(-1, len(sep), 8)[:, :, 7] = [_COMMA if c == ord(",") else _NEWLINE
+                                                  for c in sep]
     src_bytes = words.take(words_at).view(np.uint8).ravel()
     cls = classes[s]
     zero = v == 0
@@ -477,21 +485,22 @@ def _float_text(block: np.ndarray) -> str:
     key = (cls * 17 + 16 - ntz) * 2 + np.signbit(v)
     idx = layouts.take(key, axis=0) + 32 * np.arange(n)[:, None]
     rec = src_bytes.take(idx)
-    left = np.flatnonzero(undecided)
-    if left.size:
-        rec[left] = np.frombuffer(FLOAT_FORMAT.encode().ljust(_WIDTH, b"\0"), np.uint8)
-        rec[left, len(FLOAT_FORMAT)] = src_bytes[32 * left + _SEP]
-    text = rec.tobytes().translate(None, b"\0").decode("ascii")
-    return text % tuple(v[left].tolist()) if left.size else text
+    for i in np.flatnonzero(undecided).tolist():
+        text = (FLOAT_FORMAT % v[i]).encode() + src_bytes[32 * i + _SEP].tobytes()
+        rec[i] = np.frombuffer(text.ljust(_WIDTH, b"\0"), np.uint8)
+    return rec.reshape(shape + (_WIDTH,))
 
 
 def write_rows(fh, header: str, rows) -> None:
-    """Write the `header` line, then one line of comma-separated values per row."""
+    """Write the `header` line, then one line of comma-separated values per
+    row, to fh, a file opened in binary mode."""
     rows = np.asarray(rows, dtype=np.float64)
-    fh.write(header + "\n")
+    fh.write(header.encode() + b"\n")
+    sep = b"," * (rows.shape[1] - 1) + b"\n"
     step = max(1, _KERNEL_VALUES // (rows.shape[1] or 1))
     for start in range(0, rows.shape[0], step):
-        fh.write(_float_text(rows[start:start + step]))
+        records = _float_records(rows[start:start + step], sep)
+        fh.write(records.tobytes().translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +531,28 @@ def _resolve_charge(file_charge, charge, path) -> int:
 
 
 def write_grid_csv(section: GridSection, path) -> None:
+    """Write the CSV grid.  The x axis, the p axis and the charge are
+    formatted once; each block of x-rows is built from copies of their
+    records and the records of its re/im pairs, at most _KERNEL_VALUES / 2
+    pairs to a block (a row longer than that is split along p)."""
     nx, np_ = section.nx, section.np_
-    rows = np.empty((nx * np_, 5))
-    rows[:, 0] = np.repeat(section.x, np_)
-    rows[:, 1] = np.tile(section.p, nx)
-    rows[:, 2] = section.values.real.ravel()
-    rows[:, 3] = section.values.imag.ravel()
-    rows[:, 4] = section.charge
-    with open(path, "w") as fh:
-        write_rows(fh, _CSV_HEADER, rows)
+    x_rec = _float_records(section.x, b",")
+    p_rec = _float_records(section.p, b",")
+    rows = max(1, _KERNEL_VALUES // (2 * np_))
+    cols = min(np_, _KERNEL_VALUES // 2)
+    buf = np.empty((rows, cols, 5, _WIDTH), np.uint8)
+    buf[:, :, 4] = _float_records(np.array([float(section.charge)]), b"\n")
+    with open(path, "wb") as fh:
+        fh.write(_CSV_HEADER.encode() + b"\n")
+        for i in range(0, nx, rows):
+            for j in range(0, np_, cols):
+                values = np.ascontiguousarray(section.values[i:i + rows, j:j + cols])
+                block = buf[:values.shape[0], :values.shape[1]]
+                block[:, :, 0] = x_rec[i:i + rows, None]
+                block[:, :, 1] = p_rec[None, j:j + cols]
+                block[:, :, 2:4] = _float_records(
+                    values.view(np.float64).reshape(values.shape + (2,)), b",,")
+                fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:

@@ -328,6 +328,27 @@ def test_oversized_inputs_exit_usage(out_dir, capsys, argv):
     assert not out_dir.exists()
 
 
+# Arguments under the sample cap that the commands still refuse, with exit 2
+# and no run directory: a Husimi ring beyond the grid's corners (once a blank
+# PGM and exit 0) and a spectrum over its level cap (once minutes of work).
+@pytest.mark.parametrize("argv, message", [
+    (["husimi", "--n", "1000"], "lies beyond the corners of the grid [-8, 8]^2"),
+    (["spectrum", "--n-max", "1000000000"], "over the cap of 65536"),
+], ids=["husimi n 1000", "spectrum n-max 1e9"])
+def test_refused_inputs_exit_usage(out_dir, capsys, argv, message):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out_dir.exists()
+
+
+def test_husimi_ring_at_the_grid_corners_is_drawn(out_dir):
+    # n = 2 * 8^2 puts the ring through the corners of the default grid
+    path = cmd_husimi(RunConfig(), 128, +1, 32)
+    assert json.loads((path.parent / "husimi.json").read_text())["max_value"] > 0
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         assert main(["verify", "--suite", "holonomy"]) == EXIT_OK

@@ -25,8 +25,10 @@ from bundleqm.errors import (BundleqmError, GridFormatError, GridTooSmallError,
 from bundleqm.orbifold import (ConeGeometry, branched_cover, circle_loop, cone_metric,
                                cover_inverse, ellipse_loop, levi_civita_transport,
                                loop_from_spec, square_loop)
-from bundleqm.oscillator import (coordinate_hamiltonian_matrix, eigenstate, evolve_schrodinger,
-                                 husimi, laplacian_consistency, spectrum)
+from bundleqm import oscillator
+from bundleqm.cli import RunConfig, cmd_husimi
+from bundleqm.oscillator import (MAX_SPECTRUM_N, coordinate_hamiltonian_matrix, eigenstate,
+                                 evolve_schrodinger, husimi, laplacian_consistency, spectrum)
 from bundleqm.polarizations import (FockState, Polarization, bargmann_transform,
                                     hermite_functions, holomorphic_gauge, ladder_apply,
                                     ladder_coordinate, polarization_limit_check)
@@ -499,6 +501,18 @@ def _bad_calls():
          lambda: trajectory_times(1, 2 ** 22 + 1, params), InvalidArgumentError),
         ("trajectory_times 10**9 samples", lambda: trajectory_times(1, 10 ** 9, params),
          InvalidArgumentError),
+        # a spectrum is a list of Python objects, so its levels have a cap of their own
+        ("spectrum n_max=2**16+1", lambda: spectrum(MAX_SPECTRUM_N + 1, params),
+         InvalidArgumentError),
+        ("spectrum n_max=10**9", lambda: spectrum(10 ** 9, params), InvalidArgumentError),
+        # a Husimi ring beyond the grid's corners once gave a blank field and exit 0
+        ("husimi n=129 on [-8, 8]^2", lambda: cmd_husimi(RunConfig(), 129, +1, 32),
+         ResolutionInsufficientError),
+        ("husimi n=1000 on [-8, 8]^2", lambda: cmd_husimi(RunConfig(), 1000, -1, 32),
+         ResolutionInsufficientError),
+        ("husimi n=3 on [-1.2, 1.2]^2",
+         lambda: cmd_husimi(RunConfig(grid_half_width=1.2), 3, +1, 32),
+         ResolutionInsufficientError),
     ]
 
 
@@ -507,9 +521,25 @@ BAD_CALLS = _bad_calls()
 
 @pytest.mark.parametrize("call, error", [c[1:] for c in BAD_CALLS],
                          ids=[c[0] for c in BAD_CALLS])
-def test_invalid_arguments_raise_typed_errors(call, error):
+def test_invalid_arguments_raise_typed_errors(call, error, tmp_path, monkeypatch):
+    monkeypatch.setenv("BUNDLEQM_OUT", str(tmp_path / "out"))
     with pytest.raises(error):
         call()
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_cap_bounds():
+    assert MAX_SPECTRUM_N == 2 ** 16
+    assert len(spectrum(MAX_SPECTRUM_N, OscillatorParams())) == 2 * (MAX_SPECTRUM_N + 1)
+
+
+def test_blank_husimi_field_is_refused(tmp_path, monkeypatch):
+    # a field that underflows to 0 everywhere, as n = 1000 did on [-8, 8]^2
+    monkeypatch.setenv("BUNDLEQM_OUT", str(tmp_path / "out"))
+    monkeypatch.setattr(oscillator, "husimi", lambda state, u, v: np.zeros((u.size, v.size)))
+    with pytest.raises(ResolutionInsufficientError, match="field is 0"):
+        cmd_husimi(RunConfig(), 4, +1, 32)
+    assert not (tmp_path / "out").exists()
 
 
 def test_sample_cap_bounds():

@@ -3,7 +3,9 @@
 import io
 import math
 import struct
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,14 +23,17 @@ from bundleqm.sections import (_KERNEL_VALUES, FLOAT_FORMAT, GridSection,
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308,
                -1.7976931348623157e308, 1.0, -3.0, 1e16, 2.0 ** 53, 0.1, 1 / 3]
-# rows of 3 values per call of the float kernel
-KERNEL_ROWS = _KERNEL_VALUES // 3
+# Row counts at a block edge of write_rows, which formats _KERNEL_VALUES //
+# columns rows at a time, each with the number of columns that puts it within
+# 3 rows of an edge: blocks of 4096 rows of 2 columns or 682 rows of 12.
+BLOCK_EDGE_COLUMNS = {0: 3, 1: 3, 681: 12, 682: 12, 683: 12,
+                      4095: 2, 4096: 2, 4097: 2, 8195: 2}
 
 
 def _rows_text(header, rows):
-    fh = io.StringIO()
+    fh = io.BytesIO()
     write_rows(fh, header, rows)
-    return fh.getvalue()
+    return fh.getvalue().decode("ascii")
 
 
 def _percent_text(header, rows):
@@ -120,6 +125,41 @@ def _signed_zero_grid(charge):
     return sec
 
 
+def _grid_reference(sec):
+    """The grid CSV as the oracle formats it: five columns, one row per point."""
+    X, P = np.meshgrid(sec.x, sec.p, indexing="ij")
+    rows = np.column_stack([X.ravel(), P.ravel(), sec.values.real.ravel(),
+                            sec.values.imag.ravel(), np.full(X.size, float(sec.charge))])
+    return oracles.format_rows_reference("x,p,re,im,charge", rows)
+
+
+@st.composite
+def _axes(draw, n):
+    """n uniform samples k, k + 1, ... times a scale, some scales so extreme
+    that the axis records are left to `%`; where the axis crosses 0, the
+    zero may be -0.0."""
+    scale = draw(st.sampled_from([1.0, 1e-300, 3e-299, 1e295, 5e-324])
+                 | st.floats(1e-3, 1e3))
+    first = draw(st.integers(-(n - 1), 3))
+    axis = scale * np.arange(first, first + n, dtype=float)
+    if draw(st.booleans()):
+        axis[axis == 0] = -0.0
+    return axis
+
+
+@st.composite
+def _grids(draw):
+    """Grid sections of 3 to 40 samples a side at either charge, with re and
+    im parts drawn as raw float64 bit patterns (those of NaN and inf moved
+    to finite values by clearing one exponent bit)."""
+    nx, np_ = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+    bits = draw(hnp.arrays(np.uint64, (nx, np_, 2)))
+    bits[~np.isfinite(bits.view(np.float64))] ^= np.uint64(1 << 62)
+    return GridSection(x=draw(_axes(nx)), p=draw(_axes(np_)),
+                       values=bits.view(np.complex128).reshape(nx, np_),
+                       charge=draw(st.sampled_from([1, -1])))
+
+
 def _assert_round_trip_bit_exact(sec, path):
     save_grid(sec, path)
     back = load_grid(path)
@@ -136,11 +176,15 @@ class TestRowWriter:
         assert _rows_text("a,b,c", rows) == oracles.format_rows_reference("a,b,c", rows)
         assert "-0,0,-0\n" in _rows_text("a,b,c", rows)
 
-    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8195, KERNEL_ROWS - 1,
-                                   KERNEL_ROWS, KERNEL_ROWS + 1])
+    @pytest.mark.parametrize("n", sorted(BLOCK_EDGE_COLUMNS))
     def test_chunk_boundaries(self, n):
-        rows = np.random.default_rng(n).normal(size=(n, 3)) * 10.0 ** np.arange(-3, 6, 4)
-        assert _rows_text("u,v,w", rows) == oracles.format_rows_reference("u,v,w", rows)
+        cols = BLOCK_EDGE_COLUMNS[n]
+        block = _KERNEL_VALUES // cols
+        assert n < 2 or min(n % block, -n % block) <= 3     # still at a block edge
+        rows = (np.random.default_rng(n).normal(size=(n, cols))
+                * 10.0 ** (4 * (np.arange(cols) % 3) - 3))
+        header = ",".join(f"c{j}" for j in range(cols))
+        assert _rows_text(header, rows) == oracles.format_rows_reference(header, rows)
 
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(np.float64,
@@ -270,12 +314,42 @@ class TestGridCsv:
         sec = _grid(charge=-1)
         path = tmp_path / "g.csv"
         write_grid_csv(sec, path)
-        X, P = np.meshgrid(sec.x, sec.p, indexing="ij")
-        rows = np.column_stack([X.ravel(), P.ravel(), sec.values.real.ravel(),
-                                sec.values.imag.ravel(), np.full(X.size, -1.0)])
-        expect = oracles.format_rows_reference("x,p,re,im,charge", rows)
+        expect = _grid_reference(sec)
         assert path.read_text() == expect
         assert all(line.endswith(",-1") for line in expect.splitlines()[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grids())
+    def test_any_grid_matches_reference(self, sec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.csv"
+            write_grid_csv(sec, path)
+            assert path.read_text() == _grid_reference(sec)
+
+    # the writer formats at most _KERNEL_VALUES // 2 re/im pairs at a time
+    @pytest.mark.parametrize("nx, np_, charge", [
+        (3, _KERNEL_VALUES // 2 + 3, -1),
+        (3, _KERNEL_VALUES + 1, +1),
+        (4, _KERNEL_VALUES // 2, +1),
+        (2 * (_KERNEL_VALUES // 80) + 5, 40, -1),
+    ], ids=["row wider than a block", "row over two blocks", "row fills a block",
+            "rows past two blocks"])
+    def test_block_edges_match_reference(self, tmp_path, nx, np_, charge):
+        rng = np.random.default_rng(nx * np_)
+        sec = GridSection(x=np.linspace(-1.0, 1.0, nx), p=np.linspace(-2.0, 2.0, np_),
+                          values=rng.normal(size=(nx, np_)) + 1j * rng.normal(size=(nx, np_)),
+                          charge=charge)
+        path = tmp_path / "g.csv"
+        write_grid_csv(sec, path)
+        assert path.read_text() == _grid_reference(sec)
+
+    def test_non_contiguous_values(self, tmp_path):
+        sec = _grid(n=11, m=9)
+        sec = sec.like(np.asfortranarray(sec.values))
+        path = tmp_path / "g.csv"
+        write_grid_csv(sec, path)
+        assert not sec.values.flags.c_contiguous
+        assert path.read_text() == _grid_reference(sec)
 
     def test_caller_charge_must_agree(self, tmp_path):
         path = tmp_path / "g.csv"
