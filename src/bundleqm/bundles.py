@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivisionNearZeroError, GridTooSmallError, InvalidArgumentError
-from .sections import (DoubledSection, GridSection, LineSection, check_charge,
+from .sections import (DoubledSection, GridSection, LineSection, check_array, check_charge,
                        diff_axis, load_grid, require_axis, save_grid)
 
 __all__ = [
@@ -145,8 +145,8 @@ def translate_operator(x0: float):
 
 def decompose(psi1, psi2) -> DoubledSection:
     """C^2 components -> v_pm coordinates: psi_pm = (psi1 +/- i psi2)/sqrt(2)."""
-    psi1 = np.asarray(psi1, dtype=complex)
-    psi2 = np.asarray(psi2, dtype=complex)
+    psi1 = check_array(psi1, complex, "psi1")
+    psi2 = check_array(psi2, complex, "psi2")
     return DoubledSection(psi_plus=(psi1 + 1j * psi2) / np.sqrt(2.0),
                           psi_minus=(psi1 - 1j * psi2) / np.sqrt(2.0))
 

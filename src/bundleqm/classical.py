@@ -135,10 +135,13 @@ def evolve_classical(state: ClassicalState, t, params: OscillatorParams,
 
     For charge -1 the stored z0 plays the role of the independent antiparticle
     datum (the paper's zbar_0').  frequency_sign = -1 flips to the physics
-    phase convention.  Accepts scalar or array t.
+    phase convention.  Accepts scalar or array t: text raises
+    InvalidArgumentError, NaN or inf NonFiniteError.
     """
     check_sign(frequency_sign, "frequency_sign")
-    phase = np.exp(1j * frequency_sign * state.charge * params.omega * np.asarray(t))
+    times = check_array(t, float, "t")
+    check_finite(times, "t")
+    phase = np.exp(1j * frequency_sign * state.charge * params.omega * times)
     out = phase * state.z0
     return complex(out) if np.isscalar(t) else out
 
@@ -206,8 +209,10 @@ def symplectic_reduce(z0: complex, n_samples: int):
 
     Returns (z0, circle) where circle holds n_samples points of the level set,
     starting at z0.  The origin is excluded: the oscillator phase space is
-    C \\ {0}.
+    C \\ {0}.  z0 is a finite complex number, else a typed error.
     """
+    z0 = complex(check_array(z0, complex, "z0", ndim=0))
+    check_finite(z0, "z0")
     if z0 == 0:
         raise ZeroPointError("z0 = 0 is excluded from the reduced phase space")
     n_samples = check_int(n_samples, "n_samples", 3)

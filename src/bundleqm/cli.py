@@ -454,9 +454,7 @@ SUITES = {
 
 def cmd_verify(config: RunConfig, suite: str) -> int:
     if suite != "all" and suite not in SUITES:
-        print(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
     names = sorted(SUITES) if suite == "all" else [suite]
     checks = []
     for name in names:

@@ -64,7 +64,7 @@ class OriginSingularError(BundleqmError):
 
 class GridFormatError(BundleqmError):
     """A grid file is truncated, has a bad header, or its rows are malformed;
-    or sampled axes are not uniform, or values do not match the axes."""
+    or sampled axes are not 1D or not uniform, or values do not match the axes."""
 
 
 class InvalidChargeError(BundleqmError):
@@ -86,5 +86,5 @@ class InvalidArgumentError(BundleqmError):
 
 
 class ConfigError(BundleqmError):
-    """A command-line configuration file or field that is not valid: not a
-    JSON object, an unknown key, or a value of the wrong type or range."""
+    """A configuration file or field, or a verify suite, that is not valid: not
+    a JSON object, an unknown key or suite, or a value of the wrong type or range."""

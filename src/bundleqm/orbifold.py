@@ -15,7 +15,7 @@ import numpy as np
 
 from .classical import TWO_PI, check_angular_steps, closed_loop_ratios
 from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
-from .sections import check_int, check_pair, check_real
+from .sections import check_array, check_finite, check_int, check_pair, check_real
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,22 @@ class ConeGeometry:
 
 
 def branched_cover(z, n: int):
-    """z -> z^n; degree-n branched covering with branch point z = 0."""
+    """z -> z^n; degree-n branched covering with branch point z = 0.  z is a
+    finite complex number or array, else a typed error."""
     n = check_int(n, "covering degree", 1)
-    return np.asarray(z, dtype=complex) ** n if np.ndim(z) else complex(z) ** n
+    z = check_array(z, complex, "z")
+    check_finite(z, "z")
+    return z ** n if z.ndim else complex(z) ** n
 
 
 def cover_inverse(psi: complex, n: int, branch: int) -> complex:
-    """The branch-th n-th root, principal argument in [0, 2pi/n) plus branch steps."""
+    """The branch-th n-th root, principal argument in [0, 2pi/n) plus branch
+    steps.  psi is a finite complex number, else a typed error."""
     n = check_int(n, "covering degree", 1)
     if check_int(branch, "branch", 0) >= n:
         raise BranchOutOfRangeError(f"branch {branch} outside 0..{n - 1}")
-    psi = complex(psi)
+    psi = complex(check_array(psi, complex, "psi", ndim=0))
+    check_finite(psi, "psi")
     if psi == 0:
         return 0j
     theta = np.angle(psi) % TWO_PI
@@ -73,9 +78,11 @@ def cone_metric(psi: complex, n: int) -> ConeMetric:
 
     The conformal factor is (2/n^2)(psibar psi)^((1-n)/n); n = 1 reduces to
     the flat 2 dpsi dpsibar.  Singular at the tip (|psi| < 1e-12) for n >= 2.
+    psi is a finite complex number, else a typed error.
     """
     n = check_int(n, "covering degree", 1)
-    psi = complex(psi)
+    psi = complex(check_array(psi, complex, "psi", ndim=0))
+    check_finite(psi, "psi")
     if abs(psi) < 1e-12 and n >= 2:
         raise OriginSingularError("cone metric is singular at psi = 0 for n >= 2")
     factor = (2.0 / n ** 2) * abs(psi) ** (2.0 * (1.0 - n) / n)
@@ -86,13 +93,13 @@ def cone_metric(psi: complex, n: int) -> ConeMetric:
 
 @dataclass(frozen=True)
 class TransportResult:
-    vector: complex            # v0 parallel-transported around the loop
+    vector: complex            # 1 parallel-transported around the loop
     holonomy_angle: float      # in [0, 2pi)
     loop_winding: int          # turns of the loop about the tip
 
 
-def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j) -> TransportResult:
-    """Parallel transport of v0 along a closed loop in the psi-plane.
+def levi_civita_transport(loop, n: int) -> TransportResult:
+    """Parallel transport of the vector 1 along a closed loop in the psi-plane.
 
     The Levi-Civita connection of the cone metric is the one-form
     -((n-1)/n) dpsi/psi; the transport ODE integrates to the multiplier
@@ -100,7 +107,7 @@ def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j) -> TransportResu
     log ratios (exact for integer winding; every angular step must stay
     below pi, or UndersampledError is raised).  A loop winding once about the
     tip returns the defect angle 2pi(n-1)/n mod 2pi; loops not enclosing the
-    tip return holonomy 0.
+    tip return holonomy 0.  By linearity a vector v arrives as v * vector.
     """
     n = check_int(n, "covering degree", 1)
     # principal branch, |Im| < pi per step (checked); the sum is 2 pi i * winding
@@ -109,9 +116,8 @@ def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j) -> TransportResu
     total = complex(np.sum(logs))
     winding = int(np.rint(total.imag / TWO_PI))
     factor = (n - 1) / n
-    multiplier = np.exp(factor * total)
     angle = (factor * total.imag) % TWO_PI
-    return TransportResult(vector=complex(v0) * multiplier,
+    return TransportResult(vector=complex(np.exp(factor * total)),
                            holonomy_angle=float(angle),
                            loop_winding=winding)
 
@@ -121,18 +127,30 @@ def levi_civita_transport(loop, n: int, v0: complex = 1.0 + 0j) -> TransportResu
 # ---------------------------------------------------------------------------
 
 def circle_loop(center: complex = 0j, radius: float = 1.0, samples: int = 4096) -> np.ndarray:
+    """Closed circle of samples steps; center and radius are finite numbers."""
+    center = check_array(center, complex, "center", ndim=0)
+    radius = check_real(radius, "radius")
+    check_finite(np.append(center, radius), "loop center and radius")
     t = np.linspace(0.0, TWO_PI, check_int(samples, "samples", 1) + 1)
     return center + radius * np.exp(1j * t)
 
 
 def ellipse_loop(center: complex = 0j, rx: float = 2.0, ry: float = 0.7,
                  samples: int = 4096) -> np.ndarray:
+    """Closed ellipse of samples steps; center, rx and ry are finite numbers."""
+    center = check_array(center, complex, "center", ndim=0)
+    rx, ry = check_real(rx, "rx"), check_real(ry, "ry")
+    check_finite(np.append(center, [rx, ry]), "loop center and radii")
     t = np.linspace(0.0, TWO_PI, check_int(samples, "samples", 1) + 1)
     return center + rx * np.cos(t) + 1j * ry * np.sin(t)
 
 
 def square_loop(center: complex = 0j, half_side: float = 1.0,
                 samples: int = 4096) -> np.ndarray:
+    """Closed square of samples steps; center and half_side are finite numbers."""
+    center = check_array(center, complex, "center", ndim=0)
+    half_side = check_real(half_side, "half_side")
+    check_finite(np.append(center, half_side), "loop center and half side")
     corners = half_side * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
     u = np.linspace(0.0, 4.0, check_int(samples, "samples", 1) + 1)
     k = np.minimum(u.astype(int), 3)
@@ -145,10 +163,13 @@ def loop_from_spec(spec) -> np.ndarray:
 
     Either a list of [re, im] pairs, or {"shape": "circle"|"square"|"ellipse",
     "center": [re, im], "radius": r or [rx, ry], "samples": k}.  A pair, radius
-    or sample count of the wrong type raises InvalidArgumentError.
+    or sample count of the wrong type raises InvalidArgumentError; a NaN or
+    inf (JSON reads the literals NaN and Infinity) raises NonFiniteError.
     """
     if isinstance(spec, (list, tuple)):
-        return np.array([check_pair(pair, "loop point") for pair in spec])
+        points = np.array([check_pair(pair, "loop point") for pair in spec])
+        check_finite(points, "loop points")
+        return points
     if not isinstance(spec, dict):
         raise InvalidArgumentError("loop spec must be a list of pairs or a descriptor dict")
     shape = spec.get("shape", "circle")
@@ -160,7 +181,6 @@ def loop_from_spec(spec) -> np.ndarray:
     if shape == "ellipse":
         rx, ry = (radius if isinstance(radius, (list, tuple)) and len(radius) == 2
                   else (radius, radius))
-        return ellipse_loop(center, check_real(rx, "radius"), check_real(ry, "radius"),
-                            samples)
+        return ellipse_loop(center, rx, ry, samples)
     builder = circle_loop if shape == "circle" else square_loop
-    return builder(center, check_real(radius, "radius"), samples)
+    return builder(center, radius, samples)

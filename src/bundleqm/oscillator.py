@@ -213,9 +213,6 @@ def laplacian_consistency(n: int, params: OscillatorParams,
 # Coordinate-representation Hamiltonian matrix (Stone-von Neumann check)
 # ---------------------------------------------------------------------------
 
-_HAMILTONIAN_BLOCK = 4096      # samples per block, so its temporaries stay in cache
-
-
 def _grid_samples(half_width: float, h: float, dims: int):
     """Checked half_width, samples per axis at step h; dims axes hold <= MAX_SAMPLES."""
     half_width, h = check_positive(half_width, "half_width"), check_positive(h, "h")
@@ -233,9 +230,9 @@ def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
     Second derivative by central differences (each end takes the one a sample
     in), overlaps by the trapezoid rule as one weighted matrix product; the
     basis is the stable orthonormal Hermite family (repeated finite-difference
-    raising amplifies grid noise and cannot build it).  H applied to the basis
-    is built _HAMILTONIAN_BLOCK samples at a time, so no full-size temporary is
-    made.  The eigenvalues reproduce the Fock spectrum omega(n + 1/2).
+    raising amplifies grid noise and cannot build it).  H is applied to one
+    basis row at a time.  The eigenvalues reproduce the Fock spectrum
+    omega(n + 1/2).
     half_width and h: finite, positive, at most 2**22 samples, else InvalidArgumentError.
     """
     half_width, n_pts = _grid_samples(half_width, h, 1)
@@ -244,17 +241,12 @@ def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
     x = np.linspace(-half_width, half_width, n_pts)
     hx = x[1] - x[0]
     basis = hermite_basis(n_max, x, params)
-    hb = np.empty_like(basis)
-    for a in range(1, n_pts - 1, _HAMILTONIAN_BLOCK):
-        b = min(a + _HAMILTONIAN_BLOCK, n_pts - 1)
-        d2 = (basis[:, a + 1:b + 1] - 2 * basis[:, a:b] + basis[:, a - 1:b - 1]) / hx ** 2
-        hb[:, a:b] = -d2 / (2.0 * params.m)
-    hb[:, 0] = hb[:, 1]
-    hb[:, -1] = hb[:, -2]
     potential = 0.5 * params.m * params.omega ** 2 * x ** 2
-    for a in range(0, n_pts, _HAMILTONIAN_BLOCK):
-        cols = slice(a, a + _HAMILTONIAN_BLOCK)
-        hb[:, cols] += potential[cols] * basis[:, cols]
+    hb = np.empty_like(basis)
+    for row, out in zip(basis, hb):
+        out[1:-1] = -((row[2:] - 2 * row[1:-1] + row[:-2]) / hx ** 2) / (2.0 * params.m)
+        out[[0, -1]] = out[[1, -2]]
+        out += potential * row
     # per-interval widths, not hx: x[1] - x[0] is off the others by ~7e-12 relative
     basis *= trapezoid_weights(x)
     mat = basis @ hb.T

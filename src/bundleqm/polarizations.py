@@ -113,10 +113,12 @@ def hermite_functions(n_max: int, t) -> np.ndarray:
     """Orthonormal Hermite functions e_0..e_n_max at points t (weight included).
 
     e_n(t) = pi^{-1/4} (2^n n!)^{-1/2} H_n(t) exp(-t^2/2), by the stable
-    weighted recurrence.  Shape: (n_max+1,) + shape(t).
+    weighted recurrence.  Shape: (n_max+1,) + shape(t).  t is finite and real:
+    text raises InvalidArgumentError, NaN or inf NonFiniteError.
     """
     n_max = check_int(n_max, "n_max", 0)
-    t = np.asarray(t, dtype=float)
+    t = check_array(t, float, "t")
+    check_finite(t, "Hermite points")
     out = np.zeros((n_max + 1,) + t.shape)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * t ** 2)
     if n_max >= 1:
@@ -129,7 +131,7 @@ def hermite_functions(n_max: int, t) -> np.ndarray:
 def hermite_basis(n_max: int, x, params: OscillatorParams) -> np.ndarray:
     """Width-w orthonormal basis h_n(x) = w^{-1/2} e_n(x/w)."""
     w = params.w
-    return hermite_functions(n_max, np.asarray(x) / w) / np.sqrt(w)
+    return hermite_functions(n_max, check_array(x, float, "x") / w) / np.sqrt(w)
 
 
 # Largest quadrature order: up to here the weights are finite and sum to
@@ -304,7 +306,7 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
 
 def bargmann_inverse(state: FockState, x, params: OscillatorParams) -> LineSection:
     """Synthesize the sampled coordinate-representation section sum c_n h_n."""
-    x = np.asarray(x, dtype=float)
+    x = check_array(x, float, "x")
     basis = hermite_basis(state.truncation, x, params)
     return LineSection(axis="x", coords=x, values=state.coeffs @ basis,
                        charge=state.charge)

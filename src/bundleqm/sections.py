@@ -152,7 +152,9 @@ def trapezoid_weights(coords: np.ndarray) -> np.ndarray:
 
 
 def _uniform_spacing(axis: np.ndarray, name: str) -> float:
-    if axis.ndim != 1 or axis.size < 3:
+    if axis.ndim != 1:
+        raise GridFormatError(f"{name} axis must be 1D, got shape {axis.shape}")
+    if axis.size < 3:
         raise GridTooSmallError(f"{name} axis needs at least 3 samples, got {axis.size}")
     check_finite(axis, f"{name} axis")
     # a spacing that overflows to inf, and inf - inf = nan, fail the test below
@@ -273,19 +275,21 @@ V_MINUS = np.array([1.0, +1.0j]) / np.sqrt(2.0)
 class DoubledSection:
     """Coordinates of a C^2 = L+ (+) L- section along the v_pm fiber basis.
 
-    Components may be scalars or arrays of matching shape.  psi_minus is not
-    in general the conjugate of psi_plus: the two charges carry independent
-    amplitudes.
+    Components may be scalars or arrays of matching shape, and are finite
+    (else NonFiniteError).  psi_minus is not in general the conjugate of
+    psi_plus: the two charges carry independent amplitudes.
     """
 
     psi_plus: np.ndarray
     psi_minus: np.ndarray
 
     def __post_init__(self):
-        self.psi_plus = np.asarray(self.psi_plus, dtype=complex)
-        self.psi_minus = np.asarray(self.psi_minus, dtype=complex)
+        self.psi_plus = check_array(self.psi_plus, complex, "psi_plus")
+        self.psi_minus = check_array(self.psi_minus, complex, "psi_minus")
         if self.psi_plus.shape != self.psi_minus.shape:
             raise GridFormatError("component shapes differ")
+        check_finite(self.psi_plus, "psi_plus")
+        check_finite(self.psi_minus, "psi_minus")
 
     def rotate_fiber(self, theta: float) -> "DoubledSection":
         """U(1)_v action: psi_pm -> exp(+/- i theta) psi_pm."""

@@ -365,8 +365,11 @@ class TestVerifyCommand:
         assert main(["--config", str(path), "verify"]) == EXIT_OK
         assert "[FAIL]" not in capsys.readouterr().out
 
-    def test_unknown_suite(self):
+    def test_unknown_suite(self, out_dir, capsys):
         assert main(["verify", "--suite", "nope"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown suite 'nope'")
+        assert not out_dir.exists()
 
     def test_tolerance_override_can_fail_a_suite(self, tmp_path, capsys):
         config = tmp_path / "strict.json"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bundleqm.bundles import (GaugeConnection, canonical_operators, covariant_derivative,
-                              curvature_numeric, vacuum_connection)
+                              curvature_numeric, decompose, vacuum_connection)
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
                                 closed_loop_ratios, evolve_classical, symplectic_reduce,
                                 trajectory_times, winding_number)
@@ -29,9 +29,10 @@ from bundleqm import oscillator
 from bundleqm.cli import RunConfig, cmd_husimi
 from bundleqm.oscillator import (MAX_SPECTRUM_N, coordinate_hamiltonian_matrix, eigenstate,
                                  evolve_schrodinger, husimi, laplacian_consistency, spectrum)
-from bundleqm.polarizations import (FockState, Polarization, bargmann_transform,
-                                    hermite_functions, holomorphic_gauge, ladder_apply,
-                                    ladder_coordinate, polarization_limit_check)
+from bundleqm.polarizations import (FockState, Polarization, bargmann_inverse,
+                                    bargmann_transform, hermite_basis, hermite_functions,
+                                    holomorphic_gauge, ladder_apply, ladder_coordinate,
+                                    polarization_limit_check)
 from bundleqm.sections import (MAX_SAMPLES, DoubledSection, GridSection, LineSection,
                                check_charge, check_int, check_real, check_samples, load_grid,
                                read_grid_binary, read_grid_csv, write_grid_binary,
@@ -513,6 +514,49 @@ def _bad_calls():
         ("husimi n=3 on [-1.2, 1.2]^2",
          lambda: cmd_husimi(RunConfig(grid_half_width=1.2), 3, +1, 32),
          ResolutionInsufficientError),
+        # times, points, centers and radii are finite numbers: each of these once
+        # returned NaN or leaked a ValueError or numpy's UFuncTypeError
+        ("evolve_classical t=nan", lambda: evolve_classical(ClassicalState(1j), np.nan, params),
+         NonFiniteError),
+        ("evolve_classical t=[0, inf]",
+         lambda: evolve_classical(ClassicalState(1j), [0.0, np.inf], params), NonFiniteError),
+        ("evolve_classical t='x'", lambda: evolve_classical(ClassicalState(1j), "x", params),
+         InvalidArgumentError),
+        ("symplectic_reduce z0=nan", lambda: symplectic_reduce(np.nan, 4), NonFiniteError),
+        ("symplectic_reduce z0='x'", lambda: symplectic_reduce("x", 4), InvalidArgumentError),
+        ("cone_metric psi=nan", lambda: cone_metric(np.nan, 3), NonFiniteError),
+        ("cone_metric psi='x'", lambda: cone_metric("x", 3), InvalidArgumentError),
+        ("cover_inverse psi=nan", lambda: cover_inverse(np.nan, 3, 0), NonFiniteError),
+        ("cover_inverse psi='x'", lambda: cover_inverse("x", 3, 0), InvalidArgumentError),
+        ("branched_cover z=nan", lambda: branched_cover(np.nan, 3), NonFiniteError),
+        ("branched_cover z='x'", lambda: branched_cover("x", 3), InvalidArgumentError),
+        ("branched_cover z=[1, inf]", lambda: branched_cover([1.0, np.inf], 3),
+         NonFiniteError),
+        ("circle_loop radius=nan", lambda: circle_loop(radius=np.nan), NonFiniteError),
+        ("circle_loop radius='x'", lambda: circle_loop(radius="x"), InvalidArgumentError),
+        ("ellipse_loop ry=inf", lambda: ellipse_loop(ry=np.inf), NonFiniteError),
+        ("square_loop center=nan", lambda: square_loop(center=np.nan), NonFiniteError),
+        ("loop spec radius NaN", lambda: loop_from_spec(json.loads('{"radius": NaN}')),
+         NonFiniteError),
+        ("loop spec ellipse radius Infinity",
+         lambda: loop_from_spec(json.loads('{"shape": "ellipse", "radius": [1, Infinity]}')),
+         NonFiniteError),
+        ("loop spec point NaN", lambda: loop_from_spec(json.loads('[[1, 0], [NaN, 0]]')),
+         NonFiniteError),
+        ("hermite_functions t=[nan]", lambda: hermite_functions(2, [np.nan]), NonFiniteError),
+        ("hermite_functions t='x'", lambda: hermite_functions(2, "x"), InvalidArgumentError),
+        ("hermite_basis x=[nan]", lambda: hermite_basis(2, [np.nan], params), NonFiniteError),
+        ("bargmann_inverse x='x'", lambda: bargmann_inverse(eigenstate(1), "x", params),
+         InvalidArgumentError),
+        ("decompose nan", lambda: decompose(np.nan, 0.0), NonFiniteError),
+        ("decompose 'x'", lambda: decompose("x", 0.0), InvalidArgumentError),
+        ("DoubledSection inf", lambda: DoubledSection([np.inf], [0.0]), NonFiniteError),
+        # an axis that is not 1D is malformed, not short
+        ("LineSection 2D axis",
+         lambda: LineSection("x", np.zeros((3, 3)), np.zeros((3, 3))), GridFormatError),
+        ("GridSection 2D x axis",
+         lambda: GridSection(x=np.zeros((3, 1)), p=AXIS, values=np.ones((3, 3))),
+         GridFormatError),
     ]
 
 

@@ -12,9 +12,8 @@ from bundleqm.classical import OscillatorParams
 from bundleqm.cli import _gauge_family
 from bundleqm.errors import (BundleqmError, GridTooSmallError, InvalidArgumentError,
                              QuadratureUnderResolvedError)
-from bundleqm.oscillator import (_HAMILTONIAN_BLOCK, bargmann_function,
-                                 coordinate_hamiltonian_matrix, eigenstate,
-                                 evolve_schrodinger, hamiltonian_apply, husimi)
+from bundleqm.oscillator import (bargmann_function, coordinate_hamiltonian_matrix,
+                                 eigenstate, evolve_schrodinger, hamiltonian_apply, husimi)
 from bundleqm.polarizations import (GAUSS_HERMITE_MAX_ORDER, FockState,
                                     dolbeault_residual, gauss_hermite)
 from bundleqm.sections import GridSection, diff_axis, trapezoid_weights
@@ -40,9 +39,9 @@ def test_coordinate_matrix_on_a_truncated_grid():
     assert np.max(np.abs(mat - ref)) <= 1e-12
 
 
-# The matrix is built _HAMILTONIAN_BLOCK samples at a time; it must be
-# bit-equal to the single pass, with the scales and the sample counts that put
-# a block edge next to an end of the grid.
+# H is applied one basis row at a time; the matrix must be bit-equal to the
+# single pass, at several scales and at the sample counts next to the edges of
+# the 4096-sample blocks an earlier form used.
 @pytest.mark.parametrize("m, omega", [(1.0, 1.0), (1.0, 2.0), (4.0, 1.0), (0.6, 1.7)])
 def test_coordinate_matrix_bit_equal_to_single_pass(m, omega):
     params = OscillatorParams(m=m, omega=omega)
@@ -51,9 +50,7 @@ def test_coordinate_matrix_bit_equal_to_single_pass(m, omega):
     assert mat.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("n_pts", [3, 4, _HAMILTONIAN_BLOCK - 1, _HAMILTONIAN_BLOCK,
-                                   _HAMILTONIAN_BLOCK + 1, _HAMILTONIAN_BLOCK + 2,
-                                   2 * _HAMILTONIAN_BLOCK + 3])
+@pytest.mark.parametrize("n_pts", [3, 4, 4095, 4096, 4097, 4098, 8195])
 def test_coordinate_matrix_block_edges(n_pts):
     params = OscillatorParams(m=0.6, omega=1.7)
     h = 10.0 / (n_pts - 1)

@@ -132,8 +132,9 @@ class TestParallelTransport:
         assert res.loop_winding == 0
 
     def test_transport_preserves_length(self):
-        res = levi_civita_transport(circle_loop(), 5, v0=2.0 - 1.0j)
-        assert abs(res.vector) == pytest.approx(abs(2.0 - 1.0j), rel=1e-12)
+        res = levi_civita_transport(circle_loop(), 5)
+        assert abs(res.vector) == pytest.approx(1.0, rel=1e-12)
+        assert res.vector == pytest.approx(np.exp(1j * res.holonomy_angle), abs=1e-12)
 
     def test_against_trapezoid_line_integral(self):
         # the chordal-midpoint oracle is O(N^-2); 2^17 samples put its own
