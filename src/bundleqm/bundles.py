@@ -160,5 +160,5 @@ def recompose(doubled: DoubledSection):
 
 def hermitian_pairing(psi, phi):
     """Fiberwise Hermitian product <psi, phi> = psi* phi."""
-    return np.conj(np.asarray(psi, dtype=complex)) * np.asarray(phi, dtype=complex)
+    return np.conj(check_array(psi, complex, "psi")) * check_array(phi, complex, "phi")
 

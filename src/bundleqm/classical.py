@@ -136,13 +136,16 @@ def evolve_classical(state: ClassicalState, t, params: OscillatorParams,
     For charge -1 the stored z0 plays the role of the independent antiparticle
     datum (the paper's zbar_0').  frequency_sign = -1 flips to the physics
     phase convention.  Accepts scalar or array t: text raises
-    InvalidArgumentError, NaN or inf NonFiniteError.
+    InvalidArgumentError, NaN or inf NonFiniteError, as does a phase
+    omega t that overflows.
     """
     check_sign(frequency_sign, "frequency_sign")
     times = check_array(t, float, "t")
     check_finite(times, "t")
-    phase = np.exp(1j * frequency_sign * state.charge * params.omega * times)
-    out = phase * state.z0
+    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+        phase = np.exp(1j * frequency_sign * state.charge * params.omega * times)
+        out = phase * state.z0
+    check_finite(out, "classical trajectory")
     return complex(out) if np.isscalar(t) else out
 
 

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -452,13 +453,66 @@ SUITES = {
 }
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+# Threads verify runs its suites on, at most: the split measured, on a
+# 2-core host.  By the sequential suite times a third thread would not
+# shorten the longest share (32 ms either way) and a fourth only to 23 ms,
+# while the suites of many small numpy calls wait longer for the GIL.
+_MAX_THREADS = 2
+
+
+def _run_suites(config: RunConfig, names) -> list:
+    """The checks of each suite in `names`, in that order.
+
+    With k = min(len(names), usable cores, _MAX_THREADS) threads, thread j
+    runs names[j::k] in order; the calling thread is j = 0.  The suites share
+    no state and spend their time in numpy kernels that release the GIL.  A
+    thread stops at its first suite that raises, and once all are joined the
+    exception of the first such suite in `names` is raised here, as a
+    sequential run would.
+
+    bench/tracing.py wraps the package's functions (leaving `__wrapped__`)
+    and nests the calls it sees on one stack, which threads would interleave;
+    while it is installed the suites run in order on the calling thread.
+    """
+    if hasattr(cmd_verify, "__wrapped__"):
+        k = 1
+    else:
+        k = min(len(names), _usable_cores(), _MAX_THREADS)
+    results = [None] * len(names)       # each suite's checks, or what it raised
+
+    def run(j):
+        for i in range(j, len(names), k):
+            try:
+                results[i] = SUITES[names[i]](config)
+            except BaseException as exc:    # raised again below, after the join
+                results[i] = exc
+                return
+
+    helpers = [threading.Thread(target=run, args=(j,)) for j in range(1, k)]
+    for thread in helpers:
+        thread.start()
+    run(0)
+    for thread in helpers:
+        thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
+
+
 def cmd_verify(config: RunConfig, suite: str) -> int:
     if suite != "all" and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
     names = sorted(SUITES) if suite == "all" else [suite]
-    checks = []
-    for name in names:
-        checks.extend(SUITES[name](config))
+    checks = [c for suite_checks in _run_suites(config, names) for c in suite_checks]
     report = []
     all_passed = True
     for c in checks:

@@ -38,11 +38,15 @@ class ConeGeometry:
 
 def branched_cover(z, n: int):
     """z -> z^n; degree-n branched covering with branch point z = 0.  z is a
-    finite complex number or array, else a typed error."""
+    finite complex number or array, else a typed error; an image that
+    overflows raises NonFiniteError."""
     n = check_int(n, "covering degree", 1)
     z = check_array(z, complex, "z")
     check_finite(z, "z")
-    return z ** n if z.ndim else complex(z) ** n
+    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+        image = z ** n
+    check_finite(image, "branched cover image")
+    return image if z.ndim else complex(image)
 
 
 def cover_inverse(psi: complex, n: int, branch: int) -> complex:
@@ -127,27 +131,36 @@ def levi_civita_transport(loop, n: int) -> TransportResult:
 # ---------------------------------------------------------------------------
 
 def circle_loop(center: complex = 0j, radius: float = 1.0, samples: int = 4096) -> np.ndarray:
-    """Closed circle of samples steps; center and radius are finite numbers."""
+    """Closed circle of samples steps; center and radius are finite numbers,
+    and a loop that overflows raises NonFiniteError."""
     center = check_array(center, complex, "center", ndim=0)
     radius = check_real(radius, "radius")
     check_finite(np.append(center, radius), "loop center and radius")
     t = np.linspace(0.0, TWO_PI, check_int(samples, "samples", 1) + 1)
-    return center + radius * np.exp(1j * t)
+    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+        loop = center + radius * np.exp(1j * t)
+    check_finite(loop, "loop points")
+    return loop
 
 
 def ellipse_loop(center: complex = 0j, rx: float = 2.0, ry: float = 0.7,
                  samples: int = 4096) -> np.ndarray:
-    """Closed ellipse of samples steps; center, rx and ry are finite numbers."""
+    """Closed ellipse of samples steps; center, rx and ry are finite numbers,
+    and a loop that overflows raises NonFiniteError."""
     center = check_array(center, complex, "center", ndim=0)
     rx, ry = check_real(rx, "rx"), check_real(ry, "ry")
     check_finite(np.append(center, [rx, ry]), "loop center and radii")
     t = np.linspace(0.0, TWO_PI, check_int(samples, "samples", 1) + 1)
-    return center + rx * np.cos(t) + 1j * ry * np.sin(t)
+    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+        loop = center + rx * np.cos(t) + 1j * ry * np.sin(t)
+    check_finite(loop, "loop points")
+    return loop
 
 
 def square_loop(center: complex = 0j, half_side: float = 1.0,
                 samples: int = 4096) -> np.ndarray:
-    """Closed square of samples steps; center and half_side are finite numbers."""
+    """Closed square of samples steps; center and half_side are finite numbers,
+    and a loop that overflows raises NonFiniteError."""
     center = check_array(center, complex, "center", ndim=0)
     half_side = check_real(half_side, "half_side")
     check_finite(np.append(center, half_side), "loop center and half side")
@@ -155,7 +168,10 @@ def square_loop(center: complex = 0j, half_side: float = 1.0,
     u = np.linspace(0.0, 4.0, check_int(samples, "samples", 1) + 1)
     k = np.minimum(u.astype(int), 3)
     f = u - k
-    return center + corners[k] * (1 - f) + corners[k + 1] * f
+    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+        loop = center + corners[k] * (1 - f) + corners[k + 1] * f
+    check_finite(loop, "loop points")
+    return loop
 
 
 def loop_from_spec(spec) -> np.ndarray:

@@ -20,9 +20,9 @@ from .classical import OscillatorParams, complex_coordinate
 from .errors import (GridTooSmallError, InvalidArgumentError, NotNormalizedError,
                      ResolutionInsufficientError)
 from .polarizations import FockState, hermite_basis
-from .sections import (MAX_SAMPLES, GridSection, LineSection, check_array, check_charge,
-                       check_finite, check_int, check_positive, check_samples, check_sign,
-                       trapezoid_weights)
+from .sections import (_KERNEL_VALUES, MAX_SAMPLES, GridSection, LineSection, check_array,
+                       check_charge, check_finite, check_int, check_positive, check_samples,
+                       check_sign, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,14 @@ def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     u = np.ravel(check_array(u, float, "u"))[:, None]
     v = np.ravel(check_array(v, float, "v"))[None, :]
-    zp = u + 1j * state.charge * v
+    q_field = np.empty((u.size, v.size))
+    # a few rows at a time, so the term arrays stay near _KERNEL_VALUES cells
+    step = max(1, _KERNEL_VALUES // (v.size or 1))
     with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        amp = bargmann_function(state, zp)
-        q_field = np.abs(amp) ** 2 * np.exp(-(u ** 2 + v ** 2)) / np.pi
+        for start in range(0, u.size, step):
+            rows = slice(start, start + step)
+            amp = bargmann_function(state, u[rows] + 1j * state.charge * v)
+            q_field[rows] = np.abs(amp) ** 2 * np.exp(-(u[rows] ** 2 + v ** 2)) / np.pi
     check_finite(q_field, "Husimi field")
     return q_field
 

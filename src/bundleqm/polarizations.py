@@ -114,17 +114,22 @@ def hermite_functions(n_max: int, t) -> np.ndarray:
 
     e_n(t) = pi^{-1/4} (2^n n!)^{-1/2} H_n(t) exp(-t^2/2), by the stable
     weighted recurrence.  Shape: (n_max+1,) + shape(t).  t is finite and real:
-    text raises InvalidArgumentError, NaN or inf NonFiniteError.
+    text raises InvalidArgumentError, NaN or inf NonFiniteError.  Where the
+    weight exp(-t^2/2) underflows to 0, every e_n is 0.
     """
     n_max = check_int(n_max, "n_max", 0)
     t = check_array(t, float, "t")
     check_finite(t, "Hermite points")
     out = np.zeros((n_max + 1,) + t.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * t ** 2)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * t * out[0]
-    for n in range(2, n_max + 1):
-        out[n] = np.sqrt(2.0 / n) * t * out[n - 1] - np.sqrt((n - 1) / n) * out[n - 2]
+    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+        out[0] = np.pi ** -0.25 * np.exp(-0.5 * t ** 2)
+        if n_max >= 1:
+            out[1] = np.sqrt(2.0) * t * out[0]
+        for n in range(2, n_max + 1):
+            out[n] = np.sqrt(2.0 / n) * t * out[n - 1] - np.sqrt((n - 1) / n) * out[n - 2]
+    # there the recurrence gave 0, or NaN from inf * 0 where sqrt(2) t overflows
+    np.copyto(out, 0.0, where=out[0] == 0)
+    check_finite(out, "Hermite functions")
     return out
 
 

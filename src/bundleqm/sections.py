@@ -181,9 +181,9 @@ class GridSection:
     charge: int = +1
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
+        self.x = check_array(self.x, float, "x axis")
+        self.p = check_array(self.p, float, "p axis")
+        self.values = check_array(self.values, complex, "section values")
         self.hx = _uniform_spacing(self.x, "x")
         self.hp = _uniform_spacing(self.p, "p")
         if self.values.shape != (self.x.size, self.p.size):
@@ -235,8 +235,8 @@ class LineSection:
     def __post_init__(self):
         if self.axis not in ("x", "p"):
             raise InvalidArgumentError(f"axis must be 'x' or 'p', got {self.axis!r}")
-        self.coords = np.asarray(self.coords, dtype=float)
-        self.values = np.asarray(self.values, dtype=complex)
+        self.coords = check_array(self.coords, float, f"{self.axis} axis")
+        self.values = check_array(self.values, complex, "section values")
         self.h = _uniform_spacing(self.coords, self.axis)
         if self.values.shape != self.coords.shape:
             raise GridFormatError("values and coords must have the same length")

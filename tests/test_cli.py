@@ -1,7 +1,9 @@
+import functools
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, TOLERANCES,
                           ConfigError, RunConfig, canonical_json, cmd_husimi,
                           cmd_simulate, cmd_spectrum, main)
-from bundleqm import cli
-from bundleqm.errors import BundleqmError, InvalidChargeError, NonFiniteError
+from bundleqm import bundles, cli
+from bundleqm.errors import (BundleqmError, DecayViolationError, InvalidChargeError,
+                             NonFiniteError)
 
 
 @pytest.fixture(autouse=True)
@@ -412,6 +415,82 @@ class TestVerifyCommand:
         config = tmp_path / "broken.json"
         config.write_text("{not json")
         assert main(["--config", str(config), "verify", "--suite", "ccr"]) == EXIT_USAGE
+
+
+class TestConcurrentVerify:
+    """verify runs suite j of the sorted names on thread j mod k, k = min(cores, 2)."""
+
+    @staticmethod
+    def _verify(monkeypatch, tmp_path, capsys, cores, suite="all"):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        monkeypatch.setenv("BUNDLEQM_OUT", str(tmp_path / f"cores-{cores}"))
+        code = main(["verify", "--suite", suite])
+        out, err = capsys.readouterr()
+        reports = list((tmp_path / f"cores-{cores}").glob("verify-*/report.json"))
+        return code, out, err, [r.read_bytes() for r in reports]
+
+    def test_output_bytes_do_not_depend_on_the_core_count(self, tmp_path, monkeypatch,
+                                                          capsys):
+        runs = [self._verify(monkeypatch, tmp_path, capsys, cores) for cores in (1, 2)]
+        assert runs[0][0] == EXIT_OK and len(runs[0][3]) == 1
+        assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("cores, traced, threads",
+                             [(1, False, 1), (2, False, 2), (8, False, 2), (8, True, 1)])
+    def test_threads_used(self, monkeypatch, cores, traced, threads):
+        threads_seen = set()
+
+        def record(config):
+            threads_seen.add(threading.current_thread())
+            return []
+
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, record)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        if traced:      # a call tracer wraps the commands, as bench/tracing.py does
+            monkeypatch.setattr(cli, "cmd_verify", functools.wraps(cli.cmd_verify)(
+                lambda *args: None))
+        assert cli._run_suites(RunConfig(), sorted(cli.SUITES)) == [[]] * len(cli.SUITES)
+        assert len(threads_seen) == threads
+
+    def test_helper_thread_error_gives_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def decays(config):
+            raise DecayViolationError("injected on the helper thread")
+
+        # sorted names: bargmann, ccr, charge-mirror, gauge, holonomy, husimi, spectrum;
+        # with 2 cores husimi (index 5) runs on the helper thread
+        monkeypatch.setitem(cli.SUITES, "husimi", decays)
+        code, out, err, reports = self._verify(monkeypatch, tmp_path, capsys, 2)
+        assert code == EXIT_USAGE and out == "" and reports == []
+        assert err == "error: injected on the helper thread\n"
+
+    @pytest.mark.parametrize("first, second", [("gauge", "spectrum"), ("bargmann", "ccr")])
+    def test_first_raising_suite_in_name_order_is_reported(self, tmp_path, monkeypatch,
+                                                           capsys, first, second):
+        def raiser(name):
+            def suite(config):
+                raise DecayViolationError(f"injected in {name}")
+            return suite
+
+        monkeypatch.setitem(cli.SUITES, first, raiser(first))
+        monkeypatch.setitem(cli.SUITES, second, raiser(second))
+        code, _out, err, _reports = self._verify(monkeypatch, tmp_path, capsys, 2)
+        assert code == EXIT_USAGE and err == f"error: injected in {first}\n"
+
+    def test_check_fault_on_the_helper_thread_fails_verify(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # the connection's sign flipped makes the curvature +1; the gauge suite
+        # (index 3) runs on the helper thread with 2 cores
+        monkeypatch.setattr(bundles, "vacuum_connection", lambda: bundles.GaugeConnection(
+            a_x=lambda x, p: -0.5 * p, a_p=lambda x, p: 0.5 * x))
+        code, out, _err, reports = self._verify(monkeypatch, tmp_path, capsys, 2)
+        assert code == EXIT_CHECK_FAILED and len(reports) == 1
+        assert "[FAIL] curvature vacuum" in out
+
+    def test_threads_are_joined(self, tmp_path, monkeypatch, capsys):
+        before = threading.active_count()
+        assert self._verify(monkeypatch, tmp_path, capsys, 2)[0] == EXIT_OK
+        assert threading.active_count() == before
 
 
 class TestOutputLayout:

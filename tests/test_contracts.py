@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from bundleqm.bundles import (GaugeConnection, canonical_operators, covariant_derivative,
-                              curvature_numeric, decompose, vacuum_connection)
+                              curvature_numeric, decompose, hermitian_pairing,
+                              vacuum_connection)
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
                                 closed_loop_ratios, evolve_classical, symplectic_reduce,
                                 trajectory_times, winding_number)
@@ -557,6 +558,27 @@ def _bad_calls():
         ("GridSection 2D x axis",
          lambda: GridSection(x=np.zeros((3, 1)), p=AXIS, values=np.ones((3, 3))),
          GridFormatError),
+        # text in the section containers once leaked numpy's conversion ValueError
+        ("GridSection x='abc'", lambda: GridSection(x="abc", p=AXIS, values=np.ones((3, 3))),
+         InvalidArgumentError),
+        ("LineSection coords 'abc'", lambda: LineSection("x", "abc", np.ones(3)),
+         InvalidArgumentError),
+        ("LineSection values 'abc'", lambda: LineSection("x", AXIS, "abc"),
+         InvalidArgumentError),
+        ("hermitian_pairing 'x'", lambda: hermitian_pairing("x", 1), InvalidArgumentError),
+        # finite inputs whose arithmetic overflows once returned NaN or inf, or
+        # raised Python's OverflowError
+        ("evolve_classical omega*t overflow",
+         lambda: evolve_classical(ClassicalState(1j), 1e308, OscillatorParams(omega=10.0)),
+         NonFiniteError),
+        ("circle_loop center=radius=1e308", lambda: circle_loop(center=1e308, radius=1e308),
+         NonFiniteError),
+        ("ellipse_loop center=rx=1e308", lambda: ellipse_loop(center=1e308, rx=1e308),
+         NonFiniteError),
+        ("square_loop center=half_side=1e308",
+         lambda: square_loop(center=1e308, half_side=1e308), NonFiniteError),
+        ("branched_cover z=1e200", lambda: branched_cover(1e200, 3), NonFiniteError),
+        ("branched_cover z=[1e200]", lambda: branched_cover([1e200], 3), NonFiniteError),
     ]
 
 
@@ -570,6 +592,14 @@ def test_invalid_arguments_raise_typed_errors(call, error, tmp_path, monkeypatch
     with pytest.raises(error):
         call()
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t", [40.0, 1e200, -1e200, 1.5e308, -np.finfo(float).max])
+def test_hermite_weight_that_underflows_is_zero(t):
+    # the weight exp(-t^2/2) is 0 there, so is every e_n: no overflow warning,
+    # and no NaN from sqrt(2) t = inf times the weight
+    values = hermite_functions(3, [t, 0.5])
+    assert not np.any(values[:, 0]) and np.all(values[:, 1] != 0)
 
 
 def test_spectrum_cap_bounds():

@@ -158,6 +158,15 @@ def test_husimi_bit_identical_to_allocating_form(coeffs, charge):
     _assert_husimi_bit_identical(FockState(coeffs=np.array(coeffs), charge=charge))
 
 
+@pytest.mark.parametrize("columns", [3000, 9000])
+def test_husimi_row_blocks_bit_identical(columns):
+    # 2 rows per block with a short last block, then 1 row of more than a block's cells
+    v = np.linspace(-3.0, 5.0, columns)
+    state = FockState(coeffs=np.array([0.6, 0.0, -0.8j, 0.1]), charge=-1)
+    got = husimi(state, U, v)
+    assert got.tobytes() == oracles.husimi_reference(state.coeffs, -1, U, v).tobytes()
+
+
 def test_bargmann_function_scalar_argument():
     state = FockState(coeffs=np.array([0.5, 0.0, 2.0 - 1j]))
     z = 0.3 - 0.7j
