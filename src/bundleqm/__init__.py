@@ -20,8 +20,8 @@ from .polarizations import (FockState, Polarization, bargmann_inverse,
                             holomorphic_gauge, ladder_apply, ladder_coordinate,
                             polarization_limit_check)
 from .oscillator import (EnergyLevel, charge_density, eigenstate, evolve_schrodinger,
-                         hamiltonian_apply, husimi, laplacian_consistency, spectrum,
-                         winding_charges)
+                         hamiltonian_apply, husimi, husimi_levels, laplacian_consistency,
+                         spectrum, winding_charges)
 from .orbifold import (ConeGeometry, branched_cover, cone_metric, cover_inverse,
                        levi_civita_transport, loop_from_spec)
 

@@ -371,8 +371,7 @@ def suite_husimi(config: RunConfig):
     checks.append(Check("husimi Q_0(0) vs 1/pi", float(abs(q0[0, 0] - 1 / np.pi)),
                         config.tolerance("husimi_center")))
     worst_norm, worst_loc = 0.0, 0.0
-    for n in range(11):
-        q = oscillator.husimi(oscillator.eigenstate(n), u, u)
+    for n, q in enumerate(oscillator.husimi_levels(10, u, u)):
         total = float(np.trapezoid(np.trapezoid(q, u, axis=1), u))
         worst_norm = max(worst_norm, abs(total - 1.0))
         i, j = np.unravel_index(int(np.argmax(q)), q.shape)

@@ -101,20 +101,50 @@ def winding_charges(state: FockState):
     return report, state.charge
 
 
-def bargmann_function(state: FockState, z: np.ndarray) -> np.ndarray:
+def _bargmann_terms(z: np.ndarray, n_max: int):
+    """Yield z^n / sqrt(n!) for n = 0..n_max: one array, updated in place.
+
+    The caller sets np.errstate: the steps run in its context when resumed.
+    """
+    term = np.ones_like(z)
+    yield term
+    for n in range(1, n_max + 1):
+        term *= z
+        term *= 1.0 / np.sqrt(n)     # numpy's complex / real, without its scalar loop
+        yield term
+
+
+def _bargmann_sum(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum c_n z^n / sqrt(n!); zero coefficients add nothing."""
+    terms = _bargmann_terms(z, coeffs.size - 1)
+    out = coeffs[0] * next(terms)
+    for c, term in zip(coeffs[1:], terms):
+        if c != 0:
+            out += c * term
+    return out
+
+
+def bargmann_function(state: FockState, z) -> np.ndarray:
     """psi(z') = sum c_n z'^n / sqrt(n!), evaluated stably term by term.
 
     The term array is updated in place and zero coefficients add nothing.
+    z is read as complex (text raises InvalidArgumentError); a z or a result
+    that is not finite raises NonFiniteError.
     """
-    z = np.asarray(z, dtype=complex)
-    term = np.ones_like(z)
-    out = state.coeffs[0] * term
-    for n in range(1, state.coeffs.size):
-        term *= z
-        term *= 1.0 / np.sqrt(n)     # numpy's complex / real, without its scalar loop
-        if state.coeffs[n] != 0:
-            out += state.coeffs[n] * term
+    z = check_array(z, complex, "z")
+    check_finite(z, "Bargmann point z")
+    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+        out = _bargmann_sum(state.coeffs, z)
+    check_finite(out, "Bargmann function")
     return out
+
+
+def _husimi_axes(u, v):
+    """u as a column and v as a row, flattened floats of at most MAX_SAMPLES cells."""
+    u = np.ravel(check_array(u, float, "u"))[:, None]
+    v = np.ravel(check_array(v, float, "v"))[None, :]
+    check_samples(u.size * v.size, f"Husimi grid {u.size}x{v.size}")
+    return u, v
 
 
 def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -124,21 +154,47 @@ def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     (1/pi n!) |z'|^{2n} exp(-|z'|^2), nonnegative and of unit total mass.
     The argument is u + i q v, so charge -1 states are antiholomorphic: they
     see conj(z').  u and v are flattened (input numpy cannot read as floats
-    raises InvalidArgumentError); a field that is not finite raises
-    NonFiniteError.
+    raises InvalidArgumentError); a grid of more than MAX_SAMPLES cells
+    raises InvalidArgumentError before any is computed; a field that is not
+    finite raises NonFiniteError.
     """
-    u = np.ravel(check_array(u, float, "u"))[:, None]
-    v = np.ravel(check_array(v, float, "v"))[None, :]
+    u, v = _husimi_axes(u, v)
     q_field = np.empty((u.size, v.size))
     # a few rows at a time, so the term arrays stay near _KERNEL_VALUES cells
     step = max(1, _KERNEL_VALUES // (v.size or 1))
     with np.errstate(over="ignore", invalid="ignore"):     # reported just below
         for start in range(0, u.size, step):
             rows = slice(start, start + step)
-            amp = bargmann_function(state, u[rows] + 1j * state.charge * v)
+            amp = _bargmann_sum(state.coeffs, u[rows] + 1j * state.charge * v)
             q_field[rows] = np.abs(amp) ** 2 * np.exp(-(u[rows] ** 2 + v ** 2)) / np.pi
     check_finite(q_field, "Husimi field")
     return q_field
+
+
+def husimi_levels(n_max: int, u, v, charge: int = +1):
+    """Yield the Husimi fields Q_n of the eigenstates n = 0..n_max in turn.
+
+    Each field is a new array, byte-equal to husimi(eigenstate(n, charge),
+    u, v), but one term recurrence serves every level and exp(-|z'|^2) is
+    evaluated once.  The arguments are checked, and the grid capped, as by
+    husimi when this is called; a field that is not finite raises
+    NonFiniteError when it is reached.
+    """
+    n_max = check_int(n_max, "n_max", 0)
+    charge = check_charge(charge)
+    u, v = _husimi_axes(u, v)
+    gauss = np.exp(-(u ** 2 + v ** 2))
+    return _husimi_fields(u + 1j * charge * v, gauss, n_max)
+
+
+def _husimi_fields(z: np.ndarray, gauss: np.ndarray, n_max: int):
+    terms = _bargmann_terms(z, n_max)
+    for _ in range(n_max + 1):
+        # around each step only: a suspended generator's `with` would hold in its caller
+        with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+            q_n = np.abs(next(terms)) ** 2 * gauss / np.pi
+        check_finite(q_n, "Husimi field")
+        yield q_n
 
 
 def charge_density(state: Union[FockState, LineSection]):

@@ -161,13 +161,16 @@ def gauss_hermite(order: int):
     if order > GAUSS_HERMITE_MAX_ORDER:
         raise QuadratureUnderResolvedError(
             f"order {order} above the maximum {GAUSS_HERMITE_MAX_ORDER}")
-    return _gauss_hermite_rule(order)
+    return _gauss_hermite_rule(order)[:3]
 
 
 @functools.lru_cache(maxsize=None)
 def _gauss_hermite_rule(order: int):
+    """gauss_hermite's three arrays, then e_0..e_{order-1} at the nodes."""
     if order == 1:
-        rule = (np.array([0.0]), np.array([np.sqrt(np.pi)]), np.array([np.sqrt(np.pi)]))
+        nodes = np.array([0.0])
+        basis = hermite_functions(0, nodes)
+        rule = (nodes, np.array([np.sqrt(np.pi)]), np.array([np.sqrt(np.pi)]), basis)
     else:
         off = np.sqrt(np.arange(1, order) / 2.0)
         nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
@@ -176,9 +179,9 @@ def _gauss_hermite_rule(order: int):
             raise QuadratureUnderResolvedError(
                 f"Gauss-Hermite node symmetry violated: {asym:.3e}")
         nodes = 0.5 * (nodes - nodes[::-1])
-        e_last = hermite_functions(order - 1, nodes)[order - 1]
-        scaled = 1.0 / (order * e_last ** 2)          # w_k exp(t_k^2)
-        rule = (nodes, scaled * np.exp(-nodes ** 2), scaled)
+        basis = hermite_functions(order - 1, nodes)
+        scaled = 1.0 / (order * basis[order - 1] ** 2)          # w_k exp(t_k^2)
+        rule = (nodes, scaled * np.exp(-nodes ** 2), scaled, basis)
     for arr in rule:
         arr.setflags(write=False)
     return rule
@@ -303,7 +306,8 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
         return FockState(coeffs=coeffs, charge=sec.charge)
     w = params.w
     psi_nodes = np.asarray(sec(w * nodes), dtype=complex)
-    basis = hermite_functions(n_max, nodes)          # e_n(t_k)
+    # e_n(t_k), n <= n_max: the recurrence's rows do not depend on how many follow
+    basis = _gauss_hermite_rule(nodes.size)[3][:n_max + 1]
     # c_n = sqrt(w) * sum_k [w_k e^{t_k^2}] e_n(t_k) psi(w t_k)
     coeffs = np.sqrt(w) * basis @ (scaled * psi_nodes)
     return FockState(coeffs=coeffs, charge=check_charge(charge))

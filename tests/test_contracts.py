@@ -28,8 +28,9 @@ from bundleqm.orbifold import (ConeGeometry, branched_cover, circle_loop, cone_m
                                loop_from_spec, square_loop)
 from bundleqm import oscillator
 from bundleqm.cli import RunConfig, cmd_husimi
-from bundleqm.oscillator import (MAX_SPECTRUM_N, coordinate_hamiltonian_matrix, eigenstate,
-                                 evolve_schrodinger, husimi, laplacian_consistency, spectrum)
+from bundleqm.oscillator import (MAX_SPECTRUM_N, bargmann_function,
+                                 coordinate_hamiltonian_matrix, eigenstate, evolve_schrodinger,
+                                 husimi, husimi_levels, laplacian_consistency, spectrum)
 from bundleqm.polarizations import (FockState, Polarization, bargmann_inverse,
                                     bargmann_transform, hermite_basis, hermite_functions,
                                     holomorphic_gauge, ladder_apply, ladder_coordinate,
@@ -471,6 +472,18 @@ def _bad_calls():
         ("transport loop 'abc'", lambda: levi_civita_transport("abc", 3), InvalidArgumentError),
         ("FockState('ab')", lambda: FockState("ab"), InvalidArgumentError),
         ("husimi u 'a'", lambda: husimi(eigenstate(1), "a", [0.0]), InvalidArgumentError),
+        ("husimi_levels v 'a'", lambda: husimi_levels(1, [0.0], "a"), InvalidArgumentError),
+        ("husimi_levels n_max=-1", lambda: husimi_levels(-1, [0.0], [0.0]),
+         InvalidArgumentError),
+        ("husimi_levels charge=0", lambda: husimi_levels(1, [0.0], [0.0], 0),
+         InvalidChargeError),
+        ("bargmann_function z='abc'", lambda: bargmann_function(eigenstate(1), "abc"),
+         InvalidArgumentError),
+        ("bargmann_function z=[nan]", lambda: bargmann_function(eigenstate(1), [np.nan]),
+         NonFiniteError),
+        # z^3 overflows: once numpy's RuntimeWarning and an inf result
+        ("bargmann_function z=[1e200]", lambda: bargmann_function(eigenstate(3), [1e200]),
+         NonFiniteError),
         # grid widths and steps are finite and positive
         ("hamiltonian matrix h=0", lambda: coordinate_hamiltonian_matrix(3, params, h=0.0),
          InvalidArgumentError),
@@ -495,6 +508,14 @@ def _bad_calls():
          InvalidArgumentError),
         # 6001 samples per axis pass alone, but the 6001^2 grid is over the cap
         ("laplacian h=1e-3", lambda: laplacian_consistency(1, params, h=1e-3),
+         InvalidArgumentError),
+        # each axis of 10**6 samples passes alone; the 10**12-cell Husimi grid once
+        # raised numpy's allocation error
+        ("husimi grid 10**6 x 10**6",
+         lambda: husimi(eigenstate(0), np.linspace(-1, 1, 10 ** 6), np.linspace(-1, 1, 10 ** 6)),
+         InvalidArgumentError),
+        ("husimi_levels grid 10**6 x 10**6",
+         lambda: husimi_levels(0, np.linspace(-1, 1, 10 ** 6), np.linspace(-1, 1, 10 ** 6)),
          InvalidArgumentError),
         # so are coefficient and time arrays over the same cap of 2**22 samples
         ("eigenstate n=2**22", lambda: eigenstate(2 ** 22), InvalidArgumentError),

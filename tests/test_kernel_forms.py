@@ -1,7 +1,7 @@
 """The coordinate Hamiltonian matrix, the trapezoid weights, the Gauss-Hermite
-rule, the Husimi recurrence, the Fock phases, the first-derivative stencil and
-the grid kernels on broadcast axes against the forms the package used before
-they were sped up or simplified."""
+rule and its node basis, the Husimi recurrence and its levels, the Fock
+phases, the first-derivative stencil and the grid kernels on broadcast axes
+against the forms the package used before they were sped up or simplified."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from bundleqm.bundles import covariant_derivative
 from bundleqm.classical import OscillatorParams
-from bundleqm.cli import _gauge_family
+from bundleqm.cli import RunConfig, _gauge_family, suite_husimi
 from bundleqm.errors import (BundleqmError, GridTooSmallError, InvalidArgumentError,
                              QuadratureUnderResolvedError)
 from bundleqm.oscillator import (bargmann_function, coordinate_hamiltonian_matrix,
-                                 eigenstate, evolve_schrodinger, hamiltonian_apply, husimi)
-from bundleqm.polarizations import (GAUSS_HERMITE_MAX_ORDER, FockState,
-                                    dolbeault_residual, gauss_hermite)
+                                 eigenstate, evolve_schrodinger, hamiltonian_apply, husimi,
+                                 husimi_levels)
+from bundleqm.polarizations import (GAUSS_HERMITE_MAX_ORDER, FockState, _gauss_hermite_rule,
+                                    bargmann_transform, dolbeault_residual, gauss_hermite,
+                                    hermite_functions)
 from bundleqm.sections import GridSection, diff_axis, trapezoid_weights
 
 import oracles
@@ -117,6 +119,34 @@ class TestGaussHermiteRule:
         with pytest.raises(InvalidArgumentError):
             gauss_hermite(bad)
 
+    @pytest.mark.parametrize("order", [1, 2, 128])
+    def test_rule_keeps_its_node_basis_read_only(self, order):
+        rule = _gauss_hermite_rule(order)
+        three = gauss_hermite(order)
+        assert len(three) == 3
+        assert all(a is b for a, b in zip(three, rule))
+        assert all(a is b for a, b in zip(three, gauss_hermite(order)))
+        basis = rule[3]
+        assert basis.tobytes() == hermite_functions(order - 1, rule[0]).tobytes()
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            basis[0, 0] = 1.0
+
+    # the callable branch slices the rule's basis; quad_order >= 2 n_max + 2
+    # bounds n_max by order // 2 - 1
+    @pytest.mark.parametrize("order", [2, 128, 512])
+    def test_callable_transform_bit_equal_to_fresh_basis(self, order):
+        params = OscillatorParams(m=0.6, omega=1.7)
+
+        def psi(x):
+            return np.exp(-0.4 * x ** 2) * (1.0 + 0.5j * x - 0.2 * x ** 2)
+
+        nodes, _, scaled = gauss_hermite(order)
+        psi_nodes = np.asarray(psi(params.w * nodes), dtype=complex)
+        for n_max in range(order // 2):
+            got = bargmann_transform(psi, n_max, order, params).coeffs
+            ref = np.sqrt(params.w) * hermite_functions(n_max, nodes) @ (scaled * psi_nodes)
+            assert got.tobytes() == ref.tobytes()
+
     def test_invalid_request_leaves_the_cache_alone(self):
         rule = gauss_hermite(128)
         with pytest.raises(BundleqmError):
@@ -165,6 +195,31 @@ def test_husimi_row_blocks_bit_identical(columns):
     state = FockState(coeffs=np.array([0.6, 0.0, -0.8j, 0.1]), charge=-1)
     got = husimi(state, U, v)
     assert got.tobytes() == oracles.husimi_reference(state.coeffs, -1, U, v).tobytes()
+
+
+@pytest.mark.parametrize("charge", [+1, -1])
+def test_husimi_levels_bit_identical_to_husimi(charge):
+    levels = list(husimi_levels(10, U, V, charge))
+    assert len(levels) == 11
+    for n, q in enumerate(levels):
+        assert q.tobytes() == husimi(eigenstate(n, charge), U, V).tobytes()
+    *_, q_97 = husimi_levels(97, U, V, charge)
+    assert q_97.tobytes() == husimi(eigenstate(97, charge), U, V).tobytes()
+
+
+def test_suite_husimi_checks_equal_per_level_calls():
+    # the suite as it was written with one husimi call per level
+    u = np.linspace(-8.0, 8.0, 257)
+    q0 = husimi(eigenstate(0), np.array([0.0]), np.array([0.0]))
+    worst_norm, worst_loc = 0.0, 0.0
+    for n in range(11):
+        q = husimi(eigenstate(n), u, u)
+        total = float(np.trapezoid(np.trapezoid(q, u, axis=1), u))
+        worst_norm = max(worst_norm, abs(total - 1.0))
+        i, j = np.unravel_index(int(np.argmax(q)), q.shape)
+        worst_loc = max(worst_loc, abs(np.hypot(u[i], u[j]) - np.sqrt(n)))
+    expected = [float(abs(q0[0, 0] - 1 / np.pi)), worst_norm, worst_loc]
+    assert [c.measured for c in suite_husimi(RunConfig())] == expected
 
 
 def test_bargmann_function_scalar_argument():
