@@ -211,14 +211,15 @@ def symplectic_reduce(z0: complex, n_samples: int):
     """Collapse the orbit circle {z zbar = |z0|^2} to its moduli point.
 
     Returns (z0, circle) where circle holds n_samples points of the level set,
-    starting at z0.  The origin is excluded: the oscillator phase space is
-    C \\ {0}.  z0 is a finite complex number, else a typed error.
+    starting at z0; n_samples is an int from 3 to MAX_SAMPLES.  The origin is
+    excluded: the oscillator phase space is C \\ {0}.  z0 is a finite complex
+    number, else a typed error.
     """
     z0 = complex(check_array(z0, complex, "z0", ndim=0))
     check_finite(z0, "z0")
     if z0 == 0:
         raise ZeroPointError("z0 = 0 is excluded from the reduced phase space")
-    n_samples = check_int(n_samples, "n_samples", 3)
+    n_samples = check_samples(check_int(n_samples, "n_samples", 3), "reduced orbit")
     angles = TWO_PI * np.arange(n_samples) / n_samples
     return z0, z0 * np.exp(1j * angles)
 

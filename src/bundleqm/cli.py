@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +29,15 @@ from . import bundles, classical, orbifold, oscillator, polarizations
 from .classical import OscillatorParams
 from .errors import (BundleqmError, ConfigError, InvalidArgumentError, NonFiniteError,
                      ResolutionInsufficientError)
-from .sections import (FLOAT_FORMAT, check_positive, check_real, check_samples, check_sign,
-                       write_rows)
+from .sections import FLOAT_FORMAT, check_positive, check_samples, check_sign, write_rows
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-# Default bound of each verify check that the config key "tolerances" may
-# override; a key not listed here is rejected.
+# The bound of each verify check that is not structural (exactly 0, or the
+# Husimi grid's diagonal cell), pinned: no config key or option changes them.
 TOLERANCES = {
     "ccr": 1e-3,
     "gauge": 1e-3,
@@ -61,28 +60,16 @@ class RunConfig:
     m: float = 1.0
     omega: float = 1.0
     grid_half_width: float = 8.0
-    tolerances: dict = field(default_factory=dict)
     output_dir: str = "out"
     frequency_sign: int = +1
 
     def __post_init__(self):
-        if not isinstance(self.tolerances, dict):
-            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
-        unknown = sorted(set(self.tolerances) - set(TOLERANCES))
-        if unknown:
-            raise ConfigError(f"unknown tolerance keys: {unknown}; "
-                              f"known keys: {sorted(TOLERANCES)}")
         try:
             OscillatorParams(m=self.m, omega=self.omega)
             check_positive(self.grid_half_width, "grid_half_width")
             check_sign(self.frequency_sign, "frequency_sign")
-            tolerances = {name: check_real(value, f"tolerance {name}")
-                          for name, value in self.tolerances.items()}
         except InvalidArgumentError as exc:
             raise ConfigError(str(exc)) from None
-        for name, value in tolerances.items():
-            if not 0 <= value < np.inf:
-                raise ConfigError(f"tolerance {name} must be >= 0 and finite, got {value!r}")
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
 
@@ -104,9 +91,6 @@ class RunConfig:
     @property
     def params(self) -> OscillatorParams:
         return OscillatorParams(m=self.m, omega=self.omega)
-
-    def tolerance(self, name: str) -> float:
-        return float(self.tolerances.get(name, TOLERANCES[name]))
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +247,11 @@ def _ccr_error(rep: str, charge: int, h: float) -> float:
 
 
 def suite_ccr(config: RunConfig):
-    tol = config.tolerance("ccr")
     checks = []
     for rep in ("coordinate", "momentum"):
         for q in (+1, -1):
             checks.append(Check(f"ccr {rep} charge {q:+d}: |[p,x]+i|",
-                                _ccr_error(rep, q, 1e-2), tol))
+                                _ccr_error(rep, q, 1e-2), TOLERANCES["ccr"]))
     # observed convergence order across h, h/2, h/4
     errs = [_ccr_error("coordinate", +1, h) for h in (1e-2, 5e-3, 2.5e-3)]
     order = min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2]))
@@ -301,17 +284,17 @@ def _symmetric_probe() -> bundles.GridSection:
 
 
 def suite_gauge(config: RunConfig):
-    tol_val = config.tolerance("gauge")
-    tol_cross = config.tolerance("gauge_cross")
     probe = _symmetric_probe()
     checks = []
     values = {}
     for name, conn in _gauge_family():
         val = bundles.curvature_numeric(conn, probe)
         values[name] = val
-        checks.append(Check(f"curvature {name}: |comm/psi + i|", abs(val + 1j), tol_val))
+        checks.append(Check(f"curvature {name}: |comm/psi + i|", abs(val + 1j),
+                            TOLERANCES["gauge"]))
     spread = max(abs(values[a] - values[b]) for a in values for b in values)
-    checks.append(Check("curvature cross-gauge spread", float(spread), tol_cross))
+    checks.append(Check("curvature cross-gauge spread", float(spread),
+                        TOLERANCES["gauge_cross"]))
     return checks
 
 
@@ -328,7 +311,7 @@ def suite_spectrum(config: RunConfig):
         Check("spectrum fock: max |E_n - omega(n+1/2)|", float(fock_err), 0.0),
         Check("spectrum coordinate matrix: max eigenvalue error",
               float(np.max(np.abs(evals - expect))),
-              config.tolerance("spectrum_matrix")),
+              TOLERANCES["spectrum_matrix"]),
     ]
 
 
@@ -355,11 +338,11 @@ def suite_bargmann(config: RunConfig):
     rt = float(abs(np.sqrt(back.norm_sq()) - 1.0))
     return [
         Check("bargmann h_n analysis: worst off-coefficient", worst_off,
-              config.tolerance("bargmann_off")),
+              TOLERANCES["bargmann_off"]),
         Check("bargmann h_n analysis: worst diagonal error", worst_diag,
-              config.tolerance("bargmann_diag")),
+              TOLERANCES["bargmann_diag"]),
         Check("bargmann round-trip norm error", rt,
-              config.tolerance("bargmann_norm")),
+              TOLERANCES["bargmann_norm"]),
     ]
 
 
@@ -369,7 +352,7 @@ def suite_husimi(config: RunConfig):
     checks = []
     q0 = oscillator.husimi(oscillator.eigenstate(0), np.array([0.0]), np.array([0.0]))
     checks.append(Check("husimi Q_0(0) vs 1/pi", float(abs(q0[0, 0] - 1 / np.pi)),
-                        config.tolerance("husimi_center")))
+                        TOLERANCES["husimi_center"]))
     worst_norm, worst_loc = 0.0, 0.0
     for n, q in enumerate(oscillator.husimi_levels(10, u, u)):
         total = float(np.trapezoid(np.trapezoid(q, u, axis=1), u))
@@ -377,15 +360,13 @@ def suite_husimi(config: RunConfig):
         i, j = np.unravel_index(int(np.argmax(q)), q.shape)
         worst_loc = max(worst_loc, abs(np.hypot(u[i], u[j]) - np.sqrt(n)))
     checks.append(Check("husimi normalization: worst |int Q - 1|", worst_norm,
-                        config.tolerance("husimi_norm")))
+                        TOLERANCES["husimi_norm"]))
     checks.append(Check("husimi argmax radius vs sqrt(n), worst", worst_loc,
                         np.sqrt(2.0) * h))
     return checks
 
 
 def suite_holonomy(config: RunConfig):
-    tol = config.tolerance("holonomy")
-    tol_zero = config.tolerance("holonomy_zero")
     checks = []
     loops = [("circle", orbifold.circle_loop()),
              ("square", orbifold.square_loop()),
@@ -395,10 +376,11 @@ def suite_holonomy(config: RunConfig):
         for name, loop in loops:
             res = orbifold.levi_civita_transport(loop, n)
             checks.append(Check(f"holonomy n={n} {name}: |angle - defect|",
-                                abs(res.holonomy_angle - defect), tol))
+                                abs(res.holonomy_angle - defect), TOLERANCES["holonomy"]))
     far = orbifold.circle_loop(center=5.0 + 0j, radius=1.0)
     res = orbifold.levi_civita_transport(far, 3)
-    checks.append(Check("holonomy non-enclosing loop", abs(res.holonomy_angle), tol_zero))
+    checks.append(Check("holonomy non-enclosing loop", abs(res.holonomy_angle),
+                        TOLERANCES["holonomy_zero"]))
     return checks
 
 
@@ -414,7 +396,7 @@ def suite_charge_mirror(config: RunConfig):
                                        sign)
     checks.append(Check("mirror classical evolution",
                         float(np.max(np.abs(np.conj(plus) - minus))),
-                        config.tolerance("mirror")))
+                        TOLERANCES["mirror"]))
     # quantum: conjugate evolution
     rng = np.random.default_rng(3)
     c = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -424,7 +406,7 @@ def suite_charge_mirror(config: RunConfig):
     ev_m = oscillator.evolve_schrodinger(polarizations.FockState(c, -1), 0.37, params, sign)
     checks.append(Check("mirror schrodinger evolution",
                         float(np.max(np.abs(np.conj(ev_p.coeffs) - ev_m.coeffs))),
-                        config.tolerance("mirror")))
+                        TOLERANCES["mirror"]))
     # quantum numbers and charge totals
     worst_qn = 0
     for n in (0, 3, 5):
@@ -437,7 +419,7 @@ def suite_charge_mirror(config: RunConfig):
         _, total = oscillator.charge_density(oscillator.eigenstate(4, q))
         worst_total = max(worst_total, abs(total - q))
     checks.append(Check("charge density totals +/-1", worst_total,
-                        config.tolerance("charge_total")))
+                        TOLERANCES["charge_total"]))
     return checks
 
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .classical import TWO_PI, check_angular_steps, closed_loop_ratios
 from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
-from .sections import check_array, check_finite, check_int, check_pair, check_real
+from .sections import (check_array, check_finite, check_int, check_pair, check_real,
+                       check_samples)
 
 
 @dataclass(frozen=True)
@@ -130,48 +131,48 @@ def levi_civita_transport(loop, n: int) -> TransportResult:
 # Loop builders and the JSON loop-specification interface
 # ---------------------------------------------------------------------------
 
+def _loop(center, sizes: dict, samples, stop: float, points) -> np.ndarray:
+    """points(center, *sizes.values(), t) at samples + 1 parameters t from 0
+    to stop.  The center and each size are finite numbers, samples an int >= 1
+    of at most MAX_SAMPLES points; a loop that overflows raises NonFiniteError."""
+    center = check_array(center, complex, "center", ndim=0)
+    values = [check_real(value, name) for name, value in sizes.items()]
+    check_finite(np.append(center, values), f"loop center and {' and '.join(sizes)}")
+    t = np.linspace(0.0, stop, check_samples(check_int(samples, "samples", 1) + 1, "loop"))
+    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+        loop = points(center, *values, t)
+    check_finite(loop, "loop points")
+    return loop
+
+
 def circle_loop(center: complex = 0j, radius: float = 1.0, samples: int = 4096) -> np.ndarray:
     """Closed circle of samples steps; center and radius are finite numbers,
     and a loop that overflows raises NonFiniteError."""
-    center = check_array(center, complex, "center", ndim=0)
-    radius = check_real(radius, "radius")
-    check_finite(np.append(center, radius), "loop center and radius")
-    t = np.linspace(0.0, TWO_PI, check_int(samples, "samples", 1) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        loop = center + radius * np.exp(1j * t)
-    check_finite(loop, "loop points")
-    return loop
+    return _loop(center, {"radius": radius}, samples, TWO_PI,
+                 lambda c, r, t: c + r * np.exp(1j * t))
 
 
 def ellipse_loop(center: complex = 0j, rx: float = 2.0, ry: float = 0.7,
                  samples: int = 4096) -> np.ndarray:
     """Closed ellipse of samples steps; center, rx and ry are finite numbers,
     and a loop that overflows raises NonFiniteError."""
-    center = check_array(center, complex, "center", ndim=0)
-    rx, ry = check_real(rx, "rx"), check_real(ry, "ry")
-    check_finite(np.append(center, [rx, ry]), "loop center and radii")
-    t = np.linspace(0.0, TWO_PI, check_int(samples, "samples", 1) + 1)
-    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        loop = center + rx * np.cos(t) + 1j * ry * np.sin(t)
-    check_finite(loop, "loop points")
-    return loop
+    return _loop(center, {"rx": rx, "ry": ry}, samples, TWO_PI,
+                 lambda c, rx, ry, t: c + rx * np.cos(t) + 1j * ry * np.sin(t))
+
+
+def _square_points(center, half_side, u):
+    """The square's points at perimeter parameters u in [0, 4], one per side."""
+    corners = half_side * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
+    k = np.minimum(u.astype(int), 3)
+    f = u - k
+    return center + corners[k] * (1 - f) + corners[k + 1] * f
 
 
 def square_loop(center: complex = 0j, half_side: float = 1.0,
                 samples: int = 4096) -> np.ndarray:
     """Closed square of samples steps; center and half_side are finite numbers,
     and a loop that overflows raises NonFiniteError."""
-    center = check_array(center, complex, "center", ndim=0)
-    half_side = check_real(half_side, "half_side")
-    check_finite(np.append(center, half_side), "loop center and half side")
-    corners = half_side * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
-    u = np.linspace(0.0, 4.0, check_int(samples, "samples", 1) + 1)
-    k = np.minimum(u.astype(int), 3)
-    f = u - k
-    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        loop = center + corners[k] * (1 - f) + corners[k + 1] * f
-    check_finite(loop, "loop points")
-    return loop
+    return _loop(center, {"half_side": half_side}, samples, 4.0, _square_points)
 
 
 def loop_from_spec(spec) -> np.ndarray:

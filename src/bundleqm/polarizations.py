@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .classical import OscillatorParams, complex_coordinate
 from .errors import (ChargeMismatchError, DecayViolationError, InvalidArgumentError,
                      NonMonotoneError, QuadratureUnderResolvedError)
 from .sections import (GridSection, LineSection, check_array, check_charge, check_finite,
-                       check_int, check_pair, check_positive, diff_axis, require_axis,
-                       trapezoid_weights)
+                       check_int, check_pair, check_positive, check_samples, diff_axis,
+                       require_axis, resolve_charge, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,14 @@ def hermite_functions(n_max: int, t) -> np.ndarray:
     """Orthonormal Hermite functions e_0..e_n_max at points t (weight included).
 
     e_n(t) = pi^{-1/4} (2^n n!)^{-1/2} H_n(t) exp(-t^2/2), by the stable
-    weighted recurrence.  Shape: (n_max+1,) + shape(t).  t is finite and real:
-    text raises InvalidArgumentError, NaN or inf NonFiniteError.  Where the
-    weight exp(-t^2/2) underflows to 0, every e_n is 0.
+    weighted recurrence.  Shape: (n_max+1,) + shape(t), of at most MAX_SAMPLES
+    values.  t is finite and real: text raises InvalidArgumentError, NaN or inf
+    NonFiniteError.  Where the weight exp(-t^2/2) underflows to 0, every e_n is 0.
     """
     n_max = check_int(n_max, "n_max", 0)
     t = check_array(t, float, "t")
     check_finite(t, "Hermite points")
+    check_samples((n_max + 1) * t.size, f"Hermite functions 0..{n_max} at {t.size} points")
     out = np.zeros((n_max + 1,) + t.shape)
     with np.errstate(over="ignore", invalid="ignore"):     # reported just below
         out[0] = np.pi ** -0.25 * np.exp(-0.5 * t ** 2)
@@ -276,7 +277,7 @@ def ladder_coordinate(sec: LineSection, which: str, params: OscillatorParams) ->
 # ---------------------------------------------------------------------------
 
 def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order: int,
-                       params: OscillatorParams, charge: int = +1) -> FockState:
+                       params: OscillatorParams, charge: Optional[int] = None) -> FockState:
     """Analyze a coordinate-representation state into Fock coefficients.
 
     c_n = <h_n, psi> with h_n the width-w orthonormal Hermite functions.
@@ -288,7 +289,13 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
     (DecayViolationError otherwise).  quad_order is checked alike for both
     kinds (at least 2N+2, and a valid gauss_hermite order), so a call valid
     for a callable stays valid for its samples.
+
+    The state takes the section's charge, or +1 for a callable; a `charge`
+    given here must be +1 or -1 (InvalidChargeError) and agree with the
+    section's (ChargeMismatchError).
     """
+    charge = resolve_charge(sec.charge if isinstance(sec, LineSection) else None, charge,
+                            "bargmann_transform: the section")
     n_max = check_int(n_max, "n_max", 0)
     nodes, _, scaled = gauss_hermite(quad_order)     # also validates quad_order
     if quad_order < 2 * n_max + 2:
@@ -303,14 +310,14 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
                 f"boundary amplitude {edge:.3e} exceeds 1e-8 of max {amax:.3e}")
         coeffs = hermite_basis(n_max, sec.coords, params) @ (
             trapezoid_weights(sec.coords) * sec.values)
-        return FockState(coeffs=coeffs, charge=sec.charge)
+        return FockState(coeffs=coeffs, charge=charge)
     w = params.w
     psi_nodes = np.asarray(sec(w * nodes), dtype=complex)
     # e_n(t_k), n <= n_max: the recurrence's rows do not depend on how many follow
     basis = _gauss_hermite_rule(nodes.size)[3][:n_max + 1]
     # c_n = sqrt(w) * sum_k [w_k e^{t_k^2}] e_n(t_k) psi(w t_k)
     coeffs = np.sqrt(w) * basis @ (scaled * psi_nodes)
-    return FockState(coeffs=coeffs, charge=check_charge(charge))
+    return FockState(coeffs=coeffs, charge=charge)
 
 
 def bargmann_inverse(state: FockState, x, params: OscillatorParams) -> LineSection:

@@ -106,6 +106,19 @@ def check_charge(charge: int) -> int:
     return int(charge)
 
 
+def resolve_charge(held, charge, holder: str) -> int:
+    """The charge of a loaded grid or of a transformed section: the one the
+    source holds (None when it holds none, which gives +1), which a `charge`
+    given by the caller must agree with."""
+    if charge is None:
+        return +1 if held is None else held
+    charge = check_charge(charge)
+    if held is not None and charge != held:
+        raise ChargeMismatchError(
+            f"{holder} holds charge {held:+d}, caller expected {charge:+d}")
+    return charge
+
+
 def check_sign(sign: int, name: str) -> None:
     """Validate an orientation sign (a frequency or complex-structure sign):
     the integer +1 or -1, else InvalidArgumentError."""
@@ -204,9 +217,12 @@ class GridSection:
 
     @classmethod
     def from_function(cls, f, x_range, p_range, nx: int, np_: int, charge: int = +1):
-        """Sample f on a uniform grid.  f receives the column x[:, None] and the
-        row p[None, :] and must broadcast; its result is broadcast to (nx, np_)."""
+        """Sample f on a uniform grid of at most MAX_SAMPLES points.  f receives
+        the column x[:, None] and the row p[None, :] and must broadcast; its
+        result is broadcast to (nx, np_)."""
         nx, np_ = check_int(nx, "nx", 0), check_int(np_, "np_", 0)
+        # each axis on its own as well: with the other axis empty the product is 0
+        check_samples(max(nx * np_, nx, np_), f"grid {nx}x{np_}")
         x = np.linspace(x_range[0], x_range[1], nx)
         p = np.linspace(p_range[0], p_range[1], np_)
         values = np.asarray(f(x[:, None], p[None, :]), dtype=complex)
@@ -245,7 +261,7 @@ class LineSection:
 
     @classmethod
     def from_function(cls, f, axis: str, lo: float, hi: float, n: int, charge: int = +1):
-        coords = np.linspace(lo, hi, check_int(n, "n", 0))
+        coords = np.linspace(lo, hi, check_samples(check_int(n, "n", 0), "line section"))
         return cls(axis=axis, coords=coords, values=np.asarray(f(coords), dtype=complex),
                    charge=charge)
 
@@ -522,18 +538,6 @@ _CSV_HEADER = "x,p,re,im,charge"
 _CSV_HEADER_NO_CHARGE = "x,p,re,im"
 
 
-def _resolve_charge(file_charge, charge, path) -> int:
-    """The charge of a loaded grid: the file's (None when it holds none),
-    which a `charge` given by the caller must agree with."""
-    if charge is None:
-        return +1 if file_charge is None else file_charge
-    charge = check_charge(charge)
-    if file_charge is not None and charge != file_charge:
-        raise ChargeMismatchError(
-            f"{path}: file holds charge {file_charge:+d}, caller expected {charge:+d}")
-    return charge
-
-
 def write_grid_csv(section: GridSection, path) -> None:
     """Write the CSV grid.  The x axis, the p axis and the charge are
     formatted once; each block of x-rows is built from copies of their
@@ -592,7 +596,7 @@ def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:
     # the re/im pair viewed as complex keeps the sign of a zero imaginary part
     values = np.ascontiguousarray(data[:, 2:4]).view(complex).reshape(x.size, p.size)
     return GridSection(x=x, p=p, values=values,
-                       charge=_resolve_charge(file_charge, charge, path))
+                       charge=resolve_charge(file_charge, charge, f"{path}: file"))
 
 
 def write_grid_binary(section: GridSection, path) -> None:
@@ -626,7 +630,7 @@ def read_grid_binary(path, charge: Optional[int] = None) -> GridSection:
     values = np.frombuffer(buf, dtype="<c16", offset=16 + 8 * (nx + np_))
     return GridSection(x=axes[:nx].copy(), p=axes[nx:].copy(),
                        values=values.reshape(nx, np_).copy(),
-                       charge=_resolve_charge(file_charge, charge, path))
+                       charge=resolve_charge(file_charge, charge, f"{path}: file"))
 
 
 def save_grid(section: GridSection, path) -> None:

@@ -286,3 +286,21 @@ def gauss_hermite_nodes_reference(order):
     nodes = eigh_tridiagonal(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0),
                              eigvals_only=True)
     return 0.5 * (nodes - nodes[::-1])
+
+
+# The three loop builders' points as each builder once wrote them out.
+
+def loop_reference(shape, center, size, samples):
+    """circle_loop(center, size, samples), ellipse_loop(center, *size, samples)
+    or square_loop(center, size, samples)."""
+    if shape == "square":
+        corners = size * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
+        u = np.linspace(0.0, 4.0, samples + 1)
+        k = np.minimum(u.astype(int), 3)
+        f = u - k
+        return center + corners[k] * (1 - f) + corners[k + 1] * f
+    t = np.linspace(0.0, 2.0 * np.pi, samples + 1)
+    if shape == "circle":
+        return center + size * np.exp(1j * t)
+    rx, ry = size
+    return center + rx * np.cos(t) + 1j * ry * np.sin(t)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, TOLERANCES,
+from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                           ConfigError, RunConfig, canonical_json, cmd_husimi,
                           cmd_simulate, cmd_spectrum, main)
 from bundleqm import bundles, cli
@@ -82,21 +82,13 @@ class TestRunConfig:
 
     def test_load(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text('{"omega": 2.0, "tolerances": {"ccr": 0.01}}')
+        path.write_text('{"omega": 2.0, "grid_half_width": 6}')
         config = RunConfig.load(path)
-        assert config.omega == 2.0
-        assert config.tolerance("ccr") == 0.01
-        assert config.tolerance("holonomy") == TOLERANCES["holonomy"] == 1e-5
+        assert config == RunConfig(omega=2.0, grid_half_width=6)
 
 
 class TestConfigContract:
     @pytest.mark.parametrize("text, message", [
-        ('{"tolerances": {"ccr": "x"}}', "tolerance ccr must be a number"),
-        ('{"tolerances": {"ccr": -1}}', "tolerance ccr must be >= 0"),
-        ('{"tolerances": {"ccr": NaN}}', "tolerance ccr must be >= 0"),
-        ('{"tolerances": {"ccr": Infinity}}', "tolerance ccr must be >= 0 and finite"),
-        ('{"tolerances": {"cr": 0}}', "unknown tolerance keys: ['cr']"),
-        ('{"tolerances": []}', "tolerances must be an object"),
         ('{"m": "1"}', "m must be a number"),
         # ints that a float cannot hold once ended in an OverflowError traceback
         pytest.param('{"m": 1' + "0" * 400 + '}', "m is outside the float range",
@@ -143,10 +135,6 @@ CONFIG_FIELDS = {
     "omega": CONFIG_VALUES,
     "grid_half_width": CONFIG_VALUES,
     "frequency_sign": st.one_of(st.sampled_from([1, -1]), CONFIG_VALUES),
-    "tolerances": st.one_of(
-        CONFIG_VALUES,
-        st.dictionaries(st.one_of(st.sampled_from(sorted(TOLERANCES)), st.text(max_size=3)),
-                        CONFIG_VALUES, max_size=3)),
     # relative, so a run that passes the checks writes under the working directory
     "output_dir": st.one_of(st.just("out"), CONFIG_VALUES.filter(
         lambda v: not isinstance(v, str))),
@@ -374,12 +362,6 @@ class TestVerifyCommand:
         assert len(err) == 1 and err[0].startswith("error: unknown suite 'nope'")
         assert not out_dir.exists()
 
-    def test_tolerance_override_can_fail_a_suite(self, tmp_path, capsys):
-        config = tmp_path / "strict.json"
-        config.write_text('{"tolerances": {"ccr": 0.0}}')
-        assert main(["--config", str(config), "verify", "--suite", "ccr"]) == EXIT_CHECK_FAILED
-        assert "[FAIL]" in capsys.readouterr().out
-
     def test_report_written(self, out_dir, capsys):
         assert main(["verify", "--suite", "husimi"]) == EXIT_OK
         reports = list(out_dir.glob("verify-*/report.json"))
@@ -387,14 +369,14 @@ class TestVerifyCommand:
         doc = json.loads(reports[0].read_text())
         assert all(row["passed"] for row in doc)
 
-    def test_infinite_tolerance_exits_usage(self, tmp_path, out_dir, capsys):
-        # it once passed every check and wrote "tolerance": inf, which is not JSON
+    def test_tolerances_key_exits_usage(self, tmp_path, out_dir, capsys):
+        # verify's bounds are pinned in cli.TOLERANCES: a config file once
+        # could loosen them, even to Infinity, and turn a FAIL into exit 0
         config = tmp_path / "loose.json"
-        config.write_text('{"tolerances": {"ccr": Infinity}}')
+        config.write_text('{"tolerances": {}}')
         assert main(["--config", str(config), "verify", "--suite", "ccr"]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "tolerance ccr must be >= 0 and finite" in err
+        assert err == "error: unknown config keys: ['tolerances']\n"
         assert not out_dir.exists()
 
     def test_non_finite_measurement_writes_no_report(self, out_dir, monkeypatch, capsys):

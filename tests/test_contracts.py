@@ -524,6 +524,24 @@ def _bad_calls():
          lambda: trajectory_times(1, 2 ** 22 + 1, params), InvalidArgumentError),
         ("trajectory_times 10**9 samples", lambda: trajectory_times(1, 10 ** 9, params),
          InvalidArgumentError),
+        # each of these once raised numpy's allocation error before any cap
+        ("circle_loop 2**40 samples", lambda: circle_loop(samples=2 ** 40),
+         InvalidArgumentError),
+        ("ellipse_loop 2**40 samples", lambda: ellipse_loop(samples=2 ** 40),
+         InvalidArgumentError),
+        ("square_loop 2**40 samples", lambda: square_loop(samples=2 ** 40),
+         InvalidArgumentError),
+        ("loop spec samples 2**40", lambda: loop_from_spec({"samples": 2 ** 40}),
+         InvalidArgumentError),
+        ("symplectic_reduce 2**40 samples", lambda: symplectic_reduce(1j, 2 ** 40),
+         InvalidArgumentError),
+        ("LineSection.from_function n=2**40",
+         lambda: LineSection.from_function(gauss, "x", -1.0, 1.0, 2 ** 40), InvalidArgumentError),
+        ("GridSection.from_function 2**21 x 2**21",
+         lambda: GridSection.from_function(ones, (-1, 1), (-1, 1), 2 ** 21, 2 ** 21),
+         InvalidArgumentError),
+        ("hermite_functions 2**30 levels x 4096 points",
+         lambda: hermite_functions(2 ** 30 - 1, np.zeros(4096)), InvalidArgumentError),
         # a spectrum is a list of Python objects, so its levels have a cap of their own
         ("spectrum n_max=2**16+1", lambda: spectrum(MAX_SPECTRUM_N + 1, params),
          InvalidArgumentError),

@@ -1,7 +1,8 @@
 """The coordinate Hamiltonian matrix, the trapezoid weights, the Gauss-Hermite
 rule and its node basis, the Husimi recurrence and its levels, the Fock
-phases, the first-derivative stencil and the grid kernels on broadcast axes
-against the forms the package used before they were sped up or simplified."""
+phases, the first-derivative stencil, the grid kernels on broadcast axes and
+the loop builders against the forms the package used before they were sped up
+or simplified."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bundleqm.classical import OscillatorParams
 from bundleqm.cli import RunConfig, _gauge_family, suite_husimi
 from bundleqm.errors import (BundleqmError, GridTooSmallError, InvalidArgumentError,
                              QuadratureUnderResolvedError)
+from bundleqm.orbifold import circle_loop, ellipse_loop, square_loop
 from bundleqm.oscillator import (bargmann_function, coordinate_hamiltonian_matrix,
                                  eigenstate, evolve_schrodinger, hamiltonian_apply, husimi,
                                  husimi_levels)
@@ -376,3 +378,22 @@ def test_stencil_property(data, nx, ny, axis, h, real):
     # interleaved (re, im) pairs viewed as complex keep the sign of each zero
     values = parts[:nx * ny] if real else parts.view(complex)
     _assert_stencil_matches(values.reshape(nx, ny), h, axis)
+
+
+# The loop builders share one helper for their checks and parameters; each
+# keeps the points of its own formula, bit for bit, so holonomy's report.json
+# values stay put.
+LOOP_BUILDERS = {"circle": circle_loop, "square": square_loop,
+                 "ellipse": lambda center, radii, samples: ellipse_loop(center, *radii, samples)}
+
+
+@pytest.mark.parametrize("shape, size", [("circle", 1.0), ("circle", 0.37),
+                                         ("ellipse", (2.0, 0.7)), ("ellipse", (0.3, 1.9)),
+                                         ("square", 1.0), ("square", 2.5)])
+@pytest.mark.parametrize("center, samples", [(0j, 4096), (5.0 + 0j, 4096), (-0.3 + 1.7j, 7),
+                                             (1e3 - 2e-3j, 1)])
+def test_loop_bit_equal_to_its_formula(shape, size, center, samples):
+    loop = LOOP_BUILDERS[shape](center, size, samples)
+    ref = oracles.loop_reference(shape, center, size, samples)
+    assert loop.shape == (samples + 1,)
+    assert loop.tobytes() == ref.tobytes()

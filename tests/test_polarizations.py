@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bundleqm import polarizations
 from bundleqm.bundles import GridSection, LineSection, vacuum_connection
 from bundleqm.classical import OscillatorParams
-from bundleqm.errors import (ChargeMismatchError, DecayViolationError,
+from bundleqm.errors import (ChargeMismatchError, DecayViolationError, InvalidChargeError,
                              NonMonotoneError, QuadratureUnderResolvedError,
                              WrongPolarizationError)
 from bundleqm.polarizations import (FockState, Polarization, bargmann_inverse,
@@ -324,6 +324,39 @@ class TestBargmannTransform:
         sec = LineSection.from_function(lambda p: np.exp(-p ** 2), "p", -6, 6, 601)
         with pytest.raises(WrongPolarizationError):
             bargmann_transform(sec, 2, 16, DEFAULT)
+
+    # the charge follows read_grid_csv's rule: the section's own, or +1 for a
+    # callable; a charge given must be +1 or -1 and agree with the section's.
+    # A section once ignored it, so charge="junk" or a wrong sign returned quietly.
+    @pytest.mark.parametrize("section_charge", [+1, -1])
+    def test_section_keeps_its_charge(self, section_charge):
+        sec = bargmann_inverse(FockState([0.6, 0.8], section_charge),
+                               np.linspace(-12, 12, 801), DEFAULT)
+        for given in (None, section_charge):
+            state = bargmann_transform(sec, 4, 16, DEFAULT, charge=given)
+            assert state.charge == section_charge
+            assert np.max(np.abs(state.coeffs - [0.6, 0.8, 0, 0, 0])) < 1e-12
+
+    @pytest.mark.parametrize("section_charge", [+1, -1])
+    def test_section_charge_mismatch(self, section_charge):
+        sec = bargmann_inverse(FockState([1.0], section_charge),
+                               np.linspace(-12, 12, 801), DEFAULT)
+        with pytest.raises(ChargeMismatchError, match="caller expected"):
+            bargmann_transform(sec, 2, 16, DEFAULT, charge=-section_charge)
+
+    @pytest.mark.parametrize("given, expected", [(None, +1), (+1, +1), (-1, -1),
+                                                 (np.int64(-1), -1)])
+    def test_callable_charge(self, given, expected):
+        state = bargmann_transform(lambda x: hermite_basis(1, x, DEFAULT)[1], 2, 16, DEFAULT,
+                                   charge=given)
+        assert state.charge == expected and type(state.charge) is int
+
+    @pytest.mark.parametrize("bad", ["junk", 0, 2, True, 1.0])
+    def test_invalid_charge_in_both_branches(self, bad):
+        sec = LineSection.from_function(lambda x: np.exp(-x ** 2), "x", -8, 8, 801)
+        for arg in (sec, lambda x: np.exp(-x ** 2)):
+            with pytest.raises(InvalidChargeError):
+                bargmann_transform(arg, 2, 16, DEFAULT, charge=bad)
 
     def test_nonunit_width(self):
         params = OscillatorParams(m=1.0, omega=4.0)  # w = 1/2
