@@ -247,13 +247,11 @@ def _ccr_error(rep: str, charge: int, h: float) -> float:
 
 
 def suite_ccr(config: RunConfig):
-    checks = []
-    for rep in ("coordinate", "momentum"):
-        for q in (+1, -1):
-            checks.append(Check(f"ccr {rep} charge {q:+d}: |[p,x]+i|",
-                                _ccr_error(rep, q, 1e-2), TOLERANCES["ccr"]))
-    # observed convergence order across h, h/2, h/4
-    errs = [_ccr_error("coordinate", +1, h) for h in (1e-2, 5e-3, 2.5e-3)]
+    checks = [Check(f"ccr {rep} charge {q:+d}: |[p,x]+i|", _ccr_error(rep, q, 1e-2),
+                    TOLERANCES["ccr"])
+              for rep in ("coordinate", "momentum") for q in (+1, -1)]
+    # observed convergence order across h, h/2, h/4; checks[0] is coordinate +1 at h
+    errs = [checks[0].measured] + [_ccr_error("coordinate", +1, h) for h in (5e-3, 2.5e-3)]
     order = min(np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2]))
     checks.append(Check("ccr convergence order >= 1.9 (reported as 1.9 - order <= 0)",
                         max(0.0, 1.9 - float(order)), 0.0))
@@ -367,16 +365,19 @@ def suite_husimi(config: RunConfig):
 
 
 def suite_holonomy(config: RunConfig):
-    checks = []
+    degrees = (2, 3, 5)
     loops = [("circle", orbifold.circle_loop()),
              ("square", orbifold.square_loop()),
              ("ellipse", orbifold.ellipse_loop())]
-    for n in (2, 3, 5):
+    # each loop integrated once for all degrees
+    transported = [orbifold.levi_civita_transport(loop, degrees) for _, loop in loops]
+    checks = []
+    for k, n in enumerate(degrees):
         defect = orbifold.ConeGeometry(n).defect_angle
-        for name, loop in loops:
-            res = orbifold.levi_civita_transport(loop, n)
+        for (name, _), results in zip(loops, transported):
             checks.append(Check(f"holonomy n={n} {name}: |angle - defect|",
-                                abs(res.holonomy_angle - defect), TOLERANCES["holonomy"]))
+                                abs(results[k].holonomy_angle - defect),
+                                TOLERANCES["holonomy"]))
     far = orbifold.circle_loop(center=5.0 + 0j, radius=1.0)
     res = orbifold.levi_civita_transport(far, 3)
     checks.append(Check("holonomy non-enclosing loop", abs(res.holonomy_angle),
@@ -423,13 +424,17 @@ def suite_charge_mirror(config: RunConfig):
     return checks
 
 
+# Heaviest first, the order verify's threads take the suites in.  Sequential
+# times in-process on a 2-core AVX-512 host, best of 15 with BLAS at 1
+# thread: spectrum 20 ms, gauge 9.4, husimi 9.1, bargmann 3.6, holonomy 2.7,
+# ccr 1.2, charge-mirror 0.4.
 SUITES = {
-    "ccr": suite_ccr,
-    "gauge": suite_gauge,
     "spectrum": suite_spectrum,
-    "bargmann": suite_bargmann,
+    "gauge": suite_gauge,
     "husimi": suite_husimi,
+    "bargmann": suite_bargmann,
     "holonomy": suite_holonomy,
+    "ccr": suite_ccr,
     "charge-mirror": suite_charge_mirror,
 }
 
@@ -442,45 +447,54 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# Threads verify runs its suites on, at most: the split measured, on a
-# 2-core host.  By the sequential suite times a third thread would not
-# shorten the longest share (32 ms either way) and a fourth only to 23 ms,
-# while the suites of many small numpy calls wait longer for the GIL.
+# Threads verify runs its suites on, at most: two is what was measured, on a
+# 2-core host.  By the sequential suite times a third thread would shorten
+# the longest thread from about 23 ms to spectrum's 20 ms at best, while the
+# suites of many small numpy calls wait longer for the GIL.
 _MAX_THREADS = 2
 
 
 def _run_suites(config: RunConfig, names) -> list:
     """The checks of each suite in `names`, in that order.
 
-    With k = min(len(names), usable cores, _MAX_THREADS) threads, thread j
-    runs names[j::k] in order; the calling thread is j = 0.  The suites share
-    no state and spend their time in numpy kernels that release the GIL.  A
-    thread stops at its first suite that raises, and once all are joined the
-    exception of the first such suite in `names` is raised here, as a
-    sequential run would.
+    k = min(len(names), usable cores, _MAX_THREADS) threads, the calling
+    thread one of them, each take the next suite from one shared queue, in
+    SUITES' heaviest-first order, until it is empty (greedy longest-first
+    list scheduling).  The suites share no state and spend their time in
+    numpy kernels that release the GIL.  Each suite's checks land at its
+    index in `names`, so the result does not depend on k or on which thread
+    ran what.  Every suite runs even after one raises; once all threads are
+    joined, the exception of the first raising suite in `names` is raised
+    here, as a sequential run would raise it.
 
     bench/tracing.py wraps the package's functions (leaving `__wrapped__`)
     and nests the calls it sees on one stack, which threads would interleave;
-    while it is installed the suites run in order on the calling thread.
+    while it is installed the suites run on the calling thread alone.
     """
     if hasattr(cmd_verify, "__wrapped__"):
         k = 1
     else:
         k = min(len(names), _usable_cores(), _MAX_THREADS)
+    order = list(SUITES)
+    queue = iter(sorted(range(len(names)), key=lambda i: order.index(names[i])))
+    lock = threading.Lock()
     results = [None] * len(names)       # each suite's checks, or what it raised
 
-    def run(j):
-        for i in range(j, len(names), k):
+    def run():
+        while True:
+            with lock:
+                i = next(queue, None)
+            if i is None:
+                return
             try:
                 results[i] = SUITES[names[i]](config)
             except BaseException as exc:    # raised again below, after the join
                 results[i] = exc
-                return
 
-    helpers = [threading.Thread(target=run, args=(j,)) for j in range(1, k)]
+    helpers = [threading.Thread(target=run) for _ in range(1, k)]
     for thread in helpers:
         thread.start()
-    run(0)
+    run()
     for thread in helpers:
         thread.join()
     for result in results:

@@ -103,7 +103,8 @@ class TransportResult:
     loop_winding: int          # turns of the loop about the tip
 
 
-def levi_civita_transport(loop, n: int) -> TransportResult:
+def levi_civita_transport(loop, n: int | tuple[int, ...]
+                          ) -> TransportResult | tuple[TransportResult, ...]:
     """Parallel transport of the vector 1 along a closed loop in the psi-plane.
 
     The Levi-Civita connection of the cone metric is the one-form
@@ -113,18 +114,25 @@ def levi_civita_transport(loop, n: int) -> TransportResult:
     below pi, or UndersampledError is raised).  A loop winding once about the
     tip returns the defect angle 2pi(n-1)/n mod 2pi; loops not enclosing the
     tip return holonomy 0.  By linearity a vector v arrives as v * vector.
+
+    n may also be a tuple of degrees: the loop integral, which does not
+    depend on n, is taken once, and a tuple of results is returned, each
+    equal to the call with that degree alone.
     """
-    n = check_int(n, "covering degree", 1)
+    degrees = tuple(check_int(d, "covering degree", 1)
+                    for d in (n if isinstance(n, tuple) else (n,)))
     # principal branch, |Im| < pi per step (checked); the sum is 2 pi i * winding
     logs = np.log(closed_loop_ratios(loop, 3))
     check_angular_steps(logs.imag)
     total = complex(np.sum(logs))
     winding = int(np.rint(total.imag / TWO_PI))
-    factor = (n - 1) / n
-    angle = (factor * total.imag) % TWO_PI
-    return TransportResult(vector=complex(np.exp(factor * total)),
-                           holonomy_angle=float(angle),
-                           loop_winding=winding)
+    results = []
+    for d in degrees:
+        factor = (d - 1) / d
+        results.append(TransportResult(vector=complex(np.exp(factor * total)),
+                                       holonomy_angle=float((factor * total.imag) % TWO_PI),
+                                       loop_winding=winding))
+    return tuple(results) if isinstance(n, tuple) else results[0]
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,10 @@ class FockState:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def padded(self, n: int) -> np.ndarray:
-        """Coefficients zero-extended to length n+1."""
-        out = np.zeros(n + 1, dtype=complex)
+        """Coefficients zero-extended (or cut) to length n+1; n is an int >= 0
+        of at most MAX_SAMPLES - 1, else InvalidArgumentError."""
+        n = check_int(n, "n", 0)
+        out = np.zeros(check_samples(n + 1, "padded coefficients"), dtype=complex)
         out[:min(self.coeffs.size, n + 1)] = self.coeffs[:n + 1]
         return out
 

@@ -400,7 +400,13 @@ class TestVerifyCommand:
 
 
 class TestConcurrentVerify:
-    """verify runs suite j of the sorted names on thread j mod k, k = min(cores, 2)."""
+    """verify's k = min(cores, 2) threads take the suites from one shared queue,
+    heaviest first, and the checks come back in sorted name order.  Tests that
+    need two threads at once make two suites wait for each other on a barrier,
+    so they hold whichever threads the queue gave them."""
+
+    HEAVIEST_FIRST = ["spectrum", "gauge", "husimi", "bargmann", "holonomy", "ccr",
+                      "charge-mirror"]
 
     @staticmethod
     def _verify(monkeypatch, tmp_path, capsys, cores, suite="all"):
@@ -410,6 +416,17 @@ class TestConcurrentVerify:
         out, err = capsys.readouterr()
         reports = list((tmp_path / f"cores-{cores}").glob("verify-*/report.json"))
         return code, out, err, [r.read_bytes() for r in reports]
+
+    @staticmethod
+    def _meet(monkeypatch, names):
+        """Each suite in `names` waits for the others before it runs, so each
+        runs on a thread of its own."""
+        barrier = threading.Barrier(len(names), timeout=10)
+        for name in names:
+            def wait_then_run(config, suite=cli.SUITES[name]):
+                barrier.wait()
+                return suite(config)
+            monkeypatch.setitem(cli.SUITES, name, wait_then_run)
 
     def test_output_bytes_do_not_depend_on_the_core_count(self, tmp_path, monkeypatch,
                                                           capsys):
@@ -428,6 +445,8 @@ class TestConcurrentVerify:
 
         for name in cli.SUITES:
             monkeypatch.setitem(cli.SUITES, name, record)
+        if threads > 1:
+            self._meet(monkeypatch, ["spectrum", "charge-mirror"])
         monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
         if traced:      # a call tracer wraps the commands, as bench/tracing.py does
             monkeypatch.setattr(cli, "cmd_verify", functools.wraps(cli.cmd_verify)(
@@ -435,13 +454,68 @@ class TestConcurrentVerify:
         assert cli._run_suites(RunConfig(), sorted(cli.SUITES)) == [[]] * len(cli.SUITES)
         assert len(threads_seen) == threads
 
-    def test_helper_thread_error_gives_one_error_line(self, tmp_path, monkeypatch, capsys):
-        def decays(config):
-            raise DecayViolationError("injected on the helper thread")
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("names", [sorted(cli.SUITES), ["ccr", "spectrum"], ["husimi"]])
+    def test_queue_takes_each_suite_once_heaviest_first(self, monkeypatch, cores, names):
+        # with all names, the queue names every SUITES key exactly once
+        taken = []
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name,
+                                lambda config, name=name: taken.append(name) or [name])
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        assert cli._run_suites(RunConfig(), names) == [[name] for name in names]
+        assert sorted(taken) == sorted(names)
+        if cores == 1:
+            assert taken == [name for name in self.HEAVIEST_FIRST if name in names]
 
-        # sorted names: bargmann, ccr, charge-mirror, gauge, holonomy, husimi, spectrum;
-        # with 2 cores husimi (index 5) runs on the helper thread
-        monkeypatch.setitem(cli.SUITES, "husimi", decays)
+    def test_many_threads_take_each_suite_once(self, monkeypatch):
+        names = [f"suite-{i:03d}" for i in range(300)]
+        taken = []
+        for name in names:
+            monkeypatch.setitem(cli.SUITES, name,
+                                lambda config, name=name: taken.append(name) or [name])
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 8)
+        monkeypatch.setattr(cli, "_MAX_THREADS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = cli._run_suites(RunConfig(), names)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[name] for name in names]
+        assert sorted(taken) == names
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_every_suite_runs_after_one_raises(self, monkeypatch, cores):
+        taken = []
+
+        def record(name):
+            def suite(config):
+                taken.append(name)
+                if name in ("spectrum", "gauge"):
+                    raise DecayViolationError(f"injected in {name}")
+                return []
+            return suite
+
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, record(name))
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        with pytest.raises(DecayViolationError, match="injected in gauge"):
+            cli._run_suites(RunConfig(), sorted(cli.SUITES))
+        assert sorted(taken) == sorted(cli.SUITES)
+
+    def test_helper_thread_error_gives_one_error_line(self, tmp_path, monkeypatch, capsys):
+        caller = threading.current_thread()
+
+        def decays_on_a_helper(config):
+            if threading.current_thread() is not caller:
+                raise DecayViolationError("injected on the helper thread")
+            return []
+
+        # the two suites meet, so exactly one of them runs on the helper thread
+        monkeypatch.setitem(cli.SUITES, "husimi", decays_on_a_helper)
+        monkeypatch.setitem(cli.SUITES, "ccr", decays_on_a_helper)
+        self._meet(monkeypatch, ["husimi", "ccr"])
         code, out, err, reports = self._verify(monkeypatch, tmp_path, capsys, 2)
         assert code == EXIT_USAGE and out == "" and reports == []
         assert err == "error: injected on the helper thread\n"
@@ -461,13 +535,19 @@ class TestConcurrentVerify:
 
     def test_check_fault_on_the_helper_thread_fails_verify(self, tmp_path, monkeypatch,
                                                            capsys):
-        # the connection's sign flipped makes the curvature +1; the gauge suite
-        # (index 3) runs on the helper thread with 2 cores
+        # the connection's sign flipped makes the curvature +1 (gauge suite), and
+        # x and p swapped make [p, x] = +i (ccr suite); the two suites meet, so
+        # one of the faults is measured on the helper thread
         monkeypatch.setattr(bundles, "vacuum_connection", lambda: bundles.GaugeConnection(
             a_x=lambda x, p: -0.5 * p, a_p=lambda x, p: 0.5 * x))
+        canonical = bundles.canonical_operators
+        monkeypatch.setattr(bundles, "canonical_operators",
+                            lambda rep, charge: canonical(rep, charge)[::-1])
+        self._meet(monkeypatch, ["gauge", "ccr"])
         code, out, _err, reports = self._verify(monkeypatch, tmp_path, capsys, 2)
         assert code == EXIT_CHECK_FAILED and len(reports) == 1
         assert "[FAIL] curvature vacuum" in out
+        assert "[FAIL] ccr coordinate charge +1" in out
 
     def test_threads_are_joined(self, tmp_path, monkeypatch, capsys):
         before = threading.active_count()

@@ -542,6 +542,10 @@ def _bad_calls():
          InvalidArgumentError),
         ("hermite_functions 2**30 levels x 4096 points",
          lambda: hermite_functions(2 ** 30 - 1, np.zeros(4096)), InvalidArgumentError),
+        ("FockState.padded 2**40", lambda: FockState([1.0]).padded(2 ** 40),
+         InvalidArgumentError),
+        ("FockState.padded 2.5", lambda: FockState([1.0]).padded(2.5), InvalidArgumentError),
+        ("FockState.padded -3", lambda: FockState([1.0]).padded(-3), InvalidArgumentError),
         # a spectrum is a list of Python objects, so its levels have a cap of their own
         ("spectrum n_max=2**16+1", lambda: spectrum(MAX_SPECTRUM_N + 1, params),
          InvalidArgumentError),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bundleqm.classical import winding_number
-from bundleqm.errors import (BranchOutOfRangeError, OpenCurveError,
+from bundleqm.errors import (BranchOutOfRangeError, InvalidArgumentError, OpenCurveError,
                              OriginSingularError, ZeroCrossingError)
 from bundleqm.orbifold import (ConeGeometry, branched_cover, circle_loop,
                                cone_metric, cover_inverse, ellipse_loop,
@@ -151,6 +151,29 @@ class TestParallelTransport:
     def test_gauss_bonnet_defect(self, n, make_loop):
         res = levi_civita_transport(make_loop(), n)
         assert abs(res.holonomy_angle - ConeGeometry(n).defect_angle) < 1e-5
+
+    @pytest.mark.parametrize("loop", [circle_loop(), square_loop(), ellipse_loop(),
+                                      circle_loop(center=5.0 + 0j, radius=1.0),
+                                      ellipse_loop(center=0.3 - 0.2j, rx=1.5, ry=0.6,
+                                                   samples=777)],
+                             ids=["circle", "square", "ellipse", "far", "odd"])
+    def test_degrees_at_once_equal_each_degree_alone(self, loop):
+        degrees = (1, 2, 3, 5, np.int64(7), 3)
+        results = levi_civita_transport(loop, degrees)
+        assert isinstance(results, tuple) and len(results) == len(degrees)
+        for n, res in zip(degrees, results):
+            # repr prints each float to its last bit, and the sign of a zero
+            assert repr(res) == repr(levi_civita_transport(loop, n))
+        assert levi_civita_transport(loop, ()) == ()
+
+    @pytest.mark.parametrize("degrees", [(2, 0), (3, 2.5), (True,), [2, 3]])
+    def test_degrees_at_once_are_checked(self, degrees):
+        with pytest.raises(InvalidArgumentError):
+            levi_civita_transport(circle_loop(), degrees)
+
+    def test_degrees_at_once_check_the_loop(self):
+        with pytest.raises(ZeroCrossingError):
+            levi_civita_transport(circle_loop(center=1.0 + 0j, radius=1.0), (2, 3))
 
     def test_zero_crossing(self):
         loop = circle_loop(center=1.0 + 0j, radius=1.0)  # touches the tip
