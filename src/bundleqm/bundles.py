@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DivisionNearZeroError, GridTooSmallError, InvalidArgumentError
+from .errors import (DivisionNearZeroError, GridFormatError, GridTooSmallError,
+                     InvalidArgumentError)
 from .sections import (DoubledSection, GridSection, LineSection, check_array, check_charge,
                        diff_axis, load_grid, require_axis, save_grid)
 
@@ -144,9 +145,12 @@ def translate_operator(x0: float):
 
 
 def decompose(psi1, psi2) -> DoubledSection:
-    """C^2 components -> v_pm coordinates: psi_pm = (psi1 +/- i psi2)/sqrt(2)."""
+    """C^2 components -> v_pm coordinates: psi_pm = (psi1 +/- i psi2)/sqrt(2).
+    The components have one shape, else GridFormatError."""
     psi1 = check_array(psi1, complex, "psi1")
     psi2 = check_array(psi2, complex, "psi2")
+    if psi1.shape != psi2.shape:
+        raise GridFormatError(f"component shapes differ: {psi1.shape} and {psi2.shape}")
     return DoubledSection(psi_plus=(psi1 + 1j * psi2) / np.sqrt(2.0),
                           psi_minus=(psi1 - 1j * psi2) / np.sqrt(2.0))
 

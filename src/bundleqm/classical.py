@@ -9,14 +9,15 @@ conjugate-structure solutions winding clockwise (charge -1).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, OpenCurveError, UndersampledError,
+from .errors import (InvalidArgumentError, NonFiniteError, OpenCurveError, UndersampledError,
                      ZeroCrossingError, ZeroPointError)
 from .sections import (check_array, check_charge, check_finite, check_int, check_positive,
-                       check_samples, check_sign)
+                       check_real, check_samples, check_sign)
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,6 +55,24 @@ class OscillatorParams:
         return self.w2 * self.w2
 
 
+def _finite_result(what: str):
+    """Decorate a point function to raise NonFiniteError where its value is
+    NaN or inf or its arithmetic overflows: Python floats raise
+    OverflowError there, numpy scalars warn and give inf."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def checked(*args):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                    value = fn(*args)
+                check_finite(np.asarray(value, dtype=complex), what)
+            except OverflowError:
+                raise NonFiniteError(f"{what} must be finite") from None
+            return value
+        return checked
+    return decorate
+
+
 def complex_coordinate(x, p, charge: int, params: OscillatorParams):
     """The charge-q coordinate z_q = (x - i q w^2 p)/sqrt(2), scalar or array."""
     return (x - 1j * charge * params.w2 * p) / np.sqrt(2.0)
@@ -69,21 +88,31 @@ class PhasePoint:
     """A point (x, p) of phase space with complex views z_pm.
 
     z_plus = (x - i w^2 p)/sqrt(2) is the particle coordinate; z_minus is its
-    conjugate, the antiparticle coordinate.
+    conjugate, the antiparticle coordinate.  x and p are finite real numbers:
+    text raises InvalidArgumentError, NaN or inf NonFiniteError, as does a
+    view or a point function whose value overflows.
     """
 
     x: float
     p: float
 
+    def __post_init__(self):
+        for name in ("x", "p"):
+            check_finite(check_real(getattr(self, name), name), name)
+
+    @_finite_result("z_plus")
     def z_plus(self, params: OscillatorParams) -> complex:
         return complex_coordinate(self.x, self.p, +1, params)
 
+    @_finite_result("z_minus")
     def z_minus(self, params: OscillatorParams) -> complex:
         return complex_coordinate(self.x, self.p, -1, params)
 
     @classmethod
     def from_z_plus(cls, z: complex, params: OscillatorParams) -> "PhasePoint":
-        x, p = phase_coordinates(z, +1, params)
+        z = complex(check_array(z, complex, "z", ndim=0))
+        with np.errstate(over="ignore"):        # an overflow is reported by __post_init__
+            x, p = phase_coordinates(z, +1, params)
         return cls(x=x, p=p)
 
 
@@ -95,7 +124,7 @@ class ClassicalState:
     charge: int = +1
 
     def __post_init__(self):
-        check_finite(np.asarray(self.z0, dtype=complex), "z0")
+        check_finite(check_array(self.z0, complex, "z0"), "z0")
         check_charge(self.charge)
 
 
@@ -113,17 +142,20 @@ class ComplexStructure:
         return self.sign * np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+@_finite_result("energy")
 def hamiltonian_energy(pt: PhasePoint, params: OscillatorParams) -> float:
     """H = p^2/2m + m omega^2 x^2 / 2."""
     return pt.p ** 2 / (2.0 * params.m) + 0.5 * params.m * params.omega ** 2 * pt.x ** 2
 
 
+@_finite_result("Hamiltonian vector field")
 def hamiltonian_vector_field(pt: PhasePoint, params: OscillatorParams):
     """(x_dot, p_dot) = (p/m, -m omega^2 x); equals omega times the rotation
     generator w^2 p d_x - (x/w^2) d_p evaluated at pt."""
     return (pt.p / params.m, -params.m * params.omega ** 2 * pt.x)
 
 
+@_finite_result("rotation generator")
 def rotation_generator(pt: PhasePoint, params: OscillatorParams):
     """The U(1) generator field w^2 p d_x - (x/w^2) d_p at pt."""
     return (params.w2 * pt.p, -pt.x / params.w2)
@@ -154,7 +186,7 @@ def trajectory_times(periods: float, samples: int, params: OscillatorParams) -> 
     `periods` full periods, endpoints included; NonFiniteError if the end time
     is not finite."""
     samples = check_samples(check_int(samples, "samples", 2), "trajectory")
-    end = periods * TWO_PI / params.omega
+    end = check_real(periods, "periods") * TWO_PI / params.omega
     check_finite(end, "trajectory end time")
     return np.linspace(0.0, end, samples)
 
@@ -202,8 +234,11 @@ def winding_number(samples) -> int:
     return k
 
 
+@_finite_result("moment map")
 def moment_map(z: complex) -> float:
-    """mu(z) = z zbar, the generator of the U(1) rotation action."""
+    """mu(z) = z zbar, the generator of the U(1) rotation action.  Text raises
+    InvalidArgumentError; NaN, inf or a value that overflows NonFiniteError."""
+    check_array(z, complex, "z")
     return abs(z) ** 2
 
 
@@ -221,7 +256,12 @@ def symplectic_reduce(z0: complex, n_samples: int):
         raise ZeroPointError("z0 = 0 is excluded from the reduced phase space")
     n_samples = check_samples(check_int(n_samples, "n_samples", 3), "reduced orbit")
     angles = TWO_PI * np.arange(n_samples) / n_samples
-    return z0, z0 * np.exp(1j * angles)
+    # numpy's AVX-512 complex product overflows in an intermediate step for
+    # |z0| near the float maximum, though its result is finite
+    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
+        circle = z0 * np.exp(1j * angles)
+    check_finite(circle, "reduced orbit")
+    return z0, circle
 
 
 def kahler_metric(params: OscillatorParams):

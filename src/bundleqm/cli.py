@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -457,50 +456,26 @@ _MAX_THREADS = 2
 def _run_suites(config: RunConfig, names) -> list:
     """The checks of each suite in `names`, in that order.
 
-    k = min(len(names), usable cores, _MAX_THREADS) threads, the calling
-    thread one of them, each take the next suite from one shared queue, in
-    SUITES' heaviest-first order, until it is empty (greedy longest-first
-    list scheduling).  The suites share no state and spend their time in
-    numpy kernels that release the GIL.  Each suite's checks land at its
-    index in `names`, so the result does not depend on k or on which thread
-    ran what.  Every suite runs even after one raises; once all threads are
-    joined, the exception of the first raising suite in `names` is raised
-    here, as a sequential run would raise it.
+    A pool of k = min(len(names), usable cores, _MAX_THREADS) workers takes
+    the suites in SUITES' heaviest-first order, each idle worker the next
+    (greedy longest-first list scheduling); the calling thread waits.  The
+    suites share no state and spend their time in numpy kernels that release
+    the GIL.  The result does not depend on k: each suite's checks land at
+    its index in `names`, every suite runs even after one raises, and the
+    first raising suite in `names` is raised, as a sequential run would.
 
-    bench/tracing.py wraps the package's functions (leaving `__wrapped__`)
-    and nests the calls it sees on one stack, which threads would interleave;
-    while it is installed the suites run on the calling thread alone.
+    bench/tracing.py nests the calls it wraps (leaving `__wrapped__`) on one
+    stack, which threads would interleave; while it is installed, k is 1.
     """
+    # imported here: with logging it adds about 10 ms to any command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+    k = min(len(names), _usable_cores(), _MAX_THREADS)
     if hasattr(cmd_verify, "__wrapped__"):
         k = 1
-    else:
-        k = min(len(names), _usable_cores(), _MAX_THREADS)
-    order = list(SUITES)
-    queue = iter(sorted(range(len(names)), key=lambda i: order.index(names[i])))
-    lock = threading.Lock()
-    results = [None] * len(names)       # each suite's checks, or what it raised
-
-    def run():
-        while True:
-            with lock:
-                i = next(queue, None)
-            if i is None:
-                return
-            try:
-                results[i] = SUITES[names[i]](config)
-            except BaseException as exc:    # raised again below, after the join
-                results[i] = exc
-
-    helpers = [threading.Thread(target=run) for _ in range(1, k)]
-    for thread in helpers:
-        thread.start()
-    run()
-    for thread in helpers:
-        thread.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return results
+    with ThreadPoolExecutor(max_workers=k) as pool:
+        futures = {name: pool.submit(SUITES[name], config)
+                   for name in sorted(names, key=list(SUITES).index)}
+    return [futures[name].result() for name in names]
 
 
 def cmd_verify(config: RunConfig, suite: str) -> int:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import TWO_PI, check_angular_steps, closed_loop_ratios
-from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
+from .errors import (BranchOutOfRangeError, InvalidArgumentError, NonFiniteError,
+                     OriginSingularError)
 from .sections import (check_array, check_finite, check_int, check_pair, check_real,
                        check_samples)
 
@@ -50,9 +51,19 @@ def branched_cover(z, n: int):
     return image if z.ndim else complex(image)
 
 
+def _modulus(psi: complex) -> float:
+    """|psi| of a finite complex number; NonFiniteError where it exceeds the
+    float range, for which Python's abs raises OverflowError."""
+    try:
+        return abs(psi)
+    except OverflowError:
+        raise NonFiniteError(f"|psi| of {psi!r} exceeds the float range") from None
+
+
 def cover_inverse(psi: complex, n: int, branch: int) -> complex:
     """The branch-th n-th root, principal argument in [0, 2pi/n) plus branch
-    steps.  psi is a finite complex number, else a typed error."""
+    steps.  psi is a finite complex number whose modulus is in the float
+    range, else a typed error."""
     n = check_int(n, "covering degree", 1)
     if check_int(branch, "branch", 0) >= n:
         raise BranchOutOfRangeError(f"branch {branch} outside 0..{n - 1}")
@@ -61,7 +72,7 @@ def cover_inverse(psi: complex, n: int, branch: int) -> complex:
     if psi == 0:
         return 0j
     theta = np.angle(psi) % TWO_PI
-    return abs(psi) ** (1.0 / n) * np.exp(1j * (theta / n + TWO_PI * branch / n))
+    return _modulus(psi) ** (1.0 / n) * np.exp(1j * (theta / n + TWO_PI * branch / n))
 
 
 @dataclass(frozen=True)
@@ -83,17 +94,21 @@ def cone_metric(psi: complex, n: int) -> ConeMetric:
 
     The conformal factor is (2/n^2)(psibar psi)^((1-n)/n); n = 1 reduces to
     the flat 2 dpsi dpsibar.  Singular at the tip (|psi| < 1e-12) for n >= 2.
-    psi is a finite complex number, else a typed error.
+    psi is a finite complex number, else a typed error; a metric that
+    overflows raises NonFiniteError.
     """
     n = check_int(n, "covering degree", 1)
     psi = complex(check_array(psi, complex, "psi", ndim=0))
     check_finite(psi, "psi")
-    if abs(psi) < 1e-12 and n >= 2:
+    r = _modulus(psi)
+    if r < 1e-12 and n >= 2:
         raise OriginSingularError("cone metric is singular at psi = 0 for n >= 2")
-    factor = (2.0 / n ** 2) * abs(psi) ** (2.0 * (1.0 - n) / n)
-    rho = np.sqrt(2.0) * abs(psi) ** (1.0 / n)
-    return ConeMetric(conformal_factor=factor, rho=rho,
-                      g_rho_rho=1.0, g_phi_phi=rho ** 2 / n ** 2)
+    with np.errstate(over="ignore"):        # reported just below
+        factor = (2.0 / n ** 2) * r ** (2.0 * (1.0 - n) / n)
+        rho = np.sqrt(2.0) * r ** (1.0 / n)
+        g_phi_phi = rho ** 2 / n ** 2
+    check_finite(np.array([factor, rho, g_phi_phi]), "cone metric")
+    return ConeMetric(conformal_factor=factor, rho=rho, g_rho_rho=1.0, g_phi_phi=g_phi_phi)
 
 
 @dataclass(frozen=True)

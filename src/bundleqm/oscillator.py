@@ -21,8 +21,8 @@ from .errors import (GridTooSmallError, InvalidArgumentError, NotNormalizedError
                      ResolutionInsufficientError)
 from .polarizations import FockState, hermite_basis
 from .sections import (_KERNEL_VALUES, MAX_SAMPLES, GridSection, LineSection, check_array,
-                       check_charge, check_finite, check_int, check_positive, check_samples,
-                       check_sign, trapezoid_weights)
+                       check_charge, check_finite, check_int, check_positive, check_real,
+                       check_samples, check_sign, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,11 @@ def evolve_schrodinger(state: FockState, dt: float, params: OscillatorParams,
 
     Particle phases rotate counterclockwise (the -i d/dt convention);
     frequency_sign = -1 flips to the physics convention.  Norm is preserved
-    exactly.
+    exactly.  dt is a finite real number, else a typed error.
     """
     check_sign(frequency_sign, "frequency_sign")
+    dt = check_real(dt, "dt")
+    check_finite(dt, "dt")
     n = np.arange(state.coeffs.size)
     phases = np.exp(1j * frequency_sign * state.charge * energy(n, params) * dt)
     return FockState(coeffs=phases * state.coeffs, charge=state.charge)

@@ -164,6 +164,14 @@ def trapezoid_weights(coords: np.ndarray) -> np.ndarray:
     return 0.5 * (np.pad(dx, (1, 0)) + np.pad(dx, (0, 1)))
 
 
+def _axis(lo, hi, n: int, name: str) -> np.ndarray:
+    """n uniform points from lo to hi, which are finite real numbers, else a
+    typed error."""
+    ends = [check_real(lo, name), check_real(hi, name)]
+    check_finite(np.array(ends), name)
+    return np.linspace(*ends, n)
+
+
 def _uniform_spacing(axis: np.ndarray, name: str) -> float:
     if axis.ndim != 1:
         raise GridFormatError(f"{name} axis must be 1D, got shape {axis.shape}")
@@ -219,12 +227,13 @@ class GridSection:
     def from_function(cls, f, x_range, p_range, nx: int, np_: int, charge: int = +1):
         """Sample f on a uniform grid of at most MAX_SAMPLES points.  f receives
         the column x[:, None] and the row p[None, :] and must broadcast; its
-        result is broadcast to (nx, np_)."""
+        result is broadcast to (nx, np_).  Each range is a pair of finite real
+        numbers."""
         nx, np_ = check_int(nx, "nx", 0), check_int(np_, "np_", 0)
         # each axis on its own as well: with the other axis empty the product is 0
         check_samples(max(nx * np_, nx, np_), f"grid {nx}x{np_}")
-        x = np.linspace(x_range[0], x_range[1], nx)
-        p = np.linspace(p_range[0], p_range[1], np_)
+        x = _axis(x_range[0], x_range[1], nx, "x range")
+        p = _axis(p_range[0], p_range[1], np_, "p range")
         values = np.asarray(f(x[:, None], p[None, :]), dtype=complex)
         if values.shape != (nx, np_):
             try:
@@ -261,7 +270,7 @@ class LineSection:
 
     @classmethod
     def from_function(cls, f, axis: str, lo: float, hi: float, n: int, charge: int = +1):
-        coords = np.linspace(lo, hi, check_samples(check_int(n, "n", 0), "line section"))
+        coords = _axis(lo, hi, check_samples(check_int(n, "n", 0), "line section"), "range")
         return cls(axis=axis, coords=coords, values=np.asarray(f(coords), dtype=complex),
                    charge=charge)
 
@@ -308,7 +317,8 @@ class DoubledSection:
         check_finite(self.psi_minus, "psi_minus")
 
     def rotate_fiber(self, theta: float) -> "DoubledSection":
-        """U(1)_v action: psi_pm -> exp(+/- i theta) psi_pm."""
+        """U(1)_v action: psi_pm -> exp(+/- i theta) psi_pm; theta is a real number."""
+        theta = check_real(theta, "theta")
         return DoubledSection(np.exp(1j * theta) * self.psi_plus,
                               np.exp(-1j * theta) * self.psi_minus)
 

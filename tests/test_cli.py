@@ -400,10 +400,11 @@ class TestVerifyCommand:
 
 
 class TestConcurrentVerify:
-    """verify's k = min(cores, 2) threads take the suites from one shared queue,
-    heaviest first, and the checks come back in sorted name order.  Tests that
-    need two threads at once make two suites wait for each other on a barrier,
-    so they hold whichever threads the queue gave them."""
+    """verify's pool of k = min(cores, 2) worker threads takes the suites
+    heaviest first, the calling thread running none, and the checks come back
+    in sorted name order.  Tests that need two workers at once make two suites
+    wait for each other on a barrier, so they hold whichever workers the pool
+    gave them."""
 
     HEAVIEST_FIRST = ["spectrum", "gauge", "husimi", "bargmann", "holonomy", "ccr",
                       "charge-mirror"]
@@ -453,6 +454,7 @@ class TestConcurrentVerify:
                 lambda *args: None))
         assert cli._run_suites(RunConfig(), sorted(cli.SUITES)) == [[]] * len(cli.SUITES)
         assert len(threads_seen) == threads
+        assert threading.current_thread() not in threads_seen
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("names", [sorted(cli.SUITES), ["ccr", "spectrum"], ["husimi"]])
@@ -506,19 +508,20 @@ class TestConcurrentVerify:
 
     def test_helper_thread_error_gives_one_error_line(self, tmp_path, monkeypatch, capsys):
         caller = threading.current_thread()
+        threads_seen = []
 
-        def decays_on_a_helper(config):
-            if threading.current_thread() is not caller:
-                raise DecayViolationError("injected on the helper thread")
-            return []
+        def decays_on_a_worker(config):
+            threads_seen.append(threading.current_thread())
+            raise DecayViolationError("injected on a worker thread")
 
-        # the two suites meet, so exactly one of them runs on the helper thread
-        monkeypatch.setitem(cli.SUITES, "husimi", decays_on_a_helper)
-        monkeypatch.setitem(cli.SUITES, "ccr", decays_on_a_helper)
+        # the two suites meet, so each raises on a worker thread of its own
+        monkeypatch.setitem(cli.SUITES, "husimi", decays_on_a_worker)
+        monkeypatch.setitem(cli.SUITES, "ccr", decays_on_a_worker)
         self._meet(monkeypatch, ["husimi", "ccr"])
         code, out, err, reports = self._verify(monkeypatch, tmp_path, capsys, 2)
         assert code == EXIT_USAGE and out == "" and reports == []
-        assert err == "error: injected on the helper thread\n"
+        assert err == "error: injected on a worker thread\n"
+        assert len(set(threads_seen)) == 2 and caller not in threads_seen
 
     @pytest.mark.parametrize("first, second", [("gauge", "spectrum"), ("bargmann", "ccr")])
     def test_first_raising_suite_in_name_order_is_reported(self, tmp_path, monkeypatch,
@@ -537,7 +540,7 @@ class TestConcurrentVerify:
                                                            capsys):
         # the connection's sign flipped makes the curvature +1 (gauge suite), and
         # x and p swapped make [p, x] = +i (ccr suite); the two suites meet, so
-        # one of the faults is measured on the helper thread
+        # each fault is measured on a worker thread of its own
         monkeypatch.setattr(bundles, "vacuum_connection", lambda: bundles.GaugeConnection(
             a_x=lambda x, p: -0.5 * p, a_p=lambda x, p: 0.5 * x))
         canonical = bundles.canonical_operators
@@ -549,9 +552,16 @@ class TestConcurrentVerify:
         assert "[FAIL] curvature vacuum" in out
         assert "[FAIL] ccr coordinate charge +1" in out
 
-    def test_threads_are_joined(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("raising, code", [pytest.param(None, EXIT_OK, id="passing"),
+                                               pytest.param("gauge", EXIT_USAGE, id="raising")])
+    def test_threads_are_joined(self, tmp_path, monkeypatch, capsys, raising, code):
+        def decays(config):
+            raise DecayViolationError("injected")
+
+        if raising:
+            monkeypatch.setitem(cli.SUITES, raising, decays)
         before = threading.active_count()
-        assert self._verify(monkeypatch, tmp_path, capsys, 2)[0] == EXIT_OK
+        assert self._verify(monkeypatch, tmp_path, capsys, 2)[0] == code
         assert threading.active_count() == before
 
 

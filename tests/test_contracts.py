@@ -17,8 +17,10 @@ from bundleqm.bundles import (GaugeConnection, canonical_operators, covariant_de
                               curvature_numeric, decompose, hermitian_pairing,
                               vacuum_connection)
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
-                                closed_loop_ratios, evolve_classical, symplectic_reduce,
-                                trajectory_times, winding_number)
+                                PhasePoint, closed_loop_ratios, evolve_classical,
+                                hamiltonian_energy, hamiltonian_vector_field, moment_map,
+                                rotation_generator, symplectic_reduce, trajectory_times,
+                                winding_number)
 from bundleqm.errors import (BundleqmError, GridFormatError, GridTooSmallError,
                              InvalidArgumentError, InvalidChargeError, NonFiniteError,
                              NonMonotoneError, OpenCurveError, ResolutionInsufficientError,
@@ -622,6 +624,54 @@ def _bad_calls():
          lambda: square_loop(center=1e308, half_side=1e308), NonFiniteError),
         ("branched_cover z=1e200", lambda: branched_cover(1e200, 3), NonFiniteError),
         ("branched_cover z=[1e200]", lambda: branched_cover([1e200], 3), NonFiniteError),
+        # phase points and their functions once overflowed into Python's
+        # OverflowError, NaN or inf, or leaked a TypeError for text
+        ("hamiltonian_energy x=p=1e200",
+         lambda: hamiltonian_energy(PhasePoint(1e200, 1e200), params), NonFiniteError),
+        ("hamiltonian_energy x=nan", lambda: hamiltonian_energy(PhasePoint(np.nan, 0), params),
+         NonFiniteError),
+        ("hamiltonian_vector_field overflow",
+         lambda: hamiltonian_vector_field(PhasePoint(1e308, 0), OscillatorParams(1e-3, 1e3)),
+         NonFiniteError),
+        ("rotation_generator at m=omega=1e-3",
+         lambda: rotation_generator(PhasePoint(0, 1e303), OscillatorParams(1e-3, 1e-3)),
+         NonFiniteError),
+        ("z_plus x=p=1e308 at m=omega=1e-3",
+         lambda: PhasePoint(1e308, 1e308).z_plus(OscillatorParams(1e-3, 1e-3)),
+         NonFiniteError),
+        ("PhasePoint x='a'", lambda: PhasePoint("a", 0), InvalidArgumentError),
+        ("PhasePoint.from_z_plus 'a'", lambda: PhasePoint.from_z_plus("a", params),
+         InvalidArgumentError),
+        ("PhasePoint.from_z_plus 1.7e308", lambda: PhasePoint.from_z_plus(1.7e308, params),
+         NonFiniteError),
+        ("moment_map 1e308+1e308j", lambda: moment_map(complex(1e308, 1e308)), NonFiniteError),
+        ("moment_map nan", lambda: moment_map(np.nan), NonFiniteError),
+        ("moment_map 'a'", lambda: moment_map("a"), InvalidArgumentError),
+        ("ClassicalState 'a'", lambda: ClassicalState("a"), InvalidArgumentError),
+        # the cone metric once returned g_phi_phi = inf, and an abs(psi) beyond
+        # the float range raised Python's OverflowError
+        ("cone_metric psi=1e308+1e308j", lambda: cone_metric(complex(1e308, 1e308), 2),
+         NonFiniteError),
+        ("cone_metric |psi| beyond the float range",
+         lambda: cone_metric(complex(1.5e308, 1.5e308), 3), NonFiniteError),
+        ("cover_inverse |psi| beyond the float range",
+         lambda: cover_inverse(complex(1.5e308, 1.5e308), 3, 0), NonFiniteError),
+        # scalar arguments that once leaked numpy's or Python's own errors
+        ("LineSection.from_function lo='a'",
+         lambda: LineSection.from_function(gauss, "x", "a", 1.0, 5), InvalidArgumentError),
+        ("GridSection.from_function x range 'a'",
+         lambda: GridSection.from_function(ones, ("a", 1.0), (-1, 1), 5, 5),
+         InvalidArgumentError),
+        ("GridSection.from_function p range inf",
+         lambda: GridSection.from_function(ones, (-1, 1), (0.0, np.inf), 5, 5), NonFiniteError),
+        ("trajectory_times periods='a'", lambda: trajectory_times("a", 5, params),
+         InvalidArgumentError),
+        ("evolve_schrodinger dt='a'", lambda: evolve_schrodinger(eigenstate(1), "a", params),
+         InvalidArgumentError),
+        ("DoubledSection.rotate_fiber 'a'", lambda: DoubledSection(1, 1).rotate_fiber("a"),
+         InvalidArgumentError),
+        ("decompose shapes (2,) and (3,)", lambda: decompose([1, 2], [1, 2, 3]),
+         GridFormatError),
     ]
 
 
@@ -635,6 +685,22 @@ def test_invalid_arguments_raise_typed_errors(call, error, tmp_path, monkeypatch
     with pytest.raises(error):
         call()
     assert not (tmp_path / "out").exists()
+
+
+def test_nan_dt_is_named():
+    with pytest.raises(NonFiniteError, match="dt must be finite"):
+        evolve_schrodinger(eigenstate(1), np.nan, OscillatorParams())
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_reduced_orbit_near_the_float_maximum_is_finite_and_silent(n):
+    # numpy's AVX-512 complex product once warned of an overflow here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z0, circle = symplectic_reduce(complex(1e308, 1e308), n)
+    assert z0 == complex(1e308, 1e308) and circle[0] == z0
+    assert np.all(np.isfinite(circle))
+    assert np.allclose(np.abs(circle / 1e308), np.sqrt(2.0), rtol=1e-15)
 
 
 @pytest.mark.parametrize("t", [40.0, 1e200, -1e200, 1.5e308, -np.finfo(float).max])
