@@ -10,6 +10,7 @@ conjugate-structure solutions winding clockwise (charge -1).
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +62,10 @@ def _finite_result(what: str):
     OverflowError there, numpy scalars warn and give inf."""
     def decorate(fn):
         @functools.wraps(fn)
-        def checked(*args):
+        def checked(*args, **kwargs):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                    value = fn(*args)
+                    value = fn(*args, **kwargs)
                 check_finite(np.asarray(value, dtype=complex), what)
             except OverflowError:
                 raise NonFiniteError(f"{what} must be finite") from None
@@ -73,13 +74,22 @@ def _finite_result(what: str):
     return decorate
 
 
+@_finite_result("complex coordinate")
 def complex_coordinate(x, p, charge: int, params: OscillatorParams):
-    """The charge-q coordinate z_q = (x - i q w^2 p)/sqrt(2), scalar or array."""
+    """The charge-q coordinate z_q = (x - i q w^2 p)/sqrt(2), scalar or array.
+    Text raises InvalidArgumentError; a value that is not finite NonFiniteError."""
+    # a real number stays a Python scalar: Python's complex quotient rounds
+    # some values apart from numpy's
+    x, p = (v if isinstance(v, numbers.Real) else check_array(v, float, name)
+            for v, name in ((x, "x"), (p, "p")))
     return (x - 1j * charge * params.w2 * p) / np.sqrt(2.0)
 
 
+@_finite_result("phase coordinates")
 def phase_coordinates(z, charge: int, params: OscillatorParams):
-    """(x, p) = (sqrt(2) Re z, -q sqrt(2) Im z / w^2), inverting complex_coordinate."""
+    """(x, p) = (sqrt(2) Re z, -q sqrt(2) Im z / w^2), inverting complex_coordinate.
+    Text raises InvalidArgumentError; a value that is not finite NonFiniteError."""
+    z = check_array(z, complex, "z")
     return np.sqrt(2.0) * z.real, -charge * np.sqrt(2.0) * z.imag / params.w2
 
 

@@ -301,7 +301,7 @@ def suite_spectrum(config: RunConfig):
     fock_err = max(abs(lv.E - params.omega * (lv.n + 0.5)) for lv in levels)
     # a grid and an error in the units w and omega keep the check at every (m, omega)
     mat = oscillator.coordinate_hamiltonian_matrix(10, params, half_width=10.0 * params.w,
-                                                   h=2.5e-4 * params.w)
+                                                   h=5e-3 * params.w)
     evals = np.sort(np.linalg.eigvalsh(mat)) / params.omega
     expect = np.arange(11) + 0.5
     return [
@@ -425,14 +425,14 @@ def suite_charge_mirror(config: RunConfig):
 
 # Heaviest first, the order verify's threads take the suites in.  Sequential
 # times in-process on a 2-core AVX-512 host, best of 15 with BLAS at 1
-# thread: spectrum 20 ms, gauge 9.4, husimi 9.1, bargmann 3.6, holonomy 2.7,
-# ccr 1.2, charge-mirror 0.4.
+# thread: gauge 12 ms, husimi 10, bargmann 2.8, holonomy 2.7, spectrum 1.8,
+# ccr 1.1, charge-mirror 0.2.
 SUITES = {
-    "spectrum": suite_spectrum,
     "gauge": suite_gauge,
     "husimi": suite_husimi,
     "bargmann": suite_bargmann,
     "holonomy": suite_holonomy,
+    "spectrum": suite_spectrum,
     "ccr": suite_ccr,
     "charge-mirror": suite_charge_mirror,
 }
@@ -447,9 +447,10 @@ def _usable_cores() -> int:
 
 
 # Threads verify runs its suites on, at most: two is what was measured, on a
-# 2-core host.  By the sequential suite times a third thread would shorten
-# the longest thread from about 23 ms to spectrum's 20 ms at best, while the
-# suites of many small numpy calls wait longer for the GIL.
+# 2-core host.  By the sequential suite times two threads finish in about
+# 15 ms (gauge and the small suites against husimi and the rest) and a third
+# could only bring that to gauge's 12 ms, while the suites of many small
+# numpy calls wait longer for the GIL.
 _MAX_THREADS = 2
 
 

@@ -22,7 +22,7 @@ from .errors import (GridTooSmallError, InvalidArgumentError, NotNormalizedError
 from .polarizations import FockState, hermite_basis
 from .sections import (_KERNEL_VALUES, MAX_SAMPLES, GridSection, LineSection, check_array,
                        check_charge, check_finite, check_int, check_positive, check_real,
-                       check_samples, check_sign, trapezoid_weights)
+                       check_samples, check_sign, diff_axis, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -286,30 +286,27 @@ def _grid_samples(half_width: float, h: float, dims: int):
 
 
 def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
-                                  half_width: float = 10.0, h: float = 2.5e-4) -> np.ndarray:
+                                  half_width: float = 10.0, h: float = 5e-3) -> np.ndarray:
     """Matrix of -(1/2m) d^2/dx^2 + (m omega^2/2) x^2 on the Hermite basis.
 
-    Second derivative by central differences (each end takes the one a sample
-    in), overlaps by the trapezoid rule as one weighted matrix product; the
-    basis is the stable orthonormal Hermite family (repeated finite-difference
-    raising amplifies grid noise and cannot build it).  H is applied to one
-    basis row at a time.  The eigenvalues reproduce the Fock spectrum
-    omega(n + 1/2).
-    half_width and h: finite, positive, at most 2**22 samples, else InvalidArgumentError.
+    Both terms are trapezoid-weighted Gram matrices S S^T, so H is exactly
+    symmetric.  The kinetic term is <b_i', b_j'> (by parts; the basis must
+    vanish at +/-half_width) with b' from sections.diff_axis, whose h^2 error
+    cancels between steps h and 2h (Richardson), leaving O(h^4).  The
+    eigenvalues reproduce the Fock spectrum omega(n + 1/2).
+    half_width and h: finite, positive, 5 to 2**22 samples, else a typed error.
     """
     half_width, n_pts = _grid_samples(half_width, h, 1)
-    if n_pts < 3:
-        raise GridTooSmallError(f"need at least 3 samples, got {n_pts}")
+    if n_pts < 5:
+        raise GridTooSmallError(f"need at least 5 samples, got {n_pts}")
     x = np.linspace(-half_width, half_width, n_pts)
-    hx = x[1] - x[0]
     basis = hermite_basis(n_max, x, params)
-    potential = 0.5 * params.m * params.omega ** 2 * x ** 2
-    hb = np.empty_like(basis)
-    for row, out in zip(basis, hb):
-        out[1:-1] = -((row[2:] - 2 * row[1:-1] + row[:-2]) / hx ** 2) / (2.0 * params.m)
-        out[[0, -1]] = out[[1, -2]]
-        out += potential * row
-    # per-interval widths, not hx: x[1] - x[0] is off the others by ~7e-12 relative
-    basis *= trapezoid_weights(x)
-    mat = basis @ hb.T
-    return 0.5 * (mat + mat.T)
+
+    def gram(rows, xs):
+        # per-interval widths, not one step: x[1] - x[0] is off the others by ~7e-12 relative
+        s = rows * np.sqrt(trapezoid_weights(xs))
+        return s @ s.T
+
+    fine, coarse = (gram(diff_axis(basis[:, ::k], x[k] - x[0], 1), x[::k]) for k in (1, 2))
+    root_v = np.sqrt(0.5 * params.m) * params.omega * np.abs(x)
+    return (4 * fine - coarse) / (6.0 * params.m) + gram(basis * root_v, x)

@@ -7,6 +7,7 @@ not share code with the package implementations.
 """
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.special import eval_hermite, factorial
 
@@ -156,38 +157,36 @@ def diff_axis_reference(values, h, axis):
     return np.moveaxis(g, 0, axis)
 
 
-def _hamiltonian_on_basis(n_max, params, half_width, h):
-    """The grid, the Hermite basis on it and H applied to the basis, as the
-    package once built them in one pass over full-size arrays."""
-    n_pts = int(round(2 * half_width / h)) + 1
-    x = np.linspace(-half_width, half_width, n_pts)
-    hx = x[1] - x[0]
+def first_difference_matrix(n, h):
+    """The first-derivative stencil as an explicit sparse n x n matrix: central
+    rows (-1, 0, 1)/2h, one-sided O(h^2) first and last rows."""
+    d = sparse.lil_array((n, n))
+    d.setdiag(-1.0, -1)
+    d.setdiag(1.0, 1)
+    d[0, :3] = [-3.0, 4.0, -1.0]
+    d[-1, -3:] = [1.0, -4.0, 3.0]
+    return d.tocsr() / (2.0 * h)
+
+
+def coordinate_hamiltonian_reference(n_max, params, half_width=10.0, h=5e-3):
+    """The coordinate Hamiltonian matrix by parts, built apart from the
+    package: b' from the explicit first-difference matrix at steps h and 2h,
+    Richardson-combined, and every overlap by one broadcast np.trapezoid over
+    an (n, n, points) product.  The basis is the package's."""
+    x = np.linspace(-half_width, half_width, int(round(2 * half_width / h)) + 1)
     basis = hermite_basis(n_max, x, params)
-    d2 = np.empty_like(basis)
-    d2[:, 1:-1] = (basis[:, 2:] - 2 * basis[:, 1:-1] + basis[:, :-2]) / hx ** 2
-    d2[:, 0] = d2[:, 1]
-    d2[:, -1] = d2[:, -2]
-    hb = -d2 / (2.0 * params.m) + 0.5 * params.m * params.omega ** 2 * x ** 2 * basis
-    return x, basis, hb
 
+    def overlaps(f, g, xs):
+        return np.trapezoid(f[:, None, :] * g[None, :, :], xs, axis=2)
 
-def coordinate_hamiltonian_single_pass_reference(n_max, params, half_width=10.0, h=2.5e-4):
-    """The coordinate Hamiltonian matrix as the package once built it in one
-    pass: H applied to the whole basis, then one weighted matrix product."""
-    x, basis, hb = _hamiltonian_on_basis(n_max, params, half_width, h)
-    dx = np.diff(x)
-    wt = 0.5 * (np.pad(dx, (1, 0)) + np.pad(dx, (0, 1)))
-    mat = (basis * wt) @ hb.T
-    return 0.5 * (mat + mat.T)
+    def kinetic(step):
+        xs = x[::step]
+        db = (first_difference_matrix(xs.size, xs[1] - xs[0]) @ basis[:, ::step].T).T
+        return overlaps(db, db, xs)
 
-
-def coordinate_hamiltonian_reference(n_max, params, half_width=10.0, h=2.5e-4):
-    """The coordinate Hamiltonian matrix as the package once built it: the
-    overlaps by one broadcast np.trapezoid over an (n, n, points) product.
-    The basis is the package's, so only the overlap step is compared."""
-    x, basis, hb = _hamiltonian_on_basis(n_max, params, half_width, h)
-    mat = np.trapezoid(basis[:, None, :] * hb[None, :, :], x, axis=2)
-    return 0.5 * (mat + mat.T)
+    potential = 0.5 * params.m * params.omega ** 2 * x ** 2
+    kin = (4.0 * kinetic(1) - kinetic(2)) / 3.0
+    return kin / (2.0 * params.m) + overlaps(basis, potential * basis, x)
 
 
 def bargmann_function_reference(coeffs, z):

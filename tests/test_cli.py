@@ -406,7 +406,7 @@ class TestConcurrentVerify:
     wait for each other on a barrier, so they hold whichever workers the pool
     gave them."""
 
-    HEAVIEST_FIRST = ["spectrum", "gauge", "husimi", "bargmann", "holonomy", "ccr",
+    HEAVIEST_FIRST = ["gauge", "husimi", "bargmann", "holonomy", "spectrum", "ccr",
                       "charge-mirror"]
 
     @staticmethod

@@ -15,12 +15,12 @@ import pytest
 
 from bundleqm.bundles import (GaugeConnection, canonical_operators, covariant_derivative,
                               curvature_numeric, decompose, hermitian_pairing,
-                              vacuum_connection)
+                              translate_operator, vacuum_connection)
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
-                                PhasePoint, closed_loop_ratios, evolve_classical,
-                                hamiltonian_energy, hamiltonian_vector_field, moment_map,
-                                rotation_generator, symplectic_reduce, trajectory_times,
-                                winding_number)
+                                PhasePoint, closed_loop_ratios, complex_coordinate,
+                                evolve_classical, hamiltonian_energy, hamiltonian_vector_field,
+                                moment_map, phase_coordinates, rotation_generator,
+                                symplectic_reduce, trajectory_times, winding_number)
 from bundleqm.errors import (BundleqmError, GridFormatError, GridTooSmallError,
                              InvalidArgumentError, InvalidChargeError, NonFiniteError,
                              NonMonotoneError, OpenCurveError, ResolutionInsufficientError,
@@ -648,6 +648,28 @@ def _bad_calls():
         ("moment_map nan", lambda: moment_map(np.nan), NonFiniteError),
         ("moment_map 'a'", lambda: moment_map("a"), InvalidArgumentError),
         ("ClassicalState 'a'", lambda: ClassicalState("a"), InvalidArgumentError),
+        # the coordinate maps once leaked TypeError or AttributeError for text
+        # and returned nan-infj for an overflow; translate_operator took any x0
+        ("complex_coordinate x='a'", lambda: complex_coordinate("a", 0, 1, params),
+         InvalidArgumentError),
+        ("complex_coordinate p=['a']", lambda: complex_coordinate(0, ["a"], 1, params),
+         InvalidArgumentError),
+        ("complex_coordinate x=p=1e308 at m=omega=1e-3",
+         lambda: complex_coordinate(1e308, 1e308, 1, OscillatorParams(1e-3, 1e-3)),
+         NonFiniteError),
+        ("complex_coordinate x=[nan]", lambda: complex_coordinate([np.nan], [0.0], 1, params),
+         NonFiniteError),
+        ("phase_coordinates 'a'", lambda: phase_coordinates("a", 1, params),
+         InvalidArgumentError),
+        ("phase_coordinates 1e308+1e308j at m=omega=1e3",
+         lambda: phase_coordinates(complex(1e308, 1e308), 1, OscillatorParams(1e3, 1e3)),
+         NonFiniteError),
+        ("phase_coordinates [inf]", lambda: phase_coordinates(np.array([np.inf]), -1, params),
+         NonFiniteError),
+        ("translate_operator 'a'", lambda: translate_operator("a"), InvalidArgumentError),
+        ("translate_operator True", lambda: translate_operator(True), InvalidArgumentError),
+        ("translate_operator nan", lambda: translate_operator(np.nan), NonFiniteError),
+        ("translate_operator -inf", lambda: translate_operator(-np.inf), NonFiniteError),
         # the cone metric once returned g_phi_phi = inf, and an abs(psi) beyond
         # the float range raised Python's OverflowError
         ("cone_metric psi=1e308+1e308j", lambda: cone_metric(complex(1e308, 1e308), 2),
