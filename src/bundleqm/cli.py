@@ -28,7 +28,8 @@ from . import bundles, classical, orbifold, oscillator, polarizations
 from .classical import OscillatorParams
 from .errors import (BundleqmError, ConfigError, InvalidArgumentError, NonFiniteError,
                      ResolutionInsufficientError)
-from .sections import FLOAT_FORMAT, check_positive, check_samples, check_sign, write_rows
+from .sections import (FLOAT_FORMAT, check_positive, check_samples, check_sign,
+                       trapezoid_weights, write_rows)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -275,17 +276,22 @@ def _gauge_family():
 
 
 def _symmetric_probe() -> bundles.GridSection:
-    """exp(-(x^2 + p^2)/4) on [-1, 1]^2 at spacing 1e-2."""
+    """exp(-(x^2 + p^2)/4) on [-1, 1]^2 at spacing 4e-2 (51 x 51 samples)."""
     return bundles.GridSection.from_function(
-        lambda x, p: np.exp(-(x ** 2 + p ** 2) / 4.0), (-1.0, 1.0), (-1.0, 1.0), 201, 201)
+        lambda x, p: np.exp(-(x ** 2 + p ** 2) / 4.0), (-1.0, 1.0), (-1.0, 1.0), 51, 51)
 
 
 def suite_gauge(config: RunConfig):
-    probe = _symmetric_probe()
+    fine = _symmetric_probe()
+    coarse = bundles.GridSection(fine.x[::2], fine.p[::2], fine.values[::2, ::2])
     checks = []
     values = {}
     for name, conn in _gauge_family():
-        val = bundles.curvature_numeric(conn, probe)
+        # Richardson's step on the probe and its every-other-sample subgrid
+        # cancels curvature_numeric's O(h^2) error; O(h^3) is left, since the
+        # two interiors it averages over differ by one cell
+        val = (4 * bundles.curvature_numeric(conn, fine)
+               - bundles.curvature_numeric(conn, coarse)) / 3
         values[name] = val
         checks.append(Check(f"curvature {name}: |comm/psi + i|", abs(val + 1j),
                             TOLERANCES["gauge"]))
@@ -346,13 +352,14 @@ def suite_bargmann(config: RunConfig):
 def suite_husimi(config: RunConfig):
     u = np.linspace(-8.0, 8.0, 257)
     h = u[1] - u[0]
+    wt = trapezoid_weights(u)
     checks = []
     q0 = oscillator.husimi(oscillator.eigenstate(0), np.array([0.0]), np.array([0.0]))
     checks.append(Check("husimi Q_0(0) vs 1/pi", float(abs(q0[0, 0] - 1 / np.pi)),
                         TOLERANCES["husimi_center"]))
     worst_norm, worst_loc = 0.0, 0.0
     for n, q in enumerate(oscillator.husimi_levels(10, u, u)):
-        total = float(np.trapezoid(np.trapezoid(q, u, axis=1), u))
+        total = float(wt @ q @ wt)
         worst_norm = max(worst_norm, abs(total - 1.0))
         i, j = np.unravel_index(int(np.argmax(q)), q.shape)
         worst_loc = max(worst_loc, abs(np.hypot(u[i], u[j]) - np.sqrt(n)))
@@ -425,15 +432,15 @@ def suite_charge_mirror(config: RunConfig):
 
 # Heaviest first, the order verify's threads take the suites in.  Sequential
 # times in-process on a 2-core AVX-512 host, best of 15 with BLAS at 1
-# thread: gauge 12 ms, husimi 10, bargmann 2.8, holonomy 2.7, spectrum 1.8,
-# ccr 1.1, charge-mirror 0.2.
+# thread: husimi 7 ms, bargmann 2.7, holonomy 2.6, gauge 2.5, ccr 1.1,
+# spectrum 1.0, charge-mirror 0.2.
 SUITES = {
-    "gauge": suite_gauge,
     "husimi": suite_husimi,
     "bargmann": suite_bargmann,
     "holonomy": suite_holonomy,
-    "spectrum": suite_spectrum,
+    "gauge": suite_gauge,
     "ccr": suite_ccr,
+    "spectrum": suite_spectrum,
     "charge-mirror": suite_charge_mirror,
 }
 
@@ -448,9 +455,9 @@ def _usable_cores() -> int:
 
 # Threads verify runs its suites on, at most: two is what was measured, on a
 # 2-core host.  By the sequential suite times two threads finish in about
-# 15 ms (gauge and the small suites against husimi and the rest) and a third
-# could only bring that to gauge's 12 ms, while the suites of many small
-# numpy calls wait longer for the GIL.
+# 9 ms (husimi, ccr and charge-mirror against the other four) and a
+# third could only bring that to husimi's 7 ms, while the suites of many
+# small numpy calls wait longer for the GIL.
 _MAX_THREADS = 2
 
 

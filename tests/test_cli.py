@@ -369,6 +369,23 @@ class TestVerifyCommand:
         doc = json.loads(reports[0].read_text())
         assert all(row["passed"] for row in doc)
 
+    def test_gauge_curvature_is_extrapolated(self):
+        # the raw curvature on the 51^2 probe reads 3.4e-4: only Richardson's
+        # step with the 26^2 subgrid brings it below 2e-5
+        checks = cli.suite_gauge(RunConfig())
+        values = [c.measured for c in checks if c.name.endswith("|comm/psi + i|")]
+        assert len(values) == 4 and max(values) < 2e-5
+
+    def test_gauge_probe_and_subgrid_show_second_order(self):
+        # the premise of the extrapolation: curvature_numeric's error falls
+        # as h^2 from the 26^2 subgrid to the 51^2 probe
+        fine = cli._symmetric_probe()
+        coarse = bundles.GridSection(fine.x[::2], fine.p[::2], fine.values[::2, ::2])
+        for _, conn in cli._gauge_family():
+            err_coarse, err_fine = (abs(bundles.curvature_numeric(conn, g) + 1j)
+                                    for g in (coarse, fine))
+            assert np.log2(err_coarse / err_fine) >= 1.9
+
     def test_tolerances_key_exits_usage(self, tmp_path, out_dir, capsys):
         # verify's bounds are pinned in cli.TOLERANCES: a config file once
         # could loosen them, even to Infinity, and turn a FAIL into exit 0
@@ -406,7 +423,7 @@ class TestConcurrentVerify:
     wait for each other on a barrier, so they hold whichever workers the pool
     gave them."""
 
-    HEAVIEST_FIRST = ["gauge", "husimi", "bargmann", "holonomy", "spectrum", "ccr",
+    HEAVIEST_FIRST = ["husimi", "bargmann", "holonomy", "gauge", "ccr", "spectrum",
                       "charge-mirror"]
 
     @staticmethod

@@ -212,16 +212,27 @@ def test_husimi_levels_bit_identical_to_husimi(charge):
 def test_suite_husimi_checks_equal_per_level_calls():
     # the suite as it was written with one husimi call per level
     u = np.linspace(-8.0, 8.0, 257)
+    wt = trapezoid_weights(u)
     q0 = husimi(eigenstate(0), np.array([0.0]), np.array([0.0]))
     worst_norm, worst_loc = 0.0, 0.0
     for n in range(11):
         q = husimi(eigenstate(n), u, u)
-        total = float(np.trapezoid(np.trapezoid(q, u, axis=1), u))
+        total = float(wt @ q @ wt)
         worst_norm = max(worst_norm, abs(total - 1.0))
         i, j = np.unravel_index(int(np.argmax(q)), q.shape)
         worst_loc = max(worst_loc, abs(np.hypot(u[i], u[j]) - np.sqrt(n)))
     expected = [float(abs(q0[0, 0] - 1 / np.pi)), worst_norm, worst_loc]
     assert [c.measured for c in suite_husimi(RunConfig())] == expected
+
+
+def test_husimi_mass_contraction_equals_nested_trapezoid():
+    # verify's Husimi mass, two dot products with the trapezoid weights, is
+    # the nested np.trapezoid it replaced up to rounding
+    u = np.linspace(-8.0, 8.0, 257)
+    wt = trapezoid_weights(u)
+    for q in husimi_levels(10, u, u):
+        nested = np.trapezoid(np.trapezoid(q, u, axis=1), u)
+        assert abs(wt @ q @ wt - nested) <= 1e-15
 
 
 def test_bargmann_function_scalar_argument():
