@@ -21,8 +21,8 @@ import numpy as np
 from .errors import (DivisionNearZeroError, GridFormatError, GridTooSmallError,
                      InvalidArgumentError)
 from .sections import (DoubledSection, GridSection, LineSection, check_array, check_charge,
-                       check_finite, check_real, diff_axis, load_grid, require_axis,
-                       save_grid)
+                       check_finite, check_real, diff_axis, finite_result, load_grid,
+                       require_axis, save_grid)
 
 __all__ = [
     "GaugeConnection", "vacuum_connection", "gauge_transform",
@@ -160,14 +160,18 @@ def decompose(psi1, psi2) -> DoubledSection:
                           psi_minus=(psi1 - 1j * psi2) / np.sqrt(2.0))
 
 
+@finite_result("recomposed components")
 def recompose(doubled: DoubledSection):
-    """Inverse of decompose: Psi = psi_plus v+ + psi_minus v-."""
+    """Inverse of decompose: Psi = psi_plus v+ + psi_minus v-; components
+    that overflow raise NonFiniteError."""
     psi1 = (doubled.psi_plus + doubled.psi_minus) / np.sqrt(2.0)
     psi2 = 1j * (doubled.psi_minus - doubled.psi_plus) / np.sqrt(2.0)
     return psi1, psi2
 
 
+@finite_result("Hermitian pairing")
 def hermitian_pairing(psi, phi):
-    """Fiberwise Hermitian product <psi, phi> = psi* phi."""
+    """Fiberwise Hermitian product <psi, phi> = psi* phi; a product that is
+    NaN or inf, or overflows, raises NonFiniteError."""
     return np.conj(check_array(psi, complex, "psi")) * check_array(phi, complex, "phi")
 

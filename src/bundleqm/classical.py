@@ -9,16 +9,15 @@ conjugate-structure solutions winding clockwise (charge -1).
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, NonFiniteError, OpenCurveError, UndersampledError,
-                     ZeroCrossingError, ZeroPointError)
+from .errors import (InvalidArgumentError, OpenCurveError, UndersampledError, ZeroCrossingError,
+                     ZeroPointError)
 from .sections import (check_array, check_charge, check_finite, check_int, check_positive,
-                       check_real, check_samples, check_sign)
+                       check_real, check_samples, check_sign, finite_result)
 
 TWO_PI = 2.0 * np.pi
 
@@ -56,25 +55,7 @@ class OscillatorParams:
         return self.w2 * self.w2
 
 
-def _finite_result(what: str):
-    """Decorate a point function to raise NonFiniteError where its value is
-    NaN or inf or its arithmetic overflows: Python floats raise
-    OverflowError there, numpy scalars warn and give inf."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        def checked(*args, **kwargs):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-                    value = fn(*args, **kwargs)
-                check_finite(np.asarray(value, dtype=complex), what)
-            except OverflowError:
-                raise NonFiniteError(f"{what} must be finite") from None
-            return value
-        return checked
-    return decorate
-
-
-@_finite_result("complex coordinate")
+@finite_result("complex coordinate")
 def complex_coordinate(x, p, charge: int, params: OscillatorParams):
     """The charge-q coordinate z_q = (x - i q w^2 p)/sqrt(2), scalar or array.
     Text raises InvalidArgumentError; a value that is not finite NonFiniteError."""
@@ -85,7 +66,7 @@ def complex_coordinate(x, p, charge: int, params: OscillatorParams):
     return (x - 1j * charge * params.w2 * p) / np.sqrt(2.0)
 
 
-@_finite_result("phase coordinates")
+@finite_result("phase coordinates")
 def phase_coordinates(z, charge: int, params: OscillatorParams):
     """(x, p) = (sqrt(2) Re z, -q sqrt(2) Im z / w^2), inverting complex_coordinate.
     Text raises InvalidArgumentError; a value that is not finite NonFiniteError."""
@@ -110,19 +91,16 @@ class PhasePoint:
         for name in ("x", "p"):
             check_finite(check_real(getattr(self, name), name), name)
 
-    @_finite_result("z_plus")
     def z_plus(self, params: OscillatorParams) -> complex:
         return complex_coordinate(self.x, self.p, +1, params)
 
-    @_finite_result("z_minus")
     def z_minus(self, params: OscillatorParams) -> complex:
         return complex_coordinate(self.x, self.p, -1, params)
 
     @classmethod
     def from_z_plus(cls, z: complex, params: OscillatorParams) -> "PhasePoint":
         z = complex(check_array(z, complex, "z", ndim=0))
-        with np.errstate(over="ignore"):        # an overflow is reported by __post_init__
-            x, p = phase_coordinates(z, +1, params)
+        x, p = phase_coordinates(z, +1, params)
         return cls(x=x, p=p)
 
 
@@ -152,25 +130,26 @@ class ComplexStructure:
         return self.sign * np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-@_finite_result("energy")
+@finite_result("energy")
 def hamiltonian_energy(pt: PhasePoint, params: OscillatorParams) -> float:
     """H = p^2/2m + m omega^2 x^2 / 2."""
     return pt.p ** 2 / (2.0 * params.m) + 0.5 * params.m * params.omega ** 2 * pt.x ** 2
 
 
-@_finite_result("Hamiltonian vector field")
+@finite_result("Hamiltonian vector field")
 def hamiltonian_vector_field(pt: PhasePoint, params: OscillatorParams):
     """(x_dot, p_dot) = (p/m, -m omega^2 x); equals omega times the rotation
     generator w^2 p d_x - (x/w^2) d_p evaluated at pt."""
     return (pt.p / params.m, -params.m * params.omega ** 2 * pt.x)
 
 
-@_finite_result("rotation generator")
+@finite_result("rotation generator")
 def rotation_generator(pt: PhasePoint, params: OscillatorParams):
     """The U(1) generator field w^2 p d_x - (x/w^2) d_p at pt."""
     return (params.w2 * pt.p, -pt.x / params.w2)
 
 
+@finite_result("classical trajectory")
 def evolve_classical(state: ClassicalState, t, params: OscillatorParams,
                      frequency_sign: int = +1):
     """Exact solution z(t) = exp(i q omega t) z0 in the charge-q coordinate.
@@ -184,10 +163,7 @@ def evolve_classical(state: ClassicalState, t, params: OscillatorParams,
     check_sign(frequency_sign, "frequency_sign")
     times = check_array(t, float, "t")
     check_finite(times, "t")
-    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        phase = np.exp(1j * frequency_sign * state.charge * params.omega * times)
-        out = phase * state.z0
-    check_finite(out, "classical trajectory")
+    out = np.exp(1j * frequency_sign * state.charge * params.omega * times) * state.z0
     return complex(out) if np.isscalar(t) else out
 
 
@@ -244,7 +220,7 @@ def winding_number(samples) -> int:
     return k
 
 
-@_finite_result("moment map")
+@finite_result("moment map")
 def moment_map(z: complex) -> float:
     """mu(z) = z zbar, the generator of the U(1) rotation action.  Text raises
     InvalidArgumentError; NaN, inf or a value that overflows NonFiniteError."""
@@ -252,6 +228,7 @@ def moment_map(z: complex) -> float:
     return abs(z) ** 2
 
 
+@finite_result("reduced orbit")
 def symplectic_reduce(z0: complex, n_samples: int):
     """Collapse the orbit circle {z zbar = |z0|^2} to its moduli point.
 
@@ -268,10 +245,7 @@ def symplectic_reduce(z0: complex, n_samples: int):
     angles = TWO_PI * np.arange(n_samples) / n_samples
     # numpy's AVX-512 complex product overflows in an intermediate step for
     # |z0| near the float maximum, though its result is finite
-    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        circle = z0 * np.exp(1j * angles)
-    check_finite(circle, "reduced orbit")
-    return z0, circle
+    return z0, z0 * np.exp(1j * angles)
 
 
 def kahler_metric(params: OscillatorParams):

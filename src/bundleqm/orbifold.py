@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import TWO_PI, check_angular_steps, closed_loop_ratios
-from .errors import (BranchOutOfRangeError, InvalidArgumentError, NonFiniteError,
-                     OriginSingularError)
+from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
 from .sections import (check_array, check_finite, check_int, check_pair, check_real,
-                       check_samples)
+                       check_samples, finite_result)
 
 
 @dataclass(frozen=True)
@@ -38,6 +37,7 @@ class ConeGeometry:
         return TWO_PI * (self.n - 1) / self.n
 
 
+@finite_result("branched cover image")
 def branched_cover(z, n: int):
     """z -> z^n; degree-n branched covering with branch point z = 0.  z is a
     finite complex number or array, else a typed error; an image that
@@ -45,21 +45,11 @@ def branched_cover(z, n: int):
     n = check_int(n, "covering degree", 1)
     z = check_array(z, complex, "z")
     check_finite(z, "z")
-    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        image = z ** n
-    check_finite(image, "branched cover image")
+    image = z ** n
     return image if z.ndim else complex(image)
 
 
-def _modulus(psi: complex) -> float:
-    """|psi| of a finite complex number; NonFiniteError where it exceeds the
-    float range, for which Python's abs raises OverflowError."""
-    try:
-        return abs(psi)
-    except OverflowError:
-        raise NonFiniteError(f"|psi| of {psi!r} exceeds the float range") from None
-
-
+@finite_result("cover inverse")
 def cover_inverse(psi: complex, n: int, branch: int) -> complex:
     """The branch-th n-th root, principal argument in [0, 2pi/n) plus branch
     steps.  psi is a finite complex number whose modulus is in the float
@@ -72,7 +62,7 @@ def cover_inverse(psi: complex, n: int, branch: int) -> complex:
     if psi == 0:
         return 0j
     theta = np.angle(psi) % TWO_PI
-    return _modulus(psi) ** (1.0 / n) * np.exp(1j * (theta / n + TWO_PI * branch / n))
+    return abs(psi) ** (1.0 / n) * np.exp(1j * (theta / n + TWO_PI * branch / n))
 
 
 @dataclass(frozen=True)
@@ -89,6 +79,7 @@ class ConeMetric:
     g_phi_phi: float
 
 
+@finite_result("cone metric")
 def cone_metric(psi: complex, n: int) -> ConeMetric:
     """Pullback of the plane metric 2 dz dzbar through z = psi^(1/n).
 
@@ -100,13 +91,12 @@ def cone_metric(psi: complex, n: int) -> ConeMetric:
     n = check_int(n, "covering degree", 1)
     psi = complex(check_array(psi, complex, "psi", ndim=0))
     check_finite(psi, "psi")
-    r = _modulus(psi)
+    r = abs(psi)
     if r < 1e-12 and n >= 2:
         raise OriginSingularError("cone metric is singular at psi = 0 for n >= 2")
-    with np.errstate(over="ignore"):        # reported just below
-        factor = (2.0 / n ** 2) * r ** (2.0 * (1.0 - n) / n)
-        rho = np.sqrt(2.0) * r ** (1.0 / n)
-        g_phi_phi = rho ** 2 / n ** 2
+    factor = (2.0 / n ** 2) * r ** (2.0 * (1.0 - n) / n)
+    rho = np.sqrt(2.0) * r ** (1.0 / n)
+    g_phi_phi = rho ** 2 / n ** 2
     check_finite(np.array([factor, rho, g_phi_phi]), "cone metric")
     return ConeMetric(conformal_factor=factor, rho=rho, g_rho_rho=1.0, g_phi_phi=g_phi_phi)
 
@@ -154,6 +144,7 @@ def levi_civita_transport(loop, n: int | tuple[int, ...]
 # Loop builders and the JSON loop-specification interface
 # ---------------------------------------------------------------------------
 
+@finite_result("loop points")
 def _loop(center, sizes: dict, samples, stop: float, points) -> np.ndarray:
     """points(center, *sizes.values(), t) at samples + 1 parameters t from 0
     to stop.  The center and each size are finite numbers, samples an int >= 1
@@ -162,10 +153,7 @@ def _loop(center, sizes: dict, samples, stop: float, points) -> np.ndarray:
     values = [check_real(value, name) for name, value in sizes.items()]
     check_finite(np.append(center, values), f"loop center and {' and '.join(sizes)}")
     t = np.linspace(0.0, stop, check_samples(check_int(samples, "samples", 1) + 1, "loop"))
-    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        loop = points(center, *values, t)
-    check_finite(loop, "loop points")
-    return loop
+    return points(center, *values, t)
 
 
 def circle_loop(center: complex = 0j, radius: float = 1.0, samples: int = 4096) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (GridTooSmallError, InvalidArgumentError, NotNormalizedError
 from .polarizations import FockState, hermite_basis
 from .sections import (_KERNEL_VALUES, MAX_SAMPLES, GridSection, LineSection, check_array,
                        check_charge, check_finite, check_int, check_positive, check_real,
-                       check_samples, check_sign, diff_axis, trapezoid_weights)
+                       check_samples, check_sign, diff_axis, finite_result, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,10 @@ def eigenstate(n: int, charge: int = +1) -> FockState:
     return FockState(coeffs=coeffs, charge=check_charge(charge))
 
 
+@finite_result("Hamiltonian action")
 def hamiltonian_apply(state: FockState, params: OscillatorParams) -> FockState:
-    """c_n -> omega(n + 1/2) c_n; identical action for both charges."""
+    """c_n -> omega(n + 1/2) c_n; identical action for both charges.  A
+    coefficient that overflows raises NonFiniteError."""
     n = np.arange(state.coeffs.size)
     return FockState(coeffs=energy(n, params) * state.coeffs, charge=state.charge)
 
@@ -93,9 +95,10 @@ def winding_charges(state: FockState):
 
     q_l is n * q_v when a single level carries all the weight; otherwise the
     first slot holds {n: |c_n|^2} over the levels above 1e-12 of max(total, 1).
+    A total weight that overflows raises NonFiniteError.
     """
+    total = state.norm_sq()
     weights = np.abs(state.coeffs) ** 2
-    total = float(np.sum(weights))
     occupied = np.nonzero(weights > 1e-12 * max(total, 1.0))[0]
     if occupied.size == 1:
         return int(occupied[0]) * state.charge, state.charge
@@ -126,6 +129,7 @@ def _bargmann_sum(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
+@finite_result("Bargmann function")
 def bargmann_function(state: FockState, z) -> np.ndarray:
     """psi(z') = sum c_n z'^n / sqrt(n!), evaluated stably term by term.
 
@@ -135,10 +139,7 @@ def bargmann_function(state: FockState, z) -> np.ndarray:
     """
     z = check_array(z, complex, "z")
     check_finite(z, "Bargmann point z")
-    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        out = _bargmann_sum(state.coeffs, z)
-    check_finite(out, "Bargmann function")
-    return out
+    return _bargmann_sum(state.coeffs, z)
 
 
 def _husimi_axes(u, v):
@@ -149,6 +150,7 @@ def _husimi_axes(u, v):
     return u, v
 
 
+@finite_result("Husimi field")
 def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Husimi Q over the dimensionless grid z' = u + iv.
 
@@ -164,12 +166,10 @@ def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     q_field = np.empty((u.size, v.size))
     # a few rows at a time, so the term arrays stay near _KERNEL_VALUES cells
     step = max(1, _KERNEL_VALUES // (v.size or 1))
-    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        for start in range(0, u.size, step):
-            rows = slice(start, start + step)
-            amp = _bargmann_sum(state.coeffs, u[rows] + 1j * state.charge * v)
-            q_field[rows] = np.abs(amp) ** 2 * np.exp(-(u[rows] ** 2 + v ** 2)) / np.pi
-    check_finite(q_field, "Husimi field")
+    for start in range(0, u.size, step):
+        rows = slice(start, start + step)
+        amp = _bargmann_sum(state.coeffs, u[rows] + 1j * state.charge * v)
+        q_field[rows] = np.abs(amp) ** 2 * np.exp(-(u[rows] ** 2 + v ** 2)) / np.pi
     return q_field
 
 

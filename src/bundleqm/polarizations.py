@@ -25,7 +25,7 @@ from .errors import (ChargeMismatchError, DecayViolationError, InvalidArgumentEr
                      NonMonotoneError, QuadratureUnderResolvedError)
 from .sections import (GridSection, LineSection, check_array, check_charge, check_finite,
                        check_int, check_pair, check_positive, check_samples, diff_axis,
-                       require_axis, resolve_charge, trapezoid_weights)
+                       finite_result, require_axis, resolve_charge, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,9 @@ class FockState:
     def truncation(self) -> int:
         return self.coeffs.size - 1
 
+    @finite_result("norm squared")
     def norm_sq(self) -> float:
+        """sum |c_n|^2; NonFiniteError if it overflows."""
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
     def padded(self, n: int) -> np.ndarray:
@@ -111,6 +113,7 @@ class FockState:
 # Hermite functions and Gauss-Hermite quadrature
 # ---------------------------------------------------------------------------
 
+@finite_result("Hermite functions")
 def hermite_functions(n_max: int, t) -> np.ndarray:
     """Orthonormal Hermite functions e_0..e_n_max at points t (weight included).
 
@@ -124,15 +127,13 @@ def hermite_functions(n_max: int, t) -> np.ndarray:
     check_finite(t, "Hermite points")
     check_samples((n_max + 1) * t.size, f"Hermite functions 0..{n_max} at {t.size} points")
     out = np.zeros((n_max + 1,) + t.shape)
-    with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-        out[0] = np.pi ** -0.25 * np.exp(-0.5 * t ** 2)
-        if n_max >= 1:
-            out[1] = np.sqrt(2.0) * t * out[0]
-        for n in range(2, n_max + 1):
-            out[n] = np.sqrt(2.0 / n) * t * out[n - 1] - np.sqrt((n - 1) / n) * out[n - 2]
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * t ** 2)
+    if n_max >= 1:
+        out[1] = np.sqrt(2.0) * t * out[0]
+    for n in range(2, n_max + 1):
+        out[n] = np.sqrt(2.0 / n) * t * out[n - 1] - np.sqrt((n - 1) / n) * out[n - 2]
     # there the recurrence gave 0, or NaN from inf * 0 where sqrt(2) t overflows
     np.copyto(out, 0.0, where=out[0] == 0)
-    check_finite(out, "Hermite functions")
     return out
 
 
@@ -330,11 +331,13 @@ def bargmann_inverse(state: FockState, x, params: OscillatorParams) -> LineSecti
                        charge=state.charge)
 
 
+@finite_result("Bargmann pairing")
 def bargmann_pairing(a: FockState, b: FockState) -> complex:
     """<a, b> = sum conj(c_n) d_n — the Gaussian-weighted holomorphic pairing.
 
     In the orthonormal basis the coefficient pairing equals the integral
     (1/pi) int psi_a* psi_b exp(-|z'|^2) d^2 z' exactly for truncated states.
+    A pairing that overflows raises NonFiniteError.
     """
     if a.charge != b.charge:
         raise ChargeMismatchError(f"cannot pair charges {a.charge} and {b.charge}")

@@ -11,6 +11,7 @@ the quantum charge q_v as a plain validated integer, +1 for particles and
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import numbers
@@ -131,6 +132,33 @@ def check_finite(values: np.ndarray, what: str) -> None:
     array is NaN or inf."""
     if not np.isfinite(np.ascontiguousarray(values).view(float)).all():
         raise NonFiniteError(f"{what} must be finite")
+
+
+def finite_result(what: str):
+    """Decorate a function whose arithmetic may overflow: the package's one
+    rule for such results.  The call runs without numpy's overflow and
+    invalid-value warnings.  A returned float or complex number or array, or
+    each one in a returned tuple, that is NaN or inf raises NonFiniteError,
+    and so does Python's OverflowError, which Python floats raise where
+    numpy gives inf.  Integers are finite; a returned section or FockState
+    is left to its own constructor's check."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                    value = fn(*args, **kwargs)
+            except OverflowError:
+                raise NonFiniteError(f"{what} must be finite") from None
+            for v in value if type(value) is tuple else (value,):
+                if isinstance(v, np.ndarray):
+                    if v.dtype.kind in "fc":
+                        check_finite(v, what)
+                elif isinstance(v, (float, complex)) and not cmath.isfinite(v):
+                    raise NonFiniteError(f"{what} must be finite")
+            return value
+        return checked
+    return decorate
 
 
 def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -278,8 +306,9 @@ class LineSection:
         return LineSection(axis=self.axis, coords=self.coords, values=values,
                            charge=self.charge)
 
+    @finite_result("norm squared")
     def norm_sq(self) -> float:
-        """Continuum norm squared by trapezoid."""
+        """Continuum norm squared by trapezoid; NonFiniteError if it overflows."""
         return float(np.trapezoid(np.abs(self.values) ** 2, self.coords))
 
 
@@ -317,13 +346,17 @@ class DoubledSection:
         check_finite(self.psi_minus, "psi_minus")
 
     def rotate_fiber(self, theta: float) -> "DoubledSection":
-        """U(1)_v action: psi_pm -> exp(+/- i theta) psi_pm; theta is a real number."""
+        """U(1)_v action: psi_pm -> exp(+/- i theta) psi_pm; theta is a finite
+        real number, else a typed error."""
         theta = check_real(theta, "theta")
+        check_finite(theta, "theta")
         return DoubledSection(np.exp(1j * theta) * self.psi_plus,
                               np.exp(-1j * theta) * self.psi_minus)
 
+    @finite_result("norm squared")
     def norm_sq(self):
-        """Pointwise |Psi|^2; cross terms vanish by orthonormality of v_pm."""
+        """Pointwise |Psi|^2; cross terms vanish by orthonormality of v_pm.
+        NonFiniteError where it overflows."""
         return np.abs(self.psi_plus) ** 2 + np.abs(self.psi_minus) ** 2
 
     def is_diagonal(self) -> bool:

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bundleqm.bundles import (GaugeConnection, canonical_operators, covariant_derivative,
-                              curvature_numeric, decompose, hermitian_pairing,
+                              curvature_numeric, decompose, hermitian_pairing, recompose,
                               translate_operator, vacuum_connection)
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
                                 PhasePoint, closed_loop_ratios, complex_coordinate,
@@ -30,10 +31,12 @@ from bundleqm.orbifold import (ConeGeometry, branched_cover, circle_loop, cone_m
                                loop_from_spec, square_loop)
 from bundleqm import oscillator
 from bundleqm.cli import RunConfig, cmd_husimi
-from bundleqm.oscillator import (MAX_SPECTRUM_N, bargmann_function,
+from bundleqm.oscillator import (MAX_SPECTRUM_N, bargmann_function, charge_density,
                                  coordinate_hamiltonian_matrix, eigenstate, evolve_schrodinger,
-                                 husimi, husimi_levels, laplacian_consistency, spectrum)
+                                 hamiltonian_apply, husimi, husimi_levels,
+                                 laplacian_consistency, spectrum, winding_charges)
 from bundleqm.polarizations import (FockState, Polarization, bargmann_inverse,
+                                    bargmann_pairing,
                                     bargmann_transform, hermite_basis, hermite_functions,
                                     holomorphic_gauge, ladder_apply, ladder_coordinate,
                                     polarization_limit_check)
@@ -694,6 +697,29 @@ def _bad_calls():
          InvalidArgumentError),
         ("decompose shapes (2,) and (3,)", lambda: decompose([1, 2], [1, 2, 3]),
          GridFormatError),
+        # pairings, norms and recomposed components once returned NaN or inf, or
+        # leaked numpy's RuntimeWarning, for finite inputs near the float maximum
+        ("hermitian_pairing nan", lambda: hermitian_pairing(np.nan, 1), NonFiniteError),
+        ("hermitian_pairing 1e200", lambda: hermitian_pairing(1e200, 1e200), NonFiniteError),
+        ("recompose 1e308", lambda: recompose(DoubledSection(1e308, 1e308)), NonFiniteError),
+        ("bargmann_pairing 1e200",
+         lambda: bargmann_pairing(FockState([1e200]), FockState([1e200])), NonFiniteError),
+        ("FockState.norm_sq 1e200", lambda: FockState([1e200]).norm_sq(), NonFiniteError),
+        ("LineSection.norm_sq 1e200",
+         lambda: LineSection("x", AXIS, np.full(3, 1e200)).norm_sq(), NonFiniteError),
+        ("DoubledSection.norm_sq 1e200",
+         lambda: DoubledSection([1e200], [1e200]).norm_sq(), NonFiniteError),
+        # an overflowing total once gave the empty report ({}, 1), or a warning
+        # before NotNormalizedError
+        ("winding_charges 1e200", lambda: winding_charges(FockState([1e200, 1e200])),
+         NonFiniteError),
+        ("charge_density 1e200", lambda: charge_density(FockState([1e200])), NonFiniteError),
+        # these leaked numpy's RuntimeWarning before a typed error
+        ("DoubledSection.rotate_fiber inf", lambda: DoubledSection(1, 1).rotate_fiber(np.inf),
+         NonFiniteError),
+        ("hamiltonian_apply 1e308 at omega=1e10",
+         lambda: hamiltonian_apply(FockState([1e308]), OscillatorParams(1, 1e10)),
+         NonFiniteError),
     ]
 
 
@@ -707,6 +733,30 @@ def test_invalid_arguments_raise_typed_errors(call, error, tmp_path, monkeypatch
     with pytest.raises(error):
         call()
     assert not (tmp_path / "out").exists()
+
+
+_complex = st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
+                     st.floats(allow_nan=False, allow_infinity=False))
+_three = st.lists(_complex, min_size=3, max_size=3)
+
+
+@given(a=_three, b=_three)
+def test_pairings_and_norms_are_finite_or_refused(a, b):
+    # finite inputs over the whole float64 range: a finite value or
+    # NonFiniteError, and never a RuntimeWarning
+    calls = [lambda: hermitian_pairing(a, b), lambda: recompose(DoubledSection(a, b)),
+             lambda: bargmann_pairing(FockState(a), FockState(b)),
+             lambda: FockState(a).norm_sq(), lambda: LineSection("x", AXIS, a).norm_sq(),
+             lambda: DoubledSection(a, b).norm_sq()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            try:
+                value = call()
+            except NonFiniteError:
+                continue
+            for v in value if isinstance(value, tuple) else (value,):
+                assert np.all(np.isfinite(v))
 
 
 def test_nan_dt_is_named():
