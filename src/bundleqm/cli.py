@@ -430,67 +430,22 @@ def suite_charge_mirror(config: RunConfig):
     return checks
 
 
-# Heaviest first, the order verify's threads take the suites in.  Sequential
-# times in-process on a 2-core AVX-512 host, best of 15 with BLAS at 1
-# thread: husimi 7 ms, bargmann 2.7, holonomy 2.6, gauge 2.5, ccr 1.1,
-# spectrum 1.0, charge-mirror 0.2.
 SUITES = {
-    "husimi": suite_husimi,
     "bargmann": suite_bargmann,
-    "holonomy": suite_holonomy,
-    "gauge": suite_gauge,
     "ccr": suite_ccr,
-    "spectrum": suite_spectrum,
     "charge-mirror": suite_charge_mirror,
+    "gauge": suite_gauge,
+    "holonomy": suite_holonomy,
+    "husimi": suite_husimi,
+    "spectrum": suite_spectrum,
 }
-
-
-def _usable_cores() -> int:
-    """The number of cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:              # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-# Threads verify runs its suites on, at most: two is what was measured, on a
-# 2-core host.  By the sequential suite times two threads finish in about
-# 9 ms (husimi, ccr and charge-mirror against the other four) and a
-# third could only bring that to husimi's 7 ms, while the suites of many
-# small numpy calls wait longer for the GIL.
-_MAX_THREADS = 2
-
-
-def _run_suites(config: RunConfig, names) -> list:
-    """The checks of each suite in `names`, in that order.
-
-    A pool of k = min(len(names), usable cores, _MAX_THREADS) workers takes
-    the suites in SUITES' heaviest-first order, each idle worker the next
-    (greedy longest-first list scheduling); the calling thread waits.  The
-    suites share no state and spend their time in numpy kernels that release
-    the GIL.  The result does not depend on k: each suite's checks land at
-    its index in `names`, every suite runs even after one raises, and the
-    first raising suite in `names` is raised, as a sequential run would.
-
-    bench/tracing.py nests the calls it wraps (leaving `__wrapped__`) on one
-    stack, which threads would interleave; while it is installed, k is 1.
-    """
-    # imported here: with logging it adds about 10 ms to any command's start-up
-    from concurrent.futures import ThreadPoolExecutor
-    k = min(len(names), _usable_cores(), _MAX_THREADS)
-    if hasattr(cmd_verify, "__wrapped__"):
-        k = 1
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        futures = {name: pool.submit(SUITES[name], config)
-                   for name in sorted(names, key=list(SUITES).index)}
-    return [futures[name].result() for name in names]
 
 
 def cmd_verify(config: RunConfig, suite: str) -> int:
     if suite != "all" and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
     names = sorted(SUITES) if suite == "all" else [suite]
-    checks = [c for suite_checks in _run_suites(config, names) for c in suite_checks]
+    checks = [c for name in names for c in SUITES[name](config)]
     report = []
     all_passed = True
     for c in checks:

@@ -35,8 +35,10 @@ class EnergyLevel:
     q_v: int
 
 
+@finite_result("energy")
 def energy(n, params: OscillatorParams):
-    """E_n = omega(n + 1/2), for a level n or an array of levels."""
+    """E_n = omega(n + 1/2), for a level n or an array of levels; an E_n
+    beyond the float range raises NonFiniteError."""
     return params.omega * (n + 0.5)
 
 
@@ -50,11 +52,9 @@ def spectrum(n_max: int, params: OscillatorParams):
     n_max = check_int(n_max, "n_max", 0)
     if n_max > MAX_SPECTRUM_N:
         raise InvalidArgumentError(f"n_max={n_max} is over the cap of {MAX_SPECTRUM_N}")
-    out = []
-    for q in (+1, -1):
-        for n in range(n_max + 1):
-            out.append(EnergyLevel(n=n, E=energy(n, params), q_l=n * q, q_v=q))
-    return out
+    levels = energy(np.arange(n_max + 1), params).tolist()
+    return [EnergyLevel(n=n, E=e, q_l=n * q, q_v=q)
+            for q in (+1, -1) for n, e in enumerate(levels)]
 
 
 def eigenstate(n: int, charge: int = +1) -> FockState:
@@ -74,13 +74,15 @@ def hamiltonian_apply(state: FockState, params: OscillatorParams) -> FockState:
     return FockState(coeffs=energy(n, params) * state.coeffs, charge=state.charge)
 
 
+@finite_result("Schrodinger evolution")
 def evolve_schrodinger(state: FockState, dt: float, params: OscillatorParams,
                        frequency_sign: int = +1) -> FockState:
     """Advance by exact diagonal phases exp(i q omega (n+1/2) dt).
 
     Particle phases rotate counterclockwise (the -i d/dt convention);
     frequency_sign = -1 flips to the physics convention.  Norm is preserved
-    exactly.  dt is a finite real number, else a typed error.
+    exactly.  dt is a finite real number, else a typed error; a phase
+    E_n dt beyond the float range raises NonFiniteError.
     """
     check_sign(frequency_sign, "frequency_sign")
     dt = check_real(dt, "dt")
@@ -176,25 +178,32 @@ def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def husimi_levels(n_max: int, u, v, charge: int = +1):
     """Yield the Husimi fields Q_n of the eigenstates n = 0..n_max in turn.
 
-    Each field is a new array, byte-equal to husimi(eigenstate(n, charge),
-    u, v), but one term recurrence serves every level and exp(-|z'|^2) is
-    evaluated once.  The arguments are checked, and the grid capped, as by
-    husimi when this is called; a field that is not finite raises
-    NonFiniteError when it is reached.
+    Q_n = R_n exp(-r) with r = |z'|^2 and the real recurrence R_0 = 1/pi,
+    R_n = R_(n-1) r / n: the fields are the same for both charges, and
+    exp(-r) is evaluated once.  Each field is a new array equal to
+    husimi(eigenstate(n, charge), u, v) within 4(n + 1) units of the last
+    place wherever that is at least 1e-290.  The arguments are checked, and
+    the grid capped, as by husimi when this is called; a field that is not
+    finite (R_n overflows) raises NonFiniteError when it is reached.
     """
     n_max = check_int(n_max, "n_max", 0)
-    charge = check_charge(charge)
+    check_charge(charge)
     u, v = _husimi_axes(u, v)
-    gauss = np.exp(-(u ** 2 + v ** 2))
-    return _husimi_fields(u + 1j * charge * v, gauss, n_max)
+    r = u ** 2 + v ** 2
+    return _husimi_fields(r, np.exp(-r), n_max)
 
 
-def _husimi_fields(z: np.ndarray, gauss: np.ndarray, n_max: int):
-    terms = _bargmann_terms(z, n_max)
-    for _ in range(n_max + 1):
+def _husimi_fields(r: np.ndarray, gauss: np.ndarray, n_max: int):
+    # 1/pi rides in R, not in exp(-r): where exp(-r) is subnormal, dividing it
+    # by pi would round it again
+    radial = np.full_like(r, 1 / np.pi)
+    for n in range(n_max + 1):
         # around each step only: a suspended generator's `with` would hold in its caller
         with np.errstate(over="ignore", invalid="ignore"):     # reported just below
-            q_n = np.abs(next(terms)) ** 2 * gauss / np.pi
+            if n:
+                radial *= 1.0 / n   # before r: R_n, not R_(n-1) r, is what must fit
+                radial *= r
+            q_n = radial * gauss
         check_finite(q_n, "Husimi field")
         yield q_n
 

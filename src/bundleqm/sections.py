@@ -360,9 +360,13 @@ class DoubledSection:
         return np.abs(self.psi_plus) ** 2 + np.abs(self.psi_minus) ** 2
 
     def is_diagonal(self) -> bool:
-        """Neutral (q_v = 0) sections lie on the diagonal psi_plus = psi_minus (to 1e-12)."""
-        scale = max(np.max(np.abs(self.psi_plus)), np.max(np.abs(self.psi_minus)), 1.0)
-        return bool(np.max(np.abs(self.psi_plus - self.psi_minus)) <= 1e-12 * scale)
+        """Neutral (q_v = 0) sections lie on the diagonal psi_plus = psi_minus (to 1e-12
+        of the largest modulus, or of 1); an empty section counts as diagonal.  The
+        components are compared quartered, a power-of-two scaling under which no
+        modulus or difference leaves the float range."""
+        plus, minus = 0.25 * self.psi_plus, 0.25 * self.psi_minus
+        scale = max(np.max(np.abs(plus), initial=0.25), np.max(np.abs(minus), initial=0.25))
+        return bool(np.max(np.abs(plus - minus), initial=0.0) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------

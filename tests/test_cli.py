@@ -417,169 +417,84 @@ class TestVerifyCommand:
 
 
 class TestConcurrentVerify:
-    """verify's pool of k = min(cores, 2) worker threads takes the suites
-    heaviest first, the calling thread running none, and the checks come back
-    in sorted name order.  Tests that need two workers at once make two suites
-    wait for each other on a barrier, so they hold whichever workers the pool
-    gave them."""
-
-    HEAVIEST_FIRST = ["husimi", "bargmann", "holonomy", "gauge", "ccr", "spectrum",
-                      "charge-mirror"]
+    """verify runs its suites one after another on the calling thread, in
+    sorted name order, with no thread of its own; the first suite that
+    raises ends the run."""
 
     @staticmethod
-    def _verify(monkeypatch, tmp_path, capsys, cores, suite="all"):
-        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-        monkeypatch.setenv("BUNDLEQM_OUT", str(tmp_path / f"cores-{cores}"))
+    def _verify(monkeypatch, tmp_path, capsys, run="run", suite="all"):
+        monkeypatch.setenv("BUNDLEQM_OUT", str(tmp_path / run))
         code = main(["verify", "--suite", suite])
         out, err = capsys.readouterr()
-        reports = list((tmp_path / f"cores-{cores}").glob("verify-*/report.json"))
+        reports = list((tmp_path / run).glob("verify-*/report.json"))
         return code, out, err, [r.read_bytes() for r in reports]
 
     @staticmethod
-    def _meet(monkeypatch, names):
-        """Each suite in `names` waits for the others before it runs, so each
-        runs on a thread of its own."""
-        barrier = threading.Barrier(len(names), timeout=10)
-        for name in names:
-            def wait_then_run(config, suite=cli.SUITES[name]):
-                barrier.wait()
-                return suite(config)
-            monkeypatch.setitem(cli.SUITES, name, wait_then_run)
-
-    def test_output_bytes_do_not_depend_on_the_core_count(self, tmp_path, monkeypatch,
-                                                          capsys):
-        runs = [self._verify(monkeypatch, tmp_path, capsys, cores) for cores in (1, 2)]
-        assert runs[0][0] == EXIT_OK and len(runs[0][3]) == 1
-        assert runs[1] == runs[0]
-
-    @pytest.mark.parametrize("cores, traced, threads",
-                             [(1, False, 1), (2, False, 2), (8, False, 2), (8, True, 1)])
-    def test_threads_used(self, monkeypatch, cores, traced, threads):
-        threads_seen = set()
-
-        def record(config):
-            threads_seen.add(threading.current_thread())
-            return []
-
-        for name in cli.SUITES:
-            monkeypatch.setitem(cli.SUITES, name, record)
-        if threads > 1:
-            self._meet(monkeypatch, ["spectrum", "charge-mirror"])
-        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-        if traced:      # a call tracer wraps the commands, as bench/tracing.py does
-            monkeypatch.setattr(cli, "cmd_verify", functools.wraps(cli.cmd_verify)(
-                lambda *args: None))
-        assert cli._run_suites(RunConfig(), sorted(cli.SUITES)) == [[]] * len(cli.SUITES)
-        assert len(threads_seen) == threads
-        assert threading.current_thread() not in threads_seen
-
-    @pytest.mark.parametrize("cores", [1, 2])
-    @pytest.mark.parametrize("names", [sorted(cli.SUITES), ["ccr", "spectrum"], ["husimi"]])
-    def test_queue_takes_each_suite_once_heaviest_first(self, monkeypatch, cores, names):
-        # with all names, the queue names every SUITES key exactly once
-        taken = []
-        for name in cli.SUITES:
-            monkeypatch.setitem(cli.SUITES, name,
-                                lambda config, name=name: taken.append(name) or [name])
-        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-        assert cli._run_suites(RunConfig(), names) == [[name] for name in names]
-        assert sorted(taken) == sorted(names)
-        if cores == 1:
-            assert taken == [name for name in self.HEAVIEST_FIRST if name in names]
-
-    def test_many_threads_take_each_suite_once(self, monkeypatch):
-        names = [f"suite-{i:03d}" for i in range(300)]
-        taken = []
-        for name in names:
-            monkeypatch.setitem(cli.SUITES, name,
-                                lambda config, name=name: taken.append(name) or [name])
-        monkeypatch.setattr(cli, "_usable_cores", lambda: 8)
-        monkeypatch.setattr(cli, "_MAX_THREADS", 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = cli._run_suites(RunConfig(), names)
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [[name] for name in names]
-        assert sorted(taken) == names
-
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_every_suite_runs_after_one_raises(self, monkeypatch, cores):
+    def _record(monkeypatch, raising=()):
+        """Replace every suite with one that records its name and thread, and
+        raises if named in `raising`."""
         taken = []
 
         def record(name):
             def suite(config):
-                taken.append(name)
-                if name in ("spectrum", "gauge"):
+                taken.append((name, threading.current_thread()))
+                if name in raising:
                     raise DecayViolationError(f"injected in {name}")
                 return []
             return suite
 
         for name in cli.SUITES:
             monkeypatch.setitem(cli.SUITES, name, record(name))
-        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
-        with pytest.raises(DecayViolationError, match="injected in gauge"):
-            cli._run_suites(RunConfig(), sorted(cli.SUITES))
-        assert sorted(taken) == sorted(cli.SUITES)
+        return taken
 
-    def test_helper_thread_error_gives_one_error_line(self, tmp_path, monkeypatch, capsys):
-        caller = threading.current_thread()
-        threads_seen = []
+    def test_output_bytes_do_not_depend_on_the_core_count(self, tmp_path, monkeypatch,
+                                                          capsys):
+        runs = [self._verify(monkeypatch, tmp_path, capsys, run) for run in ("a", "b")]
+        assert runs[0][0] == EXIT_OK and len(runs[0][3]) == 1
+        assert runs[1] == runs[0]
 
-        def decays_on_a_worker(config):
-            threads_seen.append(threading.current_thread())
-            raise DecayViolationError("injected on a worker thread")
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_every_suite_runs_on_the_calling_thread(self, tmp_path, monkeypatch, capsys,
+                                                    traced):
+        taken = self._record(monkeypatch)
+        if traced:      # a call tracer wraps the commands, as bench/tracing.py does
+            verify = cli.cmd_verify
+            monkeypatch.setattr(cli, "cmd_verify",
+                                functools.wraps(verify)(lambda *args: verify(*args)))
+        before = threading.active_count()
+        code, out, _err, reports = self._verify(monkeypatch, tmp_path, capsys)
+        assert code == EXIT_OK and len(reports) == 1 and out == "0/0 checks passed\n"
+        assert taken == [(name, threading.current_thread()) for name in sorted(cli.SUITES)]
+        assert threading.active_count() == before
 
-        # the two suites meet, so each raises on a worker thread of its own
-        monkeypatch.setitem(cli.SUITES, "husimi", decays_on_a_worker)
-        monkeypatch.setitem(cli.SUITES, "ccr", decays_on_a_worker)
-        self._meet(monkeypatch, ["husimi", "ccr"])
-        code, out, err, reports = self._verify(monkeypatch, tmp_path, capsys, 2)
+    def test_raising_suite_gives_one_error_line(self, tmp_path, monkeypatch, capsys):
+        taken = self._record(monkeypatch, raising=("gauge",))
+        code, out, err, reports = self._verify(monkeypatch, tmp_path, capsys)
         assert code == EXIT_USAGE and out == "" and reports == []
-        assert err == "error: injected on a worker thread\n"
-        assert len(set(threads_seen)) == 2 and caller not in threads_seen
+        assert err == "error: injected in gauge\n"
+        # the suites after it in name order do not run
+        names = sorted(cli.SUITES)
+        assert [name for name, _ in taken] == names[:names.index("gauge") + 1]
 
     @pytest.mark.parametrize("first, second", [("gauge", "spectrum"), ("bargmann", "ccr")])
     def test_first_raising_suite_in_name_order_is_reported(self, tmp_path, monkeypatch,
                                                            capsys, first, second):
-        def raiser(name):
-            def suite(config):
-                raise DecayViolationError(f"injected in {name}")
-            return suite
-
-        monkeypatch.setitem(cli.SUITES, first, raiser(first))
-        monkeypatch.setitem(cli.SUITES, second, raiser(second))
-        code, _out, err, _reports = self._verify(monkeypatch, tmp_path, capsys, 2)
+        self._record(monkeypatch, raising=(first, second))
+        code, _out, err, _reports = self._verify(monkeypatch, tmp_path, capsys)
         assert code == EXIT_USAGE and err == f"error: injected in {first}\n"
 
-    def test_check_fault_on_the_helper_thread_fails_verify(self, tmp_path, monkeypatch,
-                                                           capsys):
+    def test_check_faults_fail_verify(self, tmp_path, monkeypatch, capsys):
         # the connection's sign flipped makes the curvature +1 (gauge suite), and
-        # x and p swapped make [p, x] = +i (ccr suite); the two suites meet, so
-        # each fault is measured on a worker thread of its own
+        # x and p swapped make [p, x] = +i (ccr suite)
         monkeypatch.setattr(bundles, "vacuum_connection", lambda: bundles.GaugeConnection(
             a_x=lambda x, p: -0.5 * p, a_p=lambda x, p: 0.5 * x))
         canonical = bundles.canonical_operators
         monkeypatch.setattr(bundles, "canonical_operators",
                             lambda rep, charge: canonical(rep, charge)[::-1])
-        self._meet(monkeypatch, ["gauge", "ccr"])
-        code, out, _err, reports = self._verify(monkeypatch, tmp_path, capsys, 2)
+        code, out, _err, reports = self._verify(monkeypatch, tmp_path, capsys)
         assert code == EXIT_CHECK_FAILED and len(reports) == 1
         assert "[FAIL] curvature vacuum" in out
         assert "[FAIL] ccr coordinate charge +1" in out
-
-    @pytest.mark.parametrize("raising, code", [pytest.param(None, EXIT_OK, id="passing"),
-                                               pytest.param("gauge", EXIT_USAGE, id="raising")])
-    def test_threads_are_joined(self, tmp_path, monkeypatch, capsys, raising, code):
-        def decays(config):
-            raise DecayViolationError("injected")
-
-        if raising:
-            monkeypatch.setitem(cli.SUITES, raising, decays)
-        before = threading.active_count()
-        assert self._verify(monkeypatch, tmp_path, capsys, 2)[0] == code
-        assert threading.active_count() == before
 
 
 class TestOutputLayout:

@@ -32,8 +32,8 @@ from bundleqm.orbifold import (ConeGeometry, branched_cover, circle_loop, cone_m
 from bundleqm import oscillator
 from bundleqm.cli import RunConfig, cmd_husimi
 from bundleqm.oscillator import (MAX_SPECTRUM_N, bargmann_function, charge_density,
-                                 coordinate_hamiltonian_matrix, eigenstate, evolve_schrodinger,
-                                 hamiltonian_apply, husimi, husimi_levels,
+                                 coordinate_hamiltonian_matrix, eigenstate, energy,
+                                 evolve_schrodinger, hamiltonian_apply, husimi, husimi_levels,
                                  laplacian_consistency, spectrum, winding_charges)
 from bundleqm.polarizations import (FockState, Polarization, bargmann_inverse,
                                     bargmann_pairing,
@@ -720,6 +720,12 @@ def _bad_calls():
         ("hamiltonian_apply 1e308 at omega=1e10",
          lambda: hamiltonian_apply(FockState([1e308]), OscillatorParams(1, 1e10)),
          NonFiniteError),
+        ("evolve_schrodinger dt=1e308",
+         lambda: evolve_schrodinger(FockState([1, 1, 1]), 1e308, OscillatorParams()),
+         NonFiniteError),
+        # this one returned inf
+        ("energy 1e308 at omega=10", lambda: energy(1e308, OscillatorParams(1, 10)),
+         NonFiniteError),
     ]
 
 
@@ -786,6 +792,32 @@ def test_hermite_weight_that_underflows_is_zero(t):
 def test_spectrum_cap_bounds():
     assert MAX_SPECTRUM_N == 2 ** 16
     assert len(spectrum(MAX_SPECTRUM_N, OscillatorParams())) == 2 * (MAX_SPECTRUM_N + 1)
+
+
+def test_spectrum_takes_every_level_from_one_energy_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oscillator, "energy",
+                        lambda n, params: calls.append(n) or energy(n, params))
+    params = OscillatorParams(0.7, 2.3)
+    levels = spectrum(MAX_SPECTRUM_N, params)
+    assert len(calls) == 1
+    assert all(type(level.E) is float for level in levels)
+    assert [level.E for level in levels] == 2 * [params.omega * (n + 0.5)
+                                                 for n in range(MAX_SPECTRUM_N + 1)]
+
+
+@pytest.mark.parametrize("plus, minus, diagonal", [
+    (1.7e308, -1.7e308, False),
+    (complex(1.7e308, 1.7e308), 0, False),
+    (complex(1.7e308, -1.7e308), complex(1.7e308, -1.7e308), True),
+    (np.zeros(0), np.zeros(0), True),
+])
+def test_is_diagonal_near_the_float_maximum_and_empty(plus, minus, diagonal):
+    # the difference once overflowed with a RuntimeWarning, and an empty
+    # section raised numpy's ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert DoubledSection(plus, minus).is_diagonal() is diagonal
 
 
 def test_blank_husimi_field_is_refused(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from bundleqm.bundles import covariant_derivative
 from bundleqm.classical import OscillatorParams
 from bundleqm.cli import RunConfig, _gauge_family, suite_husimi
 from bundleqm.errors import (BundleqmError, GridTooSmallError, InvalidArgumentError,
-                             QuadratureUnderResolvedError)
+                             NonFiniteError, QuadratureUnderResolvedError)
 from bundleqm.orbifold import circle_loop, ellipse_loop, square_loop
 from bundleqm.oscillator import (bargmann_function, coordinate_hamiltonian_matrix,
                                  eigenstate, evolve_schrodinger, hamiltonian_apply, husimi,
@@ -199,14 +199,55 @@ def test_husimi_row_blocks_bit_identical(columns):
     assert got.tobytes() == oracles.husimi_reference(state.coeffs, -1, U, v).tobytes()
 
 
+def _assert_husimi_level_matches(q, n, charge, u, v):
+    # within 4(n+1) units of the last place, relative, wherever husimi's value
+    # is at least 1e-290; below that both are tiny
+    ref = husimi(eigenstate(n, charge), u, v)
+    held = ref >= 1e-290
+    assert np.all(np.abs(q - ref)[held] <= 4 * (n + 1) * 2.0 ** -52 * ref[held])
+    assert np.all(q[~held] <= 2e-290)
+
+
 @pytest.mark.parametrize("charge", [+1, -1])
-def test_husimi_levels_bit_identical_to_husimi(charge):
+def test_husimi_levels_match_husimi(charge):
     levels = list(husimi_levels(10, U, V, charge))
     assert len(levels) == 11
     for n, q in enumerate(levels):
-        assert q.tobytes() == husimi(eigenstate(n, charge), U, V).tobytes()
+        _assert_husimi_level_matches(q, n, charge, U, V)
     *_, q_97 = husimi_levels(97, U, V, charge)
-    assert q_97.tobytes() == husimi(eigenstate(97, charge), U, V).tobytes()
+    _assert_husimi_level_matches(q_97, 97, charge, U, V)
+
+
+def test_husimi_levels_same_for_both_charges():
+    for plus, minus in zip(husimi_levels(20, U, V, +1), husimi_levels(20, U, V, -1)):
+        assert plus.tobytes() == minus.tobytes()
+
+
+_axis = st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=9).map(np.array)
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=_axis, v=_axis, n_max=st.integers(0, 100), charge=st.sampled_from([+1, -1]),
+       data=st.data())
+def test_husimi_levels_match_husimi_property(u, v, n_max, charge, data):
+    k = data.draw(st.integers(0, n_max), label="k")
+    for n, q in enumerate(husimi_levels(n_max, u, v, charge)):
+        if n in (k, n_max):
+            _assert_husimi_level_matches(q, n, charge, u, v)
+
+
+def test_husimi_levels_overflow_where_husimi_does():
+    # |z'|^2 reaches 2592 in the corners, where r^n / n! leaves the float range
+    # from n = 201 on (and where exp(-r) is 0, so the field would hold inf * 0)
+    u = np.linspace(-36.0, 36.0, 73)
+    levels = husimi_levels(220, u, u)
+    for n in range(201):
+        _assert_husimi_level_matches(next(levels), n, +1, u, u)
+    for n in (201, 220):
+        with pytest.raises(NonFiniteError, match="Husimi"):
+            husimi(eigenstate(n), u, u)
+    with pytest.raises(NonFiniteError, match="Husimi"):
+        next(levels)
 
 
 def test_suite_husimi_checks_equal_per_level_calls():
