@@ -18,11 +18,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DivisionNearZeroError, GridFormatError, GridTooSmallError,
-                     InvalidArgumentError)
+from .errors import DivisionNearZeroError, GridFormatError, GridTooSmallError
 from .sections import (DoubledSection, GridSection, LineSection, check_array, check_charge,
-                       check_finite, check_real, diff_axis, finite_result, load_grid,
-                       require_axis, save_grid)
+                       check_choice, check_finite, check_real, diff_axis, finite_result,
+                       load_grid, require_axis, save_grid)
 
 __all__ = [
     "GaugeConnection", "vacuum_connection", "gauge_transform",
@@ -73,10 +72,8 @@ def gauge_transform(conn: GaugeConnection, alpha: Callable,
 def covariant_derivative(sec: GridSection, direction: str,
                          conn: GaugeConnection) -> GridSection:
     """grad = d + i q_v A along x or p, by central differences."""
-    if direction not in ("x", "p"):
-        raise InvalidArgumentError(f"direction must be 'x' or 'p', got {direction!r}")
     x, p = sec.x[:, None], sec.p[None, :]
-    if direction == "x":
+    if check_choice(direction, "direction", ("x", "p")) == "x":
         deriv = diff_axis(sec.values, sec.hx, axis=0)
         a = conn.a_x(x, p)
     else:
@@ -111,10 +108,8 @@ def canonical_operators(rep: str, charge: int):
     +1 gives (i d/dp, p*), charge -1 the antiparticle mirror (-i d/dp, -p*).
     """
     check_charge(charge)
-    if rep == "coordinate":
+    if check_choice(rep, "rep", ("coordinate", "momentum")) == "coordinate":
         return translate_operator(0.0)
-    if rep != "momentum":
-        raise InvalidArgumentError(f"rep must be 'coordinate' or 'momentum', got {rep!r}")
 
     def x_hat(sec: LineSection) -> LineSection:
         require_axis(sec, "p")

@@ -106,13 +106,14 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class ClassicalState:
-    """Initial datum z0 and winding charge; the two charges evolve independently."""
+    """Initial datum z0, one finite complex number, and winding charge: charges never mix."""
 
     z0: complex
     charge: int = +1
 
     def __post_init__(self):
-        check_finite(check_array(self.z0, complex, "z0"), "z0")
+        object.__setattr__(self, "z0", complex(check_array(self.z0, complex, "z0", ndim=0)))
+        check_finite(self.z0, "z0")
         check_charge(self.charge)
 
 
@@ -224,8 +225,7 @@ def winding_number(samples) -> int:
 def moment_map(z: complex) -> float:
     """mu(z) = z zbar, the generator of the U(1) rotation action.  Text raises
     InvalidArgumentError; NaN, inf or a value that overflows NonFiniteError."""
-    check_array(z, complex, "z")
-    return abs(z) ** 2
+    return abs(complex(check_array(z, complex, "z", ndim=0))) ** 2
 
 
 @finite_result("reduced orbit")

@@ -15,8 +15,8 @@ import numpy as np
 
 from .classical import TWO_PI, check_angular_steps, closed_loop_ratios
 from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
-from .sections import (check_array, check_finite, check_int, check_pair, check_real,
-                       check_samples, finite_result)
+from .sections import (check_array, check_choice, check_finite, check_int, check_pair,
+                       check_real, check_samples, finite_result)
 
 
 @dataclass(frozen=True)
@@ -200,9 +200,8 @@ def loop_from_spec(spec) -> np.ndarray:
         return points
     if not isinstance(spec, dict):
         raise InvalidArgumentError("loop spec must be a list of pairs or a descriptor dict")
-    shape = spec.get("shape", "circle")
-    if shape not in ("circle", "square", "ellipse"):
-        raise InvalidArgumentError(f"unknown loop shape {shape!r}")
+    shape = check_choice(spec.get("shape", "circle"), "loop shape",
+                         ("circle", "square", "ellipse"))
     center = check_pair(spec.get("center", (0.0, 0.0)), "center")
     samples = spec.get("samples", 4096)
     radius = spec.get("radius", 1.0)

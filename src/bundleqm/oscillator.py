@@ -108,26 +108,16 @@ def winding_charges(state: FockState):
     return report, state.charge
 
 
-def _bargmann_terms(z: np.ndarray, n_max: int):
-    """Yield z^n / sqrt(n!) for n = 0..n_max: one array, updated in place.
-
-    The caller sets np.errstate: the steps run in its context when resumed.
-    """
+def _bargmann_sum(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum c_n z^n / sqrt(n!) with one term array, updated in place; zero
+    coefficients add nothing."""
     term = np.ones_like(z)
-    yield term
-    for n in range(1, n_max + 1):
+    out = coeffs[0] * term
+    for n in range(1, coeffs.size):
         term *= z
         term *= 1.0 / np.sqrt(n)     # numpy's complex / real, without its scalar loop
-        yield term
-
-
-def _bargmann_sum(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """sum c_n z^n / sqrt(n!); zero coefficients add nothing."""
-    terms = _bargmann_terms(z, coeffs.size - 1)
-    out = coeffs[0] * next(terms)
-    for c, term in zip(coeffs[1:], terms):
-        if c != 0:
-            out += c * term
+        if coeffs[n] != 0:
+            out += coeffs[n] * term
     return out
 
 
@@ -175,19 +165,18 @@ def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return q_field
 
 
-def husimi_levels(n_max: int, u, v, charge: int = +1):
+def husimi_levels(n_max: int, u, v):
     """Yield the Husimi fields Q_n of the eigenstates n = 0..n_max in turn.
 
     Q_n = R_n exp(-r) with r = |z'|^2 and the real recurrence R_0 = 1/pi,
-    R_n = R_(n-1) r / n: the fields are the same for both charges, and
-    exp(-r) is evaluated once.  Each field is a new array equal to
-    husimi(eigenstate(n, charge), u, v) within 4(n + 1) units of the last
-    place wherever that is at least 1e-290.  The arguments are checked, and
-    the grid capped, as by husimi when this is called; a field that is not
-    finite (R_n overflows) raises NonFiniteError when it is reached.
+    R_n = R_(n-1) r / n: the fields do not depend on the charge, and exp(-r)
+    is evaluated once.  Each field is a new array equal to husimi(eigenstate(n,
+    q), u, v) at either charge q within 4(n + 1) units of the last place
+    wherever that is at least 1e-290.  The arguments are checked, and the grid
+    capped, as by husimi when this is called; a field that is not finite (R_n
+    overflows) raises NonFiniteError when it is reached.
     """
     n_max = check_int(n_max, "n_max", 0)
-    check_charge(charge)
     u, v = _husimi_axes(u, v)
     r = u ** 2 + v ** 2
     return _husimi_fields(r, np.exp(-r), n_max)
@@ -245,13 +234,14 @@ def laplacian_consistency(n: int, params: OscillatorParams,
     eigenvalue is measured as a Rayleigh quotient two cells in from each edge
     (the monomial vanishes at the origin, so pointwise ratios are ill-posed).
     Equivalently -Laplacian/2m has eigenvalue omega(n + 1/2).  half_width
-    and h: finite, positive, at most 2**22 grid samples, else InvalidArgumentError.
+    and h: finite, positive, at most 2**22 grid samples, else
+    InvalidArgumentError; under 6 samples per axis, GridTooSmallError.
     """
     n = check_int(n, "n", 0)
     if n > 8:
         raise ResolutionInsufficientError("n must be <= 8 (grid-resolvable)")
     check_charge(charge)
-    half_width, nx = _grid_samples(half_width, h, 2)
+    half_width, nx = _grid_samples(half_width, h, 2, 6)
     w2 = params.w2
 
     def psi_n(X, P):
@@ -270,7 +260,10 @@ def laplacian_consistency(n: int, params: OscillatorParams,
     lap = gxx.values + gpp.values / params.w4
     sl = (slice(2, -2), slice(2, -2))
     inner = sec.values[sl]
-    measured = complex(np.sum(np.conj(inner) * lap[sl]) / np.sum(np.abs(inner) ** 2))
+    weight = np.sum(np.abs(inner) ** 2)
+    if weight == 0:     # Psi_n underflows to 0 on a coarse grid's interior
+        raise ResolutionInsufficientError("Psi_n is 0 on the interior; refine the grid")
+    measured = complex(np.sum(np.conj(inner) * lap[sl]) / weight)
     expected = -(2.0 / w2) * (n + 0.5)
     rel = abs(measured - expected) / abs(expected)
     if rel > 0.05:
@@ -284,14 +277,18 @@ def laplacian_consistency(n: int, params: OscillatorParams,
 # Coordinate-representation Hamiltonian matrix (Stone-von Neumann check)
 # ---------------------------------------------------------------------------
 
-def _grid_samples(half_width: float, h: float, dims: int):
-    """Checked half_width, samples per axis at step h; dims axes hold <= MAX_SAMPLES."""
+def _grid_samples(half_width: float, h: float, dims: int, minimum: int):
+    """Checked half_width, samples per axis at step h: dims axes hold <= MAX_SAMPLES
+    (else InvalidArgumentError), each at least minimum (else GridTooSmallError)."""
     half_width, h = check_positive(half_width, "half_width"), check_positive(h, "h")
     span = 2 * half_width / h                   # inf for a step far below the width
-    if span < MAX_SAMPLES and (round(span) + 1) ** dims <= MAX_SAMPLES:
-        return half_width, round(span) + 1
-    raise InvalidArgumentError(f"grid half_width={half_width!r}, h={h!r} exceeds "
-                               f"{MAX_SAMPLES} samples")
+    if not (span < MAX_SAMPLES and (round(span) + 1) ** dims <= MAX_SAMPLES):
+        raise InvalidArgumentError(f"grid half_width={half_width!r}, h={h!r} exceeds "
+                                   f"{MAX_SAMPLES} samples")
+    n = round(span) + 1
+    if n < minimum:
+        raise GridTooSmallError(f"need at least {minimum} samples, got {n}")
+    return half_width, n
 
 
 def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
@@ -305,9 +302,7 @@ def coordinate_hamiltonian_matrix(n_max: int, params: OscillatorParams,
     eigenvalues reproduce the Fock spectrum omega(n + 1/2).
     half_width and h: finite, positive, 5 to 2**22 samples, else a typed error.
     """
-    half_width, n_pts = _grid_samples(half_width, h, 1)
-    if n_pts < 5:
-        raise GridTooSmallError(f"need at least 5 samples, got {n_pts}")
+    half_width, n_pts = _grid_samples(half_width, h, 1, 5)
     x = np.linspace(-half_width, half_width, n_pts)
     basis = hermite_basis(n_max, x, params)
 

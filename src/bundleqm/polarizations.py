@@ -23,9 +23,9 @@ from .bundles import GaugeConnection
 from .classical import OscillatorParams, complex_coordinate
 from .errors import (ChargeMismatchError, DecayViolationError, InvalidArgumentError,
                      NonMonotoneError, QuadratureUnderResolvedError)
-from .sections import (GridSection, LineSection, check_array, check_charge, check_finite,
-                       check_int, check_pair, check_positive, check_samples, diff_axis,
-                       finite_result, require_axis, resolve_charge, trapezoid_weights)
+from .sections import (GridSection, LineSection, check_array, check_charge, check_choice,
+                       check_finite, check_int, check_pair, check_positive, check_samples,
+                       diff_axis, finite_result, require_axis, resolve_charge, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class Polarization:
     _KINDS = ("coordinate", "momentum", "holomorphic", "antiholomorphic")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise InvalidArgumentError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
+        check_choice(self.kind, "kind", self._KINDS)
 
     def admits_charge(self, charge: int) -> bool:
         """Holomorphic pairs with +1, antiholomorphic with -1; real ones with both."""
@@ -161,11 +160,16 @@ def gauss_hermite(order: int):
     read-only arrays computed once per order per process.  order must be an
     int in 1..GAUSS_HERMITE_MAX_ORDER.
     """
+    return _gauss_hermite_rule(_check_order(order))[:3]
+
+
+def _check_order(order: int) -> int:
+    """A quadrature order: an int in 1..GAUSS_HERMITE_MAX_ORDER, else a typed error."""
     order = check_int(order, "order", 1)
     if order > GAUSS_HERMITE_MAX_ORDER:
         raise QuadratureUnderResolvedError(
             f"order {order} above the maximum {GAUSS_HERMITE_MAX_ORDER}")
-    return _gauss_hermite_rule(order)[:3]
+    return order
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,12 +253,10 @@ def ladder_apply(state: FockState, which: str) -> FockState:
     """
     c = state.coeffs
     n = np.arange(c.size)
-    if which == "lower":
+    if check_choice(which, "which", ("lower", "raise")) == "lower":
         out = (np.sqrt(n) * c)[1:] if c.size > 1 else np.zeros(1, dtype=complex)
-    elif which == "raise":
-        out = np.concatenate([[0.0], np.sqrt(n + 1) * c])
     else:
-        raise InvalidArgumentError(f"which must be 'lower' or 'raise', got {which!r}")
+        out = np.concatenate([[0.0], np.sqrt(n + 1) * c])
     return FockState(coeffs=out, charge=state.charge)
 
 
@@ -266,12 +268,10 @@ def ladder_coordinate(sec: LineSection, which: str, params: OscillatorParams) ->
     require_axis(sec, "x")
     w, w2 = params.w, params.w2
     deriv = diff_axis(sec.values, sec.h, axis=0)
-    if which == "lower":
+    if check_choice(which, "which", ("lower", "raise")) == "lower":
         vals = (w / np.sqrt(2.0)) * (deriv + sec.coords / w2 * sec.values)
-    elif which == "raise":
-        vals = (w / np.sqrt(2.0)) * (sec.coords / w2 * sec.values - deriv)
     else:
-        raise InvalidArgumentError(f"which must be 'lower' or 'raise', got {which!r}")
+        vals = (w / np.sqrt(2.0)) * (sec.coords / w2 * sec.values - deriv)
     return sec.like(vals)
 
 
@@ -291,7 +291,8 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
     uniform grid; its edge samples must be below 1e-8 of its peak
     (DecayViolationError otherwise).  quad_order is checked alike for both
     kinds (at least 2N+2, and a valid gauss_hermite order), so a call valid
-    for a callable stays valid for its samples.
+    for a callable stays valid for its samples; only a callable builds the
+    rule.  A sec that is neither raises InvalidArgumentError.
 
     The state takes the section's charge, or +1 for a callable; a `charge`
     given here must be +1 or -1 (InvalidChargeError) and agree with the
@@ -300,7 +301,7 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
     charge = resolve_charge(sec.charge if isinstance(sec, LineSection) else None, charge,
                             "bargmann_transform: the section")
     n_max = check_int(n_max, "n_max", 0)
-    nodes, _, scaled = gauss_hermite(quad_order)     # also validates quad_order
+    quad_order = _check_order(quad_order)
     if quad_order < 2 * n_max + 2:
         raise QuadratureUnderResolvedError(
             f"quad_order {quad_order} below floor 2N+2 = {2 * n_max + 2}")
@@ -314,12 +315,14 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
         coeffs = hermite_basis(n_max, sec.coords, params) @ (
             trapezoid_weights(sec.coords) * sec.values)
         return FockState(coeffs=coeffs, charge=charge)
-    w = params.w
-    psi_nodes = np.asarray(sec(w * nodes), dtype=complex)
+    if not callable(sec):
+        raise InvalidArgumentError(f"sec must be a LineSection or a callable, got {sec!r}")
+    nodes, _, scaled = gauss_hermite(quad_order)
+    psi_nodes = np.asarray(sec(params.w * nodes), dtype=complex)
     # e_n(t_k), n <= n_max: the recurrence's rows do not depend on how many follow
-    basis = _gauss_hermite_rule(nodes.size)[3][:n_max + 1]
+    basis = _gauss_hermite_rule(quad_order)[3][:n_max + 1]
     # c_n = sqrt(w) * sum_k [w_k e^{t_k^2}] e_n(t_k) psi(w t_k)
-    coeffs = np.sqrt(w) * basis @ (scaled * psi_nodes)
+    coeffs = np.sqrt(params.w) * basis @ (scaled * psi_nodes)
     return FockState(coeffs=coeffs, charge=charge)
 
 
@@ -379,7 +382,8 @@ def polarization_limit_check(params: OscillatorParams, w_sequence: Sequence[floa
     (w outside about 1e-81..1e77), raises InvalidArgumentError.
     """
     q = check_charge(charge)
-    ws = [check_positive(v, "w") for v in w_sequence]
+    # object dtype keeps each entry as given, so a bool meets check_positive's refusal
+    ws = [check_positive(v, "w") for v in check_array(w_sequence, object, "w_sequence", ndim=1)]
     # OscillatorParams rejects a w whose omega = 1/m/w/w, w^2 or w^4 leaves the
     # float range, so every accepted entry has params.w == w up to rounding
     scales = [OscillatorParams(m=params.m, omega=1.0 / params.m / w / w) for w in ws]

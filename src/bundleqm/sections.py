@@ -79,16 +79,24 @@ def check_positive(value, name: str) -> float:
 
 
 def check_array(value, dtype, name: str, ndim: Optional[int] = None) -> np.ndarray:
-    """`value` as an array of dtype, with ndim dimensions when ndim is given;
-    else InvalidArgumentError (say for text, ragged lists or a 2D loop)."""
+    """`value` as an array of dtype, with ndim dimensions when ndim is given; else
+    InvalidArgumentError: for any text, an int beyond floats, ragged lists or a 2D loop."""
     try:
+        if np.asarray(value).dtype.kind in "SU":
+            raise TypeError
         arr = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"{name} must be an array of {np.dtype(dtype).name} "
-                                   f"numbers, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgumentError(f"{name} must be an array of numbers, got {value!r}") from None
     if ndim is not None and arr.ndim != ndim:
         raise InvalidArgumentError(f"{name} must be a {ndim}D array, got shape {arr.shape}")
     return arr
+
+
+def check_choice(value, name: str, choices: tuple) -> str:
+    """An option name: `value` if it is a str among `choices`, else InvalidArgumentError."""
+    if not (isinstance(value, str) and value in choices):
+        raise InvalidArgumentError(f"{name} must be one of {choices}, got {value!r}")
+    return value
 
 
 def check_pair(value, name: str) -> complex:
@@ -286,8 +294,7 @@ class LineSection:
     charge: int = +1
 
     def __post_init__(self):
-        if self.axis not in ("x", "p"):
-            raise InvalidArgumentError(f"axis must be 'x' or 'p', got {self.axis!r}")
+        check_choice(self.axis, "axis", ("x", "p"))
         self.coords = check_array(self.coords, float, f"{self.axis} axis")
         self.values = check_array(self.values, complex, "section values")
         self.h = _uniform_spacing(self.coords, self.axis)

@@ -46,6 +46,7 @@ from bundleqm.sections import (MAX_SAMPLES, DoubledSection, GridSection, LineSec
                                write_grid_csv)
 
 AXIS = np.linspace(-1.0, 1.0, 3)
+EMPTY = np.zeros(0)
 
 BAD_CHARGES = [True, False, 1.0, -1.0, 0, 2, -2, np.float64(1.0), "1", None]
 
@@ -480,8 +481,6 @@ def _bad_calls():
         ("husimi_levels v 'a'", lambda: husimi_levels(1, [0.0], "a"), InvalidArgumentError),
         ("husimi_levels n_max=-1", lambda: husimi_levels(-1, [0.0], [0.0]),
          InvalidArgumentError),
-        ("husimi_levels charge=0", lambda: husimi_levels(1, [0.0], [0.0], 0),
-         InvalidChargeError),
         ("bargmann_function z='abc'", lambda: bargmann_function(eigenstate(1), "abc"),
          InvalidArgumentError),
         ("bargmann_function z=[nan]", lambda: bargmann_function(eigenstate(1), [np.nan]),
@@ -726,6 +725,69 @@ def _bad_calls():
         # this one returned inf
         ("energy 1e308 at omega=10", lambda: energy(1e308, OscillatorParams(1, 10)),
          NonFiniteError),
+        # an option name that is not a str once leaked numpy's "truth value of
+        # an empty array is ambiguous", or was accepted as a one-element array
+        ("canonical_operators rep=[]", lambda: canonical_operators(EMPTY, 1),
+         InvalidArgumentError),
+        ("canonical_operators rep=array(['momentum'])",
+         lambda: canonical_operators(np.array(["momentum"]), 1), InvalidArgumentError),
+        ("ladder_apply which=[]", lambda: ladder_apply(eigenstate(1), EMPTY),
+         InvalidArgumentError),
+        ("ladder_coordinate which=[]", lambda: ladder_coordinate(line, EMPTY, params),
+         InvalidArgumentError),
+        ("covariant_derivative direction=[]",
+         lambda: covariant_derivative(_grid(), EMPTY, vacuum_connection()),
+         InvalidArgumentError),
+        ("covariant_derivative direction=array(['p'])",
+         lambda: covariant_derivative(_grid(), np.array(["p"]), vacuum_connection()),
+         InvalidArgumentError),
+        ("LineSection axis=[]", lambda: LineSection(EMPTY, AXIS, np.ones(3)),
+         InvalidArgumentError),
+        ("Polarization kind=[]", lambda: Polarization(EMPTY), InvalidArgumentError),
+        ("loop spec shape=[]", lambda: loop_from_spec({"shape": EMPTY}), InvalidArgumentError),
+        # numeric text was once read as the number it spells, and an int beyond
+        # the float range leaked OverflowError or was reported as NonFiniteError
+        ("evolve_classical t='1.5'",
+         lambda: evolve_classical(ClassicalState(1j), "1.5", params), InvalidArgumentError),
+        ("husimi u='1.5'", lambda: husimi(eigenstate(1), "1.5", [0.0]), InvalidArgumentError),
+        ("hermite_functions t='0.5'", lambda: hermite_functions(2, "0.5"), InvalidArgumentError),
+        ("branched_cover z='1+1j'", lambda: branched_cover("1+1j", 2), InvalidArgumentError),
+        ("FockState(['1', '0'])", lambda: FockState(["1", "0"]), InvalidArgumentError),
+        ("cone_metric psi='2'", lambda: cone_metric("2", 2), InvalidArgumentError),
+        ("decompose '1', '2'", lambda: decompose("1", "2"), InvalidArgumentError),
+        ("PhasePoint.from_z_plus '1+1j'", lambda: PhasePoint.from_z_plus("1+1j", params),
+         InvalidArgumentError),
+        ("FockState([10**400])", lambda: FockState([10 ** 400]), InvalidArgumentError),
+        ("evolve_classical t=10**400",
+         lambda: evolve_classical(ClassicalState(1j), 10 ** 400, params), InvalidArgumentError),
+        ("husimi u=[10**400]", lambda: husimi(eigenstate(1), [10 ** 400], [0.0]),
+         InvalidArgumentError),
+        # the value checked is the value used: each of these passed its check and
+        # failed later with Python's TypeError, or was accepted
+        ("ClassicalState([1+1j, 2])", lambda: ClassicalState([1 + 1j, 2]),
+         InvalidArgumentError),
+        ("moment_map []", lambda: moment_map([]), InvalidArgumentError),
+        ("limit check w_sequence=nan", lambda: polarization_limit_check(params, np.nan),
+         InvalidArgumentError),
+        ("limit check w_sequence generator",
+         lambda: polarization_limit_check(params, (w for w in (1.0, 0.5))),
+         InvalidArgumentError),
+        ("bargmann_transform sec=1.0", lambda: bargmann_transform(1.0, 2, 8, params),
+         InvalidArgumentError),
+        # a Laplacian interior that is empty, or holds only the origin or values
+        # that underflow, once gave a NaN report (n = 0 at 5 samples: the 5% error)
+        ("laplacian 3 samples", lambda: laplacian_consistency(0, params, 1.0, 1.0),
+         GridTooSmallError),
+        ("laplacian n=0 at 4 samples", lambda: laplacian_consistency(0, params, 3.0, 2.0),
+         GridTooSmallError),
+        ("laplacian n=0 at 5 samples", lambda: laplacian_consistency(0, params, 2.0, 1.0),
+         GridTooSmallError),
+        ("laplacian n=2 at 5 samples", lambda: laplacian_consistency(2, params, 3.0, 1.5),
+         GridTooSmallError),
+        ("laplacian n=8 at 5 samples", lambda: laplacian_consistency(8, params, 3.0, 1.5, -1),
+         GridTooSmallError),
+        ("laplacian interior underflows", lambda: laplacian_consistency(0, params, 200.0, 80.0),
+         ResolutionInsufficientError),
     ]
 
 
@@ -739,6 +801,101 @@ def test_invalid_arguments_raise_typed_errors(call, error, tmp_path, monkeypatch
     with pytest.raises(error):
         call()
     assert not (tmp_path / "out").exists()
+
+
+# Every option name of the package, as the call that takes it.
+_PARAMS = OscillatorParams()
+_OPTION_CALLS = {
+    "LineSection axis": lambda v: LineSection(v, AXIS, np.ones(3)),
+    "covariant_derivative direction": lambda v: covariant_derivative(_grid(), v,
+                                                                     vacuum_connection()),
+    "canonical_operators rep": lambda v: canonical_operators(v, 1),
+    "Polarization kind": lambda v: Polarization(v),
+    "ladder_apply which": lambda v: ladder_apply(eigenstate(1), v),
+    "ladder_coordinate which": lambda v: ladder_coordinate(
+        LineSection("x", AXIS, np.ones(3)), v, _PARAMS),
+    "loop_from_spec shape": lambda v: loop_from_spec({"shape": v}),
+}
+_NAMES = st.sampled_from(["x", "p", "coordinate", "momentum", "holomorphic",
+                          "antiholomorphic", "lower", "raise", "circle", "square", "ellipse"])
+_NOT_STR = st.one_of(
+    st.sampled_from([np.zeros(0), np.array([], dtype=str), np.array([], dtype=object)]),
+    _NAMES.map(np.array), st.lists(_NAMES, min_size=1, max_size=3).map(np.array),
+    st.none(), st.integers(), st.lists(_NAMES, max_size=3),
+    _NAMES.map(str.encode), st.binary(max_size=8))
+
+
+@given(call=st.sampled_from(sorted(_OPTION_CALLS)), value=_NOT_STR)
+def test_option_names_must_be_str(call, value):
+    # a valid name inside an array, a list or bytes is not that name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError):
+            _OPTION_CALLS[call](value)
+
+
+# Number and array arguments, one call each, with the argument replaced.
+_NUMBER_CALLS = {
+    "evolve_classical t": lambda v: evolve_classical(ClassicalState(1j), v, _PARAMS),
+    "evolve_schrodinger dt": lambda v: evolve_schrodinger(eigenstate(1), v, _PARAMS),
+    "trajectory_times periods": lambda v: trajectory_times(v, 5, _PARAMS),
+    "ClassicalState z0": lambda v: ClassicalState(v),
+    "PhasePoint x": lambda v: PhasePoint(v, 0.0),
+    "PhasePoint.from_z_plus z": lambda v: PhasePoint.from_z_plus(v, _PARAMS),
+    "OscillatorParams m": lambda v: OscillatorParams(m=v),
+    "complex_coordinate x": lambda v: complex_coordinate(v, 0.0, 1, _PARAMS),
+    "phase_coordinates z": lambda v: phase_coordinates(v, 1, _PARAMS),
+    "moment_map z": lambda v: moment_map(v),
+    "symplectic_reduce z0": lambda v: symplectic_reduce(v, 4),
+    "winding_number samples": lambda v: winding_number(v),
+    "husimi u": lambda v: husimi(eigenstate(1), v, [0.0]),
+    "husimi_levels v": lambda v: husimi_levels(1, [0.0], v),
+    "bargmann_function z": lambda v: bargmann_function(eigenstate(1), v),
+    "hermite_functions t": lambda v: hermite_functions(2, v),
+    "hermite_basis x": lambda v: hermite_basis(2, v, _PARAMS),
+    "bargmann_inverse x": lambda v: bargmann_inverse(eigenstate(1), v, _PARAMS),
+    "FockState coeffs": lambda v: FockState(v),
+    "limit check w_sequence": lambda v: polarization_limit_check(_PARAMS, v),
+    "branched_cover z": lambda v: branched_cover(v, 2),
+    "cover_inverse psi": lambda v: cover_inverse(v, 2, 0),
+    "cone_metric psi": lambda v: cone_metric(v, 2),
+    "circle_loop center": lambda v: circle_loop(center=v, samples=8),
+    "circle_loop radius": lambda v: circle_loop(radius=v, samples=8),
+    "levi_civita_transport loop": lambda v: levi_civita_transport(v, 2),
+    "decompose psi1": lambda v: decompose(v, 0.0),
+    "hermitian_pairing psi": lambda v: hermitian_pairing(v, 1.0),
+    "translate_operator x0": lambda v: translate_operator(v),
+    "DoubledSection psi_plus": lambda v: DoubledSection(v, 0.0),
+    "DoubledSection.rotate_fiber theta": lambda v: DoubledSection(1, 1).rotate_fiber(v),
+    "GridSection x": lambda v: GridSection(x=v, p=AXIS, values=np.ones((3, 3))),
+    "LineSection values": lambda v: LineSection("x", AXIS, v),
+}
+_NUMERIC_TEXT = st.one_of(st.floats().map(repr), st.integers().map(str),
+                          st.complex_numbers().map(lambda z: str(z).strip("()")))
+_TEXT = st.one_of(
+    _NUMERIC_TEXT, st.text(max_size=6), _NUMERIC_TEXT.map(str.encode),
+    st.lists(_NUMERIC_TEXT, min_size=1, max_size=3),
+    st.lists(_NUMERIC_TEXT, min_size=1, max_size=3).map(np.array))
+
+
+@given(call=st.sampled_from(sorted(_NUMBER_CALLS)), value=_TEXT)
+def test_text_is_not_a_number(call, value):
+    # numeric text too: README's rule is that text raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError):
+            _NUMBER_CALLS[call](value)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_laplacian_at_six_samples_is_finite_or_refused(n):
+    # the least grid laplacian_consistency takes: its interior is 2 x 2 cells
+    for charge in (+1, -1):
+        try:
+            report = laplacian_consistency(n, OscillatorParams(), 2.5, 1.0, charge)
+        except ResolutionInsufficientError:
+            continue
+        assert np.isfinite(report.rel_error) and np.isfinite(report.measured)
 
 
 _complex = st.builds(complex, st.floats(allow_nan=False, allow_infinity=False),
