@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bundles, classical, orbifold, oscillator, polarizations
-from .classical import OscillatorParams
+from .classical import TWO_PI, OscillatorParams
 from .errors import (BundleqmError, ConfigError, InvalidArgumentError, NonFiniteError,
                      ResolutionInsufficientError)
 from .sections import (FLOAT_FORMAT, check_positive, check_samples, check_sign,
@@ -318,24 +318,39 @@ def suite_spectrum(config: RunConfig):
     ]
 
 
+def _fixed_state(size: int) -> np.ndarray:
+    """size normalized Fock coefficients exp(2.4i k^2)/(1 + k), k = 0..size-1:
+    distinct phases and moduli from a closed form, so that verify does not
+    import numpy.random, which adds to every process's start-up and memory."""
+    k = np.arange(size)
+    c = np.exp(2.4j * k ** 2) / (1.0 + k)
+    return c / np.linalg.norm(c)
+
+
 def suite_bargmann(config: RunConfig):
     params = config.params
     n_max, order = 20, 128
+    tables = {}
+
+    def basis_at(x):
+        # one h_0..h_n_max table per distinct x: the recurrence's rows do not
+        # depend on how many follow, so each h_m is the one hermite_basis(m) gives
+        key = (x.shape, x.tobytes())
+        if key not in tables:
+            tables.clear()
+            tables[key] = polarizations.hermite_basis(n_max, x, params)
+        return tables[key]
+
     worst_off = worst_diag = 0.0
     for m in range(n_max + 1):
-        state = polarizations.bargmann_transform(
-            lambda x: polarizations.hermite_basis(m, x, params)[m],
-            n_max, order, params)
+        state = polarizations.bargmann_transform(lambda x: basis_at(x)[m], n_max, order, params)
         target = np.zeros(n_max + 1)
         target[m] = 1.0
         err = np.abs(state.coeffs - target)
         worst_diag = max(worst_diag, float(err[m]))
         worst_off = max(worst_off, float(np.max(np.delete(err, m))))
     # round trip on a band-limited state
-    rng = np.random.default_rng(11)
-    c = rng.normal(size=13) + 1j * rng.normal(size=13)
-    c /= np.linalg.norm(c)
-    sec = polarizations.bargmann_inverse(polarizations.FockState(c),
+    sec = polarizations.bargmann_inverse(polarizations.FockState(_fixed_state(13)),
                                          params.w * np.linspace(-12, 12, 4001), params)
     back = polarizations.bargmann_transform(sec, 12, 128, params)
     rt = float(abs(np.sqrt(back.norm_sq()) - 1.0))
@@ -370,6 +385,12 @@ def suite_husimi(config: RunConfig):
     return checks
 
 
+def _angle_distance(a: float, b: float) -> float:
+    """|a - b| between two angles, the shorter way round the circle."""
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
 def suite_holonomy(config: RunConfig):
     degrees = (2, 3, 5)
     loops = [("circle", orbifold.circle_loop()),
@@ -382,11 +403,11 @@ def suite_holonomy(config: RunConfig):
         defect = orbifold.ConeGeometry(n).defect_angle
         for (name, _), results in zip(loops, transported):
             checks.append(Check(f"holonomy n={n} {name}: |angle - defect|",
-                                abs(results[k].holonomy_angle - defect),
+                                _angle_distance(results[k].holonomy_angle, defect),
                                 TOLERANCES["holonomy"]))
     far = orbifold.circle_loop(center=5.0 + 0j, radius=1.0)
     res = orbifold.levi_civita_transport(far, 3)
-    checks.append(Check("holonomy non-enclosing loop", abs(res.holonomy_angle),
+    checks.append(Check("holonomy non-enclosing loop", _angle_distance(res.holonomy_angle, 0.0),
                         TOLERANCES["holonomy_zero"]))
     return checks
 
@@ -405,9 +426,7 @@ def suite_charge_mirror(config: RunConfig):
                         float(np.max(np.abs(np.conj(plus) - minus))),
                         TOLERANCES["mirror"]))
     # quantum: conjugate evolution
-    rng = np.random.default_rng(3)
-    c = rng.normal(size=6) + 1j * rng.normal(size=6)
-    c /= np.linalg.norm(c)
+    c = _fixed_state(6)
     ev_p = oscillator.evolve_schrodinger(polarizations.FockState(np.conj(c), +1), 0.37,
                                          params, sign)
     ev_m = oscillator.evolve_schrodinger(polarizations.FockState(c, -1), 0.37, params, sign)

@@ -114,11 +114,14 @@ def levi_civita_transport(loop, n: int | tuple[int, ...]
 
     The Levi-Civita connection of the cone metric is the one-form
     -((n-1)/n) dpsi/psi; the transport ODE integrates to the multiplier
-    exp(((n-1)/n) * oint dpsi/psi), evaluated as a sum of principal-branch
-    log ratios (exact for integer winding; every angular step must stay
-    below pi, or UndersampledError is raised).  A loop winding once about the
-    tip returns the defect angle 2pi(n-1)/n mod 2pi; loops not enclosing the
-    tip return holonomy 0.  By linearity a vector v arrives as v * vector.
+    exp(((n-1)/n) * oint dpsi/psi).  The loop integral is taken from the
+    samples z_0..z_N as a sum of principal-branch log ratios: its imaginary
+    part is the sum of the angular steps arg(z_(k+1)/z_k) (exact for integer
+    winding; every step must stay below pi, or UndersampledError is raised),
+    and its real part telescopes to log|z_N/z_0|.  A loop winding once about
+    the tip returns the defect angle 2pi(n-1)/n mod 2pi; loops not enclosing
+    the tip return holonomy 0.  The angle lies in [0, 2pi): one that rounds
+    to 2pi reads 0.  By linearity a vector v arrives as v * vector.
 
     n may also be a tuple of degrees: the loop integral, which does not
     depend on n, is taken once, and a tuple of results is returned, each
@@ -126,18 +129,27 @@ def levi_civita_transport(loop, n: int | tuple[int, ...]
     """
     degrees = tuple(check_int(d, "covering degree", 1)
                     for d in (n if isinstance(n, tuple) else (n,)))
-    # principal branch, |Im| < pi per step (checked); the sum is 2 pi i * winding
-    logs = np.log(closed_loop_ratios(loop, 3))
-    check_angular_steps(logs.imag)
-    total = complex(np.sum(logs))
+    total = _loop_log(loop)
     winding = int(np.rint(total.imag / TWO_PI))
     results = []
     for d in degrees:
         factor = (d - 1) / d
+        angle = (factor * total.imag) % TWO_PI
+        # a turn a rounding short of 0 reduces to 2pi itself
         results.append(TransportResult(vector=complex(np.exp(factor * total)),
-                                       holonomy_angle=float((factor * total.imag) % TWO_PI),
+                                       holonomy_angle=angle if angle < TWO_PI else 0.0,
                                        loop_winding=winding))
     return tuple(results) if isinstance(n, tuple) else results[0]
+
+
+def _loop_log(loop) -> complex:
+    """oint dpsi/psi over a closed sampled loop, as the sum of the log ratios
+    z_(k+1)/z_k taken part by part from real ufuncs (numpy's complex log is a
+    scalar loop): the angular steps, which check_angular_steps bounds, and
+    log|z_N/z_0|, which the real parts telescope to."""
+    z = check_array(loop, complex, "loop samples", ndim=1)
+    steps = check_angular_steps(np.angle(closed_loop_ratios(z, 3)))
+    return complex(np.log(abs(z[-1] / z[0])), np.sum(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ import numpy as np
 
 from .bundles import covariant_derivative, vacuum_connection
 from .classical import OscillatorParams, complex_coordinate
-from .errors import (GridTooSmallError, InvalidArgumentError, NotNormalizedError,
-                     ResolutionInsufficientError)
+from .errors import (GridTooSmallError, InvalidArgumentError, NonFiniteError,
+                     NotNormalizedError, ResolutionInsufficientError)
 from .polarizations import FockState, hermite_basis
 from .sections import (_KERNEL_VALUES, MAX_SAMPLES, GridSection, LineSection, check_array,
                        check_charge, check_finite, check_int, check_positive, check_real,
@@ -193,7 +193,9 @@ def _husimi_fields(r: np.ndarray, gauss: np.ndarray, n_max: int):
                 radial *= 1.0 / n   # before r: R_n, not R_(n-1) r, is what must fit
                 radial *= r
             q_n = radial * gauss
-        check_finite(q_n, "Husimi field")
+        # R_n >= 0 and exp(-r) is finite, so Q_n is finite exactly where R_n is
+        if not np.isfinite(radial.max(initial=0.0)):
+            raise NonFiniteError("Husimi field must be finite")
         yield q_n
 
 

@@ -80,11 +80,16 @@ def check_positive(value, name: str) -> float:
 
 def check_array(value, dtype, name: str, ndim: Optional[int] = None) -> np.ndarray:
     """`value` as an array of dtype, with ndim dimensions when ndim is given; else
-    InvalidArgumentError: for any text, an int beyond floats, ragged lists or a 2D loop."""
+    InvalidArgumentError: for any text, None, an int beyond floats, ragged lists or
+    a 2D loop."""
     try:
-        if np.asarray(value).dtype.kind in "SU":
+        arr = np.asarray(value)
+        # numpy's conversion parses text and reads None as NaN; only an object
+        # array can hold either without being text itself
+        if arr.dtype.kind in "SU" or (arr.dtype.kind == "O" and any(
+                item is None or isinstance(item, (str, bytes)) for item in arr.flat)):
             raise TypeError
-        arr = np.asarray(value, dtype=dtype)
+        arr = np.asarray(arr, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         raise InvalidArgumentError(f"{name} must be an array of numbers, got {value!r}") from None
     if ndim is not None and arr.ndim != ndim:

@@ -106,6 +106,12 @@ def loop_integral_trapezoid(pts):
     return complex(np.sum(mid * np.diff(pts)))
 
 
+def angle_distance(a, b):
+    """|a - b| between two angles, the shorter way round the circle."""
+    d = abs(a - b) % (2 * np.pi)
+    return min(d, 2 * np.pi - d)
+
+
 def format_rows_reference(header, rows):
     """Text rows as the package once wrote them: one f-string per value."""
     lines = [header] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]

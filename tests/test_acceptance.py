@@ -13,6 +13,8 @@ from bundleqm.classical import ClassicalState, OscillatorParams, PhasePoint
 from bundleqm.cli import RunConfig, cmd_spectrum
 from bundleqm.polarizations import FockState
 
+import oracles
+
 DEFAULT = OscillatorParams()
 
 
@@ -188,12 +190,12 @@ def test_criterion_08_holonomy():
         for loop in (orbifold.circle_loop(), orbifold.square_loop(),
                      orbifold.ellipse_loop()):
             res = orbifold.levi_civita_transport(loop, n)
-            worst = max(worst, abs(res.holonomy_angle - defect))
+            worst = max(worst, oracles.angle_distance(res.holonomy_angle, defect))
     assert worst < 1e-5
 
     far = orbifold.levi_civita_transport(
         orbifold.circle_loop(center=5.0 + 0j, radius=1.0), 3)
-    assert abs(far.holonomy_angle) < 1e-8
+    assert oracles.angle_distance(far.holonomy_angle, 0.0) < 1e-8
     report(8, "cone defect 2pi(n-1)/n on 3 shapes; non-enclosing loop flat",
            worst, 1e-5)
 

@@ -758,6 +758,15 @@ def _bad_calls():
         ("PhasePoint.from_z_plus '1+1j'", lambda: PhasePoint.from_z_plus("1+1j", params),
          InvalidArgumentError),
         ("FockState([10**400])", lambda: FockState([10 ** 400]), InvalidArgumentError),
+        # numpy's conversion parsed text held in an object array, and read None
+        # as NaN, reported as NonFiniteError
+        ("FockState(object array ['1', '0'])",
+         lambda: FockState(np.array(["1", "0"], dtype=object)), InvalidArgumentError),
+        ("husimi u=object array ['0.5']",
+         lambda: husimi(eigenstate(0), np.array(["0.5"], dtype=object), [0.0]),
+         InvalidArgumentError),
+        ("moment_map None", lambda: moment_map(None), InvalidArgumentError),
+        ("husimi u=None", lambda: husimi(eigenstate(0), None, [0.0]), InvalidArgumentError),
         ("evolve_classical t=10**400",
          lambda: evolve_classical(ClassicalState(1j), 10 ** 400, params), InvalidArgumentError),
         ("husimi u=[10**400]", lambda: husimi(eigenstate(1), [10 ** 400], [0.0]),
@@ -1001,4 +1010,17 @@ def test_package_does_not_import_scipy():
     done = subprocess.run(
         [sys.executable, "-c", "import bundleqm.cli, sys; assert 'scipy' not in sys.modules"],
         env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_verify_does_not_import_numpy_random(tmp_path):
+    # verify's states come from a closed form: importing numpy.random adds to
+    # the start-up time and the memory of every process
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+               BUNDLEQM_OUT=str(tmp_path))
+    code = ("import sys; from bundleqm.cli import RunConfig, cmd_verify; "
+            "assert cmd_verify(RunConfig(), 'all') == 0; "
+            "assert 'numpy.random' not in sys.modules")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -1,26 +1,26 @@
 """The coordinate Hamiltonian matrix against an independent build of its form
 and its observed order; the trapezoid weights, the Gauss-Hermite rule and its
-node basis, the Husimi recurrence and its levels, the Fock phases, the
-first-derivative stencil, the grid kernels on broadcast axes and the loop
-builders against the forms the package used before they were sped up or
-simplified."""
+node basis, the Hermite rows, the Husimi recurrence and its levels, the Fock
+phases, the first-derivative stencil, the grid kernels on broadcast axes, the
+loop builders and the holonomy's loop integral against the forms the package
+used before they were sped up or simplified."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bundleqm.bundles import covariant_derivative
 from bundleqm.classical import OscillatorParams
-from bundleqm.cli import RunConfig, _gauge_family, suite_husimi
+from bundleqm.cli import RunConfig, _gauge_family, suite_bargmann, suite_husimi
 from bundleqm.errors import (BundleqmError, GridTooSmallError, InvalidArgumentError,
                              NonFiniteError, QuadratureUnderResolvedError)
-from bundleqm.orbifold import circle_loop, ellipse_loop, square_loop
+from bundleqm.orbifold import _loop_log, circle_loop, ellipse_loop, square_loop
 from bundleqm.oscillator import (bargmann_function, coordinate_hamiltonian_matrix,
                                  eigenstate, evolve_schrodinger, hamiltonian_apply, husimi,
                                  husimi_levels)
 from bundleqm.polarizations import (GAUSS_HERMITE_MAX_ORDER, FockState, _gauss_hermite_rule,
                                     bargmann_transform, dolbeault_residual, gauss_hermite,
-                                    hermite_functions)
+                                    hermite_basis, hermite_functions)
 from bundleqm.sections import GridSection, LineSection, diff_axis, trapezoid_weights
 
 import oracles
@@ -165,6 +165,31 @@ class TestGaussHermiteRule:
             gauss_hermite(513)
         again = gauss_hermite(128)
         assert all(a is b for a, b in zip(rule, again))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_max=st.integers(0, 40),
+       x=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=50),
+       m_omega=st.sampled_from([(1.0, 1.0), (0.6, 1.7), (25.0, 0.05)]))
+def test_hermite_rows_do_not_depend_on_rows_after(data, n_max, x, m_omega):
+    # verify's bargmann suite reads each h_m from one table of h_0..h_20
+    params = OscillatorParams(*m_omega)
+    m = data.draw(st.integers(0, n_max))
+    assert (hermite_basis(n_max, x, params)[m].tobytes()
+            == hermite_basis(m, x, params)[m].tobytes())
+
+
+def test_suite_bargmann_analysis_equals_per_row_calls():
+    # the suite's two analysis values written out with h_m from hermite_basis(m)
+    params = RunConfig().params
+    worst_off = worst_diag = 0.0
+    for m in range(21):
+        coeffs = bargmann_transform(lambda x: hermite_basis(m, x, params)[m], 20, 128,
+                                    params).coeffs
+        err = np.abs(coeffs - np.eye(21)[m])
+        worst_diag = max(worst_diag, float(err[m]))
+        worst_off = max(worst_off, float(np.max(np.delete(err, m))))
+    assert [c.measured for c in suite_bargmann(RunConfig())[:2]] == [worst_off, worst_diag]
 
 
 U = np.linspace(-4.0, 4.0, 33)
@@ -455,3 +480,37 @@ def test_loop_bit_equal_to_its_formula(shape, size, center, samples):
     ref = oracles.loop_reference(shape, center, size, samples)
     assert loop.shape == (samples + 1,)
     assert loop.tobytes() == ref.tobytes()
+
+
+def _loop_log_reference(loop):
+    """oint dpsi/psi as the sum of numpy's complex logs of the ratios, the
+    form levi_civita_transport took before its parts came from real ufuncs."""
+    z = np.asarray(loop)
+    return complex(np.sum(np.log(z[1:] / z[:-1])))
+
+
+def _assert_loop_log_agrees(loop):
+    # the angles agree within a few ulp of 2pi; the reference's real part
+    # sums N logs of ratios that are 1 within rounding, each off by about an
+    # ulp, where the telescoped log|z_N/z_0| has one rounding
+    total, ref = _loop_log(loop), _loop_log_reference(loop)
+    assert abs(total.imag - ref.imag) <= 4 * np.spacing(2 * np.pi)
+    assert abs(total.real - ref.real) <= (len(loop) - 1) * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("loop", [circle_loop(), square_loop(), ellipse_loop(),
+                                  circle_loop(5.0 + 0j, 1.0), circle_loop(4 + 1j, 1.0),
+                                  ellipse_loop(0.3 - 0.2j, 1.5, 0.6, 777),
+                                  square_loop(-2.0 + 0.5j, 3.0, 64)],
+                         ids=["circle", "square", "ellipse", "far", "near-2pi", "odd", "coarse"])
+def test_loop_log_agrees_with_complex_logs(loop):
+    _assert_loop_log_agrees(loop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(center=st.complex_numbers(max_magnitude=10.0), size=st.floats(0.1, 5.0),
+       shape=st.sampled_from(["circle", "square"]), samples=st.integers(64, 8192))
+def test_loop_log_agrees_with_complex_logs_property(center, size, shape, samples):
+    loop = LOOP_BUILDERS[shape](center, size, samples)
+    assume(np.min(np.abs(loop)) > 0.1 * size)
+    _assert_loop_log_agrees(loop)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bundleqm.classical import winding_number
 from bundleqm.errors import (BranchOutOfRangeError, InvalidArgumentError, OpenCurveError,
@@ -128,8 +129,35 @@ class TestParallelTransport:
 
     def test_non_enclosing_loop_is_flat(self):
         res = levi_civita_transport(circle_loop(center=5.0 + 0j, radius=1.0), 3)
-        assert abs(res.holonomy_angle) < 1e-8
+        assert oracles.angle_distance(res.holonomy_angle, 0.0) < 1e-8
         assert res.loop_winding == 0
+
+    @pytest.mark.parametrize("center, radius", [(5.0, 0.5), (4 + 1j, 1.0), (3 - 2j, 1.0),
+                                                (6j, 1.0), (6j, 0.5)])
+    def test_angle_below_two_pi(self, center, radius):
+        # a turn a rounding short of 0: three of these once read 2pi itself, and
+        # two read the float below it, which is in range but far from 0 on a line
+        for res in levi_civita_transport(circle_loop(center, radius), (2, 3, 5)):
+            assert 0.0 <= res.holonomy_angle < 2 * np.pi
+            assert oracles.angle_distance(res.holonomy_angle, 0.0) < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(center=st.complex_numbers(max_magnitude=10.0),
+           rx=st.floats(0.1, 5.0), ry=st.floats(0.1, 5.0), ellipse=st.booleans(),
+           samples=st.integers(64, 4096))
+    def test_holonomy_is_defect_or_zero(self, center, rx, ry, ellipse, samples):
+        loop = (ellipse_loop(center, rx, ry, samples) if ellipse
+                else circle_loop(center, rx, samples))
+        if not ellipse:
+            ry = rx
+        # kept clear of the tip, so that every angular step stays well below pi
+        assume(np.min(np.abs(loop)) > 0.1 * max(rx, ry))
+        encloses = (center.real / rx) ** 2 + (center.imag / ry) ** 2 < 1
+        for n, res in zip((2, 3, 5), levi_civita_transport(loop, (2, 3, 5))):
+            assert 0.0 <= res.holonomy_angle < 2 * np.pi
+            expected = ConeGeometry(n).defect_angle if encloses else 0.0
+            assert oracles.angle_distance(res.holonomy_angle, expected) < 1e-8
+            assert res.loop_winding == int(encloses)
 
     def test_transport_preserves_length(self):
         res = levi_civita_transport(circle_loop(), 5)
