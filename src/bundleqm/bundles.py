@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DivisionNearZeroError, GridFormatError, GridTooSmallError
 from .sections import (DoubledSection, GridSection, LineSection, check_array, check_charge,
-                       check_choice, check_finite, check_real, diff_axis, finite_result,
-                       load_grid, require_axis, save_grid)
+                       check_choice, check_real, diff_axis, finite_result, load_grid,
+                       require_axis, save_grid)
 
 __all__ = [
     "GaugeConnection", "vacuum_connection", "gauge_transform",
@@ -127,11 +127,9 @@ def translate_operator(x0: float):
 
     Returns the pair (x_hat, p_hat); p_hat is unchanged and the CCR is
     preserved.  x0 = 0 is the coordinate representation itself (x - 0.0 is
-    exact, so x_hat is then bit-for-bit x*).  x0 is a finite real number:
-    text raises InvalidArgumentError, NaN or inf NonFiniteError.
+    exact, so x_hat is then bit-for-bit x*).
     """
     x0 = check_real(x0, "x0")
-    check_finite(x0, "x0")
 
     def x_hat(sec: LineSection) -> LineSection:
         require_axis(sec, "x")

@@ -57,8 +57,9 @@ class OscillatorParams:
 
 @finite_result("complex coordinate")
 def complex_coordinate(x, p, charge: int, params: OscillatorParams):
-    """The charge-q coordinate z_q = (x - i q w^2 p)/sqrt(2), scalar or array.
-    Text raises InvalidArgumentError; a value that is not finite NonFiniteError."""
+    """The charge-q coordinate z_q = (x - i q w^2 p)/sqrt(2), scalar or array;
+    NonFiniteError where it overflows."""
+    charge = check_charge(charge)
     # a real number stays a Python scalar: Python's complex quotient rounds
     # some values apart from numpy's
     x, p = (v if isinstance(v, numbers.Real) else check_array(v, float, name)
@@ -68,8 +69,9 @@ def complex_coordinate(x, p, charge: int, params: OscillatorParams):
 
 @finite_result("phase coordinates")
 def phase_coordinates(z, charge: int, params: OscillatorParams):
-    """(x, p) = (sqrt(2) Re z, -q sqrt(2) Im z / w^2), inverting complex_coordinate.
-    Text raises InvalidArgumentError; a value that is not finite NonFiniteError."""
+    """(x, p) = (sqrt(2) Re z, -q sqrt(2) Im z / w^2), inverting complex_coordinate;
+    NonFiniteError where it overflows."""
+    charge = check_charge(charge)
     z = check_array(z, complex, "z")
     return np.sqrt(2.0) * z.real, -charge * np.sqrt(2.0) * z.imag / params.w2
 
@@ -79,9 +81,8 @@ class PhasePoint:
     """A point (x, p) of phase space with complex views z_pm.
 
     z_plus = (x - i w^2 p)/sqrt(2) is the particle coordinate; z_minus is its
-    conjugate, the antiparticle coordinate.  x and p are finite real numbers:
-    text raises InvalidArgumentError, NaN or inf NonFiniteError, as does a
-    view or a point function whose value overflows.
+    conjugate, the antiparticle coordinate.  A view or a point function
+    whose value overflows raises NonFiniteError.
     """
 
     x: float
@@ -89,7 +90,7 @@ class PhasePoint:
 
     def __post_init__(self):
         for name in ("x", "p"):
-            check_finite(check_real(getattr(self, name), name), name)
+            check_real(getattr(self, name), name)
 
     def z_plus(self, params: OscillatorParams) -> complex:
         return complex_coordinate(self.x, self.p, +1, params)
@@ -106,14 +107,13 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class ClassicalState:
-    """Initial datum z0, one finite complex number, and winding charge: charges never mix."""
+    """Initial datum z0, one complex number, and winding charge: charges never mix."""
 
     z0: complex
     charge: int = +1
 
     def __post_init__(self):
         object.__setattr__(self, "z0", complex(check_array(self.z0, complex, "z0", ndim=0)))
-        check_finite(self.z0, "z0")
         check_charge(self.charge)
 
 
@@ -157,13 +157,11 @@ def evolve_classical(state: ClassicalState, t, params: OscillatorParams,
 
     For charge -1 the stored z0 plays the role of the independent antiparticle
     datum (the paper's zbar_0').  frequency_sign = -1 flips to the physics
-    phase convention.  Accepts scalar or array t: text raises
-    InvalidArgumentError, NaN or inf NonFiniteError, as does a phase
-    omega t that overflows.
+    phase convention.  Accepts scalar or array t; a phase omega t that
+    overflows raises NonFiniteError.
     """
     check_sign(frequency_sign, "frequency_sign")
     times = check_array(t, float, "t")
-    check_finite(times, "t")
     out = np.exp(1j * frequency_sign * state.charge * params.omega * times) * state.z0
     return complex(out) if np.isscalar(t) else out
 
@@ -178,8 +176,8 @@ def trajectory_times(periods: float, samples: int, params: OscillatorParams) -> 
     return np.linspace(0.0, end, samples)
 
 
-def closed_loop_ratios(samples, min_points: int) -> np.ndarray:
-    """Validate a sampled closed loop about 0 and return z[1:] / z[:-1].
+def closed_loop(samples, min_points: int) -> np.ndarray:
+    """Validate a sampled closed loop about 0 and return it as a complex array.
 
     The loop is a 1D array of at least min_points finite complex samples,
     none within 1e-9 (relative to the largest modulus) of 0, with first ~
@@ -188,7 +186,6 @@ def closed_loop_ratios(samples, min_points: int) -> np.ndarray:
     z = check_array(samples, complex, "loop samples", ndim=1)
     if z.size < min_points:
         raise OpenCurveError(f"need at least {min_points} samples")
-    check_finite(z, "loop samples")
     r = np.abs(z)
     scale = np.max(r)
     tol = 1e-9 * scale
@@ -196,6 +193,12 @@ def closed_loop_ratios(samples, min_points: int) -> np.ndarray:
         raise ZeroCrossingError("curve sample within tolerance of 0")
     if abs(z[0] - z[-1]) > tol:
         raise OpenCurveError("curve endpoints differ beyond closure tolerance")
+    return z
+
+
+def closed_loop_ratios(samples, min_points: int) -> np.ndarray:
+    """z[1:] / z[:-1] of the closed loop z that closed_loop validates."""
+    z = closed_loop(samples, min_points)
     return z[1:] / z[:-1]
 
 
@@ -223,8 +226,8 @@ def winding_number(samples) -> int:
 
 @finite_result("moment map")
 def moment_map(z: complex) -> float:
-    """mu(z) = z zbar, the generator of the U(1) rotation action.  Text raises
-    InvalidArgumentError; NaN, inf or a value that overflows NonFiniteError."""
+    """mu(z) = z zbar, the generator of the U(1) rotation action; NonFiniteError
+    if it overflows."""
     return abs(complex(check_array(z, complex, "z", ndim=0))) ** 2
 
 
@@ -234,11 +237,9 @@ def symplectic_reduce(z0: complex, n_samples: int):
 
     Returns (z0, circle) where circle holds n_samples points of the level set,
     starting at z0; n_samples is an int from 3 to MAX_SAMPLES.  The origin is
-    excluded: the oscillator phase space is C \\ {0}.  z0 is a finite complex
-    number, else a typed error.
+    excluded: the oscillator phase space is C \\ {0}.
     """
     z0 = complex(check_array(z0, complex, "z0", ndim=0))
-    check_finite(z0, "z0")
     if z0 == 0:
         raise ZeroPointError("z0 = 0 is excluded from the reduced phase space")
     n_samples = check_samples(check_int(n_samples, "n_samples", 3), "reduced orbit")

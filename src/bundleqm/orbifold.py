@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import TWO_PI, check_angular_steps, closed_loop_ratios
+from .classical import TWO_PI, check_angular_steps, closed_loop
 from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
 from .sections import (check_array, check_choice, check_finite, check_int, check_pair,
                        check_real, check_samples, finite_result)
@@ -39,12 +39,10 @@ class ConeGeometry:
 
 @finite_result("branched cover image")
 def branched_cover(z, n: int):
-    """z -> z^n; degree-n branched covering with branch point z = 0.  z is a
-    finite complex number or array, else a typed error; an image that
-    overflows raises NonFiniteError."""
+    """z -> z^n; degree-n branched covering with branch point z = 0, for a
+    number or an array z.  An image that overflows raises NonFiniteError."""
     n = check_int(n, "covering degree", 1)
     z = check_array(z, complex, "z")
-    check_finite(z, "z")
     image = z ** n
     return image if z.ndim else complex(image)
 
@@ -52,13 +50,11 @@ def branched_cover(z, n: int):
 @finite_result("cover inverse")
 def cover_inverse(psi: complex, n: int, branch: int) -> complex:
     """The branch-th n-th root, principal argument in [0, 2pi/n) plus branch
-    steps.  psi is a finite complex number whose modulus is in the float
-    range, else a typed error."""
+    steps.  A modulus of psi beyond the float range raises NonFiniteError."""
     n = check_int(n, "covering degree", 1)
     if check_int(branch, "branch", 0) >= n:
         raise BranchOutOfRangeError(f"branch {branch} outside 0..{n - 1}")
     psi = complex(check_array(psi, complex, "psi", ndim=0))
-    check_finite(psi, "psi")
     if psi == 0:
         return 0j
     theta = np.angle(psi) % TWO_PI
@@ -85,12 +81,10 @@ def cone_metric(psi: complex, n: int) -> ConeMetric:
 
     The conformal factor is (2/n^2)(psibar psi)^((1-n)/n); n = 1 reduces to
     the flat 2 dpsi dpsibar.  Singular at the tip (|psi| < 1e-12) for n >= 2.
-    psi is a finite complex number, else a typed error; a metric that
-    overflows raises NonFiniteError.
+    A metric that overflows raises NonFiniteError.
     """
     n = check_int(n, "covering degree", 1)
     psi = complex(check_array(psi, complex, "psi", ndim=0))
-    check_finite(psi, "psi")
     r = abs(psi)
     if r < 1e-12 and n >= 2:
         raise OriginSingularError("cone metric is singular at psi = 0 for n >= 2")
@@ -147,8 +141,8 @@ def _loop_log(loop) -> complex:
     z_(k+1)/z_k taken part by part from real ufuncs (numpy's complex log is a
     scalar loop): the angular steps, which check_angular_steps bounds, and
     log|z_N/z_0|, which the real parts telescope to."""
-    z = check_array(loop, complex, "loop samples", ndim=1)
-    steps = check_angular_steps(np.angle(closed_loop_ratios(z, 3)))
+    z = closed_loop(loop, 3)
+    steps = check_angular_steps(np.angle(z[1:] / z[:-1]))
     return complex(np.log(abs(z[-1] / z[0])), np.sum(steps))
 
 
@@ -159,26 +153,23 @@ def _loop_log(loop) -> complex:
 @finite_result("loop points")
 def _loop(center, sizes: dict, samples, stop: float, points) -> np.ndarray:
     """points(center, *sizes.values(), t) at samples + 1 parameters t from 0
-    to stop.  The center and each size are finite numbers, samples an int >= 1
-    of at most MAX_SAMPLES points; a loop that overflows raises NonFiniteError."""
+    to stop.  samples is an int >= 1 of at most MAX_SAMPLES points; a loop that
+    overflows raises NonFiniteError."""
     center = check_array(center, complex, "center", ndim=0)
     values = [check_real(value, name) for name, value in sizes.items()]
-    check_finite(np.append(center, values), f"loop center and {' and '.join(sizes)}")
     t = np.linspace(0.0, stop, check_samples(check_int(samples, "samples", 1) + 1, "loop"))
     return points(center, *values, t)
 
 
 def circle_loop(center: complex = 0j, radius: float = 1.0, samples: int = 4096) -> np.ndarray:
-    """Closed circle of samples steps; center and radius are finite numbers,
-    and a loop that overflows raises NonFiniteError."""
+    """Closed circle of samples steps; NonFiniteError if it overflows."""
     return _loop(center, {"radius": radius}, samples, TWO_PI,
                  lambda c, r, t: c + r * np.exp(1j * t))
 
 
 def ellipse_loop(center: complex = 0j, rx: float = 2.0, ry: float = 0.7,
                  samples: int = 4096) -> np.ndarray:
-    """Closed ellipse of samples steps; center, rx and ry are finite numbers,
-    and a loop that overflows raises NonFiniteError."""
+    """Closed ellipse of samples steps; NonFiniteError if it overflows."""
     return _loop(center, {"rx": rx, "ry": ry}, samples, TWO_PI,
                  lambda c, rx, ry, t: c + rx * np.cos(t) + 1j * ry * np.sin(t))
 
@@ -193,8 +184,7 @@ def _square_points(center, half_side, u):
 
 def square_loop(center: complex = 0j, half_side: float = 1.0,
                 samples: int = 4096) -> np.ndarray:
-    """Closed square of samples steps; center and half_side are finite numbers,
-    and a loop that overflows raises NonFiniteError."""
+    """Closed square of samples steps; NonFiniteError if it overflows."""
     return _loop(center, {"half_side": half_side}, samples, 4.0, _square_points)
 
 
@@ -203,13 +193,10 @@ def loop_from_spec(spec) -> np.ndarray:
 
     Either a list of [re, im] pairs, or {"shape": "circle"|"square"|"ellipse",
     "center": [re, im], "radius": r or [rx, ry], "samples": k}.  A pair, radius
-    or sample count of the wrong type raises InvalidArgumentError; a NaN or
-    inf (JSON reads the literals NaN and Infinity) raises NonFiniteError.
+    or sample count of the wrong type raises InvalidArgumentError.
     """
     if isinstance(spec, (list, tuple)):
-        points = np.array([check_pair(pair, "loop point") for pair in spec])
-        check_finite(points, "loop points")
-        return points
+        return np.array([check_pair(pair, "loop point") for pair in spec])
     if not isinstance(spec, dict):
         raise InvalidArgumentError("loop spec must be a list of pairs or a descriptor dict")
     shape = check_choice(spec.get("shape", "circle"), "loop shape",

@@ -21,8 +21,8 @@ from .errors import (GridTooSmallError, InvalidArgumentError, NonFiniteError,
                      NotNormalizedError, ResolutionInsufficientError)
 from .polarizations import FockState, hermite_basis
 from .sections import (_KERNEL_VALUES, MAX_SAMPLES, GridSection, LineSection, check_array,
-                       check_charge, check_finite, check_int, check_positive, check_real,
-                       check_samples, check_sign, diff_axis, finite_result, trapezoid_weights)
+                       check_charge, check_int, check_positive, check_real, check_samples,
+                       check_sign, diff_axis, finite_result, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,10 @@ def evolve_schrodinger(state: FockState, dt: float, params: OscillatorParams,
 
     Particle phases rotate counterclockwise (the -i d/dt convention);
     frequency_sign = -1 flips to the physics convention.  Norm is preserved
-    exactly.  dt is a finite real number, else a typed error; a phase
-    E_n dt beyond the float range raises NonFiniteError.
+    exactly.  A phase E_n dt beyond the float range raises NonFiniteError.
     """
     check_sign(frequency_sign, "frequency_sign")
     dt = check_real(dt, "dt")
-    check_finite(dt, "dt")
     n = np.arange(state.coeffs.size)
     phases = np.exp(1j * frequency_sign * state.charge * energy(n, params) * dt)
     return FockState(coeffs=phases * state.coeffs, charge=state.charge)
@@ -126,11 +124,9 @@ def bargmann_function(state: FockState, z) -> np.ndarray:
     """psi(z') = sum c_n z'^n / sqrt(n!), evaluated stably term by term.
 
     The term array is updated in place and zero coefficients add nothing.
-    z is read as complex (text raises InvalidArgumentError); a z or a result
-    that is not finite raises NonFiniteError.
+    A result that overflows raises NonFiniteError.
     """
     z = check_array(z, complex, "z")
-    check_finite(z, "Bargmann point z")
     return _bargmann_sum(state.coeffs, z)
 
 
@@ -149,10 +145,9 @@ def husimi(state: FockState, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     Q = |psi(z')|^2 exp(-|z'|^2) / pi; for the eigenstate n this is
     (1/pi n!) |z'|^{2n} exp(-|z'|^2), nonnegative and of unit total mass.
     The argument is u + i q v, so charge -1 states are antiholomorphic: they
-    see conj(z').  u and v are flattened (input numpy cannot read as floats
-    raises InvalidArgumentError); a grid of more than MAX_SAMPLES cells
-    raises InvalidArgumentError before any is computed; a field that is not
-    finite raises NonFiniteError.
+    see conj(z').  u and v are flattened; a grid of more than MAX_SAMPLES
+    cells raises InvalidArgumentError before any is computed; a field that
+    overflows raises NonFiniteError.
     """
     u, v = _husimi_axes(u, v)
     q_field = np.empty((u.size, v.size))

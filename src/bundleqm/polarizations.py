@@ -24,8 +24,8 @@ from .classical import OscillatorParams, complex_coordinate
 from .errors import (ChargeMismatchError, DecayViolationError, InvalidArgumentError,
                      NonMonotoneError, QuadratureUnderResolvedError)
 from .sections import (GridSection, LineSection, check_array, check_charge, check_choice,
-                       check_finite, check_int, check_pair, check_positive, check_samples,
-                       diff_axis, finite_result, require_axis, resolve_charge, trapezoid_weights)
+                       check_int, check_pair, check_positive, check_samples, diff_axis,
+                       finite_result, require_axis, resolve_charge, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,6 @@ class FockState:
         self.coeffs = np.atleast_1d(check_array(self.coeffs, complex, "coeffs"))
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise InvalidArgumentError("coeffs must be a nonempty 1D array")
-        check_finite(self.coeffs, "coefficients")
         self.charge = check_charge(self.charge)
 
     @property
@@ -118,12 +117,10 @@ def hermite_functions(n_max: int, t) -> np.ndarray:
 
     e_n(t) = pi^{-1/4} (2^n n!)^{-1/2} H_n(t) exp(-t^2/2), by the stable
     weighted recurrence.  Shape: (n_max+1,) + shape(t), of at most MAX_SAMPLES
-    values.  t is finite and real: text raises InvalidArgumentError, NaN or inf
-    NonFiniteError.  Where the weight exp(-t^2/2) underflows to 0, every e_n is 0.
+    values.  Where the weight exp(-t^2/2) underflows to 0, every e_n is 0.
     """
     n_max = check_int(n_max, "n_max", 0)
     t = check_array(t, float, "t")
-    check_finite(t, "Hermite points")
     check_samples((n_max + 1) * t.size, f"Hermite functions 0..{n_max} at {t.size} points")
     out = np.zeros((n_max + 1,) + t.shape)
     out[0] = np.pi ** -0.25 * np.exp(-0.5 * t ** 2)

@@ -57,10 +57,9 @@ def check_samples(count: int, name: str) -> int:
     return count
 
 
-def check_real(value, name: str) -> float:
-    """Validate a real parameter: a real number that is not a bool, returned
-    as a float; else InvalidArgumentError, also for an int beyond the float
-    range.  Range and finiteness are the caller's to check."""
+def _real(value, name: str) -> float:
+    """A real number that is not a bool, as a float; else InvalidArgumentError,
+    also for an int beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
     try:
@@ -69,10 +68,20 @@ def check_real(value, name: str) -> float:
         raise InvalidArgumentError(f"{name} is outside the float range") from None
 
 
+def check_real(value, name: str) -> float:
+    """Validate a real parameter: a real number that is not a bool, returned
+    as a float; else InvalidArgumentError, also for an int beyond the float
+    range, and NonFiniteError for NaN or inf."""
+    x = _real(value, name)
+    if not cmath.isfinite(x):
+        raise NonFiniteError(f"{name} must be finite")
+    return x
+
+
 def check_positive(value, name: str) -> float:
     """Validate a finite positive real (a width, a step, a scale), returned as
-    a float; else InvalidArgumentError."""
-    x = check_real(value, name)
+    a float; else InvalidArgumentError, NaN and inf included."""
+    x = _real(value, name)
     if not 0 < x < np.inf:
         raise InvalidArgumentError(f"{name} must be finite and positive, got {value!r}")
     return x
@@ -80,20 +89,27 @@ def check_positive(value, name: str) -> float:
 
 def check_array(value, dtype, name: str, ndim: Optional[int] = None) -> np.ndarray:
     """`value` as an array of dtype, with ndim dimensions when ndim is given; else
-    InvalidArgumentError: for any text, None, an int beyond floats, ragged lists or
-    a 2D loop."""
+    InvalidArgumentError: for any text, None, an int beyond floats, ragged lists, a
+    2D loop or complex values where dtype is real.  A float or complex array that
+    holds NaN or inf raises NonFiniteError; object and integer arrays are not
+    scanned."""
     try:
         arr = np.asarray(value)
-        # numpy's conversion parses text and reads None as NaN; only an object
-        # array can hold either without being text itself
-        if arr.dtype.kind in "SU" or (arr.dtype.kind == "O" and any(
-                item is None or isinstance(item, (str, bytes)) for item in arr.flat)):
+        # numpy's conversion parses text, reads None as NaN and drops an imaginary
+        # part with a warning; only an object array can hold text or None without
+        # being text itself
+        if (arr.dtype.kind in "SU"
+                or arr.dtype.kind == "c" and np.dtype(dtype).kind == "f"
+                or arr.dtype.kind == "O" and any(item is None or isinstance(item, (str, bytes))
+                                                 for item in arr.flat)):
             raise TypeError
         arr = np.asarray(arr, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         raise InvalidArgumentError(f"{name} must be an array of numbers, got {value!r}") from None
     if ndim is not None and arr.ndim != ndim:
         raise InvalidArgumentError(f"{name} must be a {ndim}D array, got shape {arr.shape}")
+    if arr.dtype.kind in "fc":
+        check_finite(arr, name)
     return arr
 
 
@@ -206,11 +222,8 @@ def trapezoid_weights(coords: np.ndarray) -> np.ndarray:
 
 
 def _axis(lo, hi, n: int, name: str) -> np.ndarray:
-    """n uniform points from lo to hi, which are finite real numbers, else a
-    typed error."""
-    ends = [check_real(lo, name), check_real(hi, name)]
-    check_finite(np.array(ends), name)
-    return np.linspace(*ends, n)
+    """n uniform points from lo to hi."""
+    return np.linspace(check_real(lo, name), check_real(hi, name), n)
 
 
 def _uniform_spacing(axis: np.ndarray, name: str) -> float:
@@ -218,7 +231,6 @@ def _uniform_spacing(axis: np.ndarray, name: str) -> float:
         raise GridFormatError(f"{name} axis must be 1D, got shape {axis.shape}")
     if axis.size < 3:
         raise GridTooSmallError(f"{name} axis needs at least 3 samples, got {axis.size}")
-    check_finite(axis, f"{name} axis")
     # a spacing that overflows to inf, and inf - inf = nan, fail the test below
     with np.errstate(over="ignore", invalid="ignore"):
         h = axis[1:] - axis[:-1]
@@ -253,7 +265,6 @@ class GridSection:
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.x.size}, {self.p.size})"
             )
-        check_finite(self.values, "section values")
         self.charge = check_charge(self.charge)
 
     @property
@@ -268,8 +279,7 @@ class GridSection:
     def from_function(cls, f, x_range, p_range, nx: int, np_: int, charge: int = +1):
         """Sample f on a uniform grid of at most MAX_SAMPLES points.  f receives
         the column x[:, None] and the row p[None, :] and must broadcast; its
-        result is broadcast to (nx, np_).  Each range is a pair of finite real
-        numbers."""
+        result is broadcast to (nx, np_).  Each range is a pair of real numbers."""
         nx, np_ = check_int(nx, "nx", 0), check_int(np_, "np_", 0)
         # each axis on its own as well: with the other axis empty the product is 0
         check_samples(max(nx * np_, nx, np_), f"grid {nx}x{np_}")
@@ -305,7 +315,6 @@ class LineSection:
         self.h = _uniform_spacing(self.coords, self.axis)
         if self.values.shape != self.coords.shape:
             raise GridFormatError("values and coords must have the same length")
-        check_finite(self.values, "section values")
         self.charge = check_charge(self.charge)
 
     @classmethod
@@ -321,7 +330,7 @@ class LineSection:
     @finite_result("norm squared")
     def norm_sq(self) -> float:
         """Continuum norm squared by trapezoid; NonFiniteError if it overflows."""
-        return float(np.trapezoid(np.abs(self.values) ** 2, self.coords))
+        return float(trapezoid_weights(self.coords) @ np.abs(self.values) ** 2)
 
 
 def require_axis(sec: LineSection, axis: str) -> None:
@@ -341,9 +350,9 @@ V_MINUS = np.array([1.0, +1.0j]) / np.sqrt(2.0)
 class DoubledSection:
     """Coordinates of a C^2 = L+ (+) L- section along the v_pm fiber basis.
 
-    Components may be scalars or arrays of matching shape, and are finite
-    (else NonFiniteError).  psi_minus is not in general the conjugate of
-    psi_plus: the two charges carry independent amplitudes.
+    Components may be scalars or arrays of matching shape.  psi_minus is not
+    in general the conjugate of psi_plus: the two charges carry independent
+    amplitudes.
     """
 
     psi_plus: np.ndarray
@@ -354,14 +363,10 @@ class DoubledSection:
         self.psi_minus = check_array(self.psi_minus, complex, "psi_minus")
         if self.psi_plus.shape != self.psi_minus.shape:
             raise GridFormatError("component shapes differ")
-        check_finite(self.psi_plus, "psi_plus")
-        check_finite(self.psi_minus, "psi_minus")
 
     def rotate_fiber(self, theta: float) -> "DoubledSection":
-        """U(1)_v action: psi_pm -> exp(+/- i theta) psi_pm; theta is a finite
-        real number, else a typed error."""
+        """U(1)_v action: psi_pm -> exp(+/- i theta) psi_pm."""
         theta = check_real(theta, "theta")
-        check_finite(theta, "theta")
         return DoubledSection(np.exp(1j * theta) * self.psi_plus,
                               np.exp(-1j * theta) * self.psi_minus)
 

@@ -101,10 +101,15 @@ class TestArgumentRules:
         with pytest.raises(InvalidArgumentError, match="n must be an int >= 2"):
             check_int(bad, "n", 2)
 
-    @pytest.mark.parametrize("good", [1, -2.5, np.float64(0.5), np.int32(4), np.nan])
+    @pytest.mark.parametrize("good", [1, -2.5, np.float64(0.5), np.int32(4)])
     def test_real_accepts_real_numbers(self, good):
         x = check_real(good, "m")
-        assert type(x) is float and (x == good or np.isnan(good))
+        assert type(x) is float and x == good
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_real_rejects_nan_and_inf(self, bad):
+        with pytest.raises(NonFiniteError, match="m must be finite"):
+            check_real(bad, "m")
 
     @pytest.mark.parametrize("bad", [True, np.bool_(True), "1", 1j, None, [1.0]])
     def test_real_rejects(self, bad):
@@ -663,6 +668,11 @@ def _bad_calls():
          NonFiniteError),
         ("phase_coordinates 'a'", lambda: phase_coordinates("a", 1, params),
          InvalidArgumentError),
+        # the coordinate maps once took any charge, and leaked TypeError for text
+        *((f"complex_coordinate charge={q!r}", lambda q=q: complex_coordinate(1.0, 1.0, q, params),
+           InvalidChargeError) for q in (2, True, 0.5, 0, "x")),
+        *((f"phase_coordinates charge={q!r}", lambda q=q: phase_coordinates(1 + 1j, q, params),
+           InvalidChargeError) for q in (2, True, 0.5, 0, "x")),
         ("phase_coordinates 1e308+1e308j at m=omega=1e3",
          lambda: phase_coordinates(complex(1e308, 1e308), 1, OscillatorParams(1e3, 1e3)),
          NonFiniteError),
