@@ -60,10 +60,10 @@ def complex_coordinate(x, p, charge: int, params: OscillatorParams):
     """The charge-q coordinate z_q = (x - i q w^2 p)/sqrt(2), scalar or array;
     NonFiniteError where it overflows."""
     charge = check_charge(charge)
-    # a real number stays a Python scalar: Python's complex quotient rounds
-    # some values apart from numpy's
-    x, p = (v if isinstance(v, numbers.Real) else check_array(v, float, name)
-            for v, name in ((x, "x"), (p, "p")))
+    # a real number is checked but used as given: Python's complex quotient
+    # rounds some values apart from numpy's
+    x, p = ((check_real(v, name), v)[1] if isinstance(v, numbers.Real)
+            else check_array(v, float, name) for v, name in ((x, "x"), (p, "p")))
     return (x - 1j * charge * params.w2 * p) / np.sqrt(2.0)
 
 
@@ -196,27 +196,23 @@ def closed_loop(samples, min_points: int) -> np.ndarray:
     return z
 
 
-def closed_loop_ratios(samples, min_points: int) -> np.ndarray:
-    """z[1:] / z[:-1] of the closed loop z that closed_loop validates."""
+def loop_log(samples, min_points: int) -> complex:
+    """oint dz/z over the closed loop that closed_loop validates, as the sum of
+    the log ratios z_(k+1)/z_k taken part by part from real ufuncs (numpy's
+    complex log is a scalar loop): the angular steps, each of which must stay
+    below pi, else UndersampledError, and log|z_N/z_0|, which the real parts
+    telescope to."""
     z = closed_loop(samples, min_points)
-    return z[1:] / z[:-1]
-
-
-def check_angular_steps(steps: np.ndarray) -> np.ndarray:
-    """Return the angular steps of a sampled loop if every one is below pi."""
+    steps = np.angle(z[1:] / z[:-1])
     if np.any(np.abs(steps) >= np.pi * (1.0 - 1e-12)):
         raise UndersampledError("angular step reached pi; sample the curve more finely")
-    return steps
+    return complex(np.log(abs(z[-1] / z[0])), np.sum(steps))
 
 
 def winding_number(samples) -> int:
-    """Total unwrapped phase of a closed sampled curve, in turns.
-
-    The curve must be closed (first ~ last sample), stay away from 0, and be
-    sampled finely enough that every angular step is below pi.
-    """
-    steps = check_angular_steps(np.angle(closed_loop_ratios(samples, 2)))
-    turns = float(np.sum(steps) / TWO_PI)
+    """Total unwrapped phase of a closed sampled curve, in turns: the imaginary
+    part of loop_log over 2pi, which must round to an integer."""
+    turns = loop_log(samples, 2).imag / TWO_PI
     k = int(np.rint(turns))
     # closed + step-bounded implies an integer total up to rounding
     if abs(turns - k) > 1e-6:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import TWO_PI, check_angular_steps, closed_loop
+from .classical import TWO_PI, loop_log
 from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
 from .sections import (check_array, check_choice, check_finite, check_int, check_pair,
                        check_real, check_samples, finite_result)
@@ -108,11 +108,9 @@ def levi_civita_transport(loop, n: int | tuple[int, ...]
 
     The Levi-Civita connection of the cone metric is the one-form
     -((n-1)/n) dpsi/psi; the transport ODE integrates to the multiplier
-    exp(((n-1)/n) * oint dpsi/psi).  The loop integral is taken from the
-    samples z_0..z_N as a sum of principal-branch log ratios: its imaginary
-    part is the sum of the angular steps arg(z_(k+1)/z_k) (exact for integer
-    winding; every step must stay below pi, or UndersampledError is raised),
-    and its real part telescopes to log|z_N/z_0|.  A loop winding once about
+    exp(((n-1)/n) * oint dpsi/psi), the loop integral being classical.loop_log
+    of the loop's samples (at least 3; every angular step below pi, or
+    UndersampledError).  A loop winding once about
     the tip returns the defect angle 2pi(n-1)/n mod 2pi; loops not enclosing
     the tip return holonomy 0.  The angle lies in [0, 2pi): one that rounds
     to 2pi reads 0.  By linearity a vector v arrives as v * vector.
@@ -123,7 +121,7 @@ def levi_civita_transport(loop, n: int | tuple[int, ...]
     """
     degrees = tuple(check_int(d, "covering degree", 1)
                     for d in (n if isinstance(n, tuple) else (n,)))
-    total = _loop_log(loop)
+    total = loop_log(loop, 3)
     winding = int(np.rint(total.imag / TWO_PI))
     results = []
     for d in degrees:
@@ -134,16 +132,6 @@ def levi_civita_transport(loop, n: int | tuple[int, ...]
                                        holonomy_angle=angle if angle < TWO_PI else 0.0,
                                        loop_winding=winding))
     return tuple(results) if isinstance(n, tuple) else results[0]
-
-
-def _loop_log(loop) -> complex:
-    """oint dpsi/psi over a closed sampled loop, as the sum of the log ratios
-    z_(k+1)/z_k taken part by part from real ufuncs (numpy's complex log is a
-    scalar loop): the angular steps, which check_angular_steps bounds, and
-    log|z_N/z_0|, which the real parts telescope to."""
-    z = closed_loop(loop, 3)
-    steps = check_angular_steps(np.angle(z[1:] / z[:-1]))
-    return complex(np.log(abs(z[-1] / z[0])), np.sum(steps))
 
 
 # ---------------------------------------------------------------------------

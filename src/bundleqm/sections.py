@@ -166,11 +166,12 @@ def check_finite(values: np.ndarray, what: str) -> None:
 def finite_result(what: str):
     """Decorate a function whose arithmetic may overflow: the package's one
     rule for such results.  The call runs without numpy's overflow and
-    invalid-value warnings.  A returned float or complex number or array, or
-    each one in a returned tuple, that is NaN or inf raises NonFiniteError,
-    and so does Python's OverflowError, which Python floats raise where
-    numpy gives inf.  Integers are finite; a returned section or FockState
-    is left to its own constructor's check."""
+    invalid-value warnings.  A returned float or complex number (a numpy
+    scalar of any precision included) or array, or each one in a returned
+    tuple, that is NaN or inf raises NonFiniteError, and so does Python's
+    OverflowError, which Python floats raise where numpy gives inf.
+    Integers are finite; a returned section or FockState is left to its own
+    constructor's check."""
     def decorate(fn):
         @functools.wraps(fn)
         def checked(*args, **kwargs):
@@ -183,7 +184,7 @@ def finite_result(what: str):
                 if isinstance(v, np.ndarray):
                     if v.dtype.kind in "fc":
                         check_finite(v, what)
-                elif isinstance(v, (float, complex)) and not cmath.isfinite(v):
+                elif isinstance(v, (float, complex, np.inexact)) and not cmath.isfinite(v):
                     raise NonFiniteError(f"{what} must be finite")
             return value
         return checked

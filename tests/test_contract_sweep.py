@@ -1,12 +1,15 @@
-"""One sweep of the finiteness rule over every export of bundleqm.
+"""One sweep of the argument rule over every export of bundleqm and over the
+module-level functions that take numbers outside its exports.
 
-Each export that takes a number has one valid base call below, written as a
-function of its number and array arguments.  The sweep substitutes NaN, inf,
--inf and complex(nan, 0) into each of them in turn, under warnings as errors:
-a finite-number argument raises NonFiniteError, a real one InvalidArgumentError
-for complex(nan, 0) (a complex number is not real), and a parameter that must
-be positive InvalidArgumentError for all four.  In an array argument the
-hostile value replaces the last element.
+Each of these that takes a number has one valid base call below, written as
+a function of its number and array arguments.  The sweep substitutes NaN,
+inf, -inf and complex(nan, 0) into each of them in turn, under warnings as
+errors: a finite-number argument raises NonFiniteError, a real one
+InvalidArgumentError for complex(nan, 0) (a complex number is not real), and
+a parameter that must be positive InvalidArgumentError for all four.  In an
+array argument the hostile value replaces the last element.  True in a real
+scalar argument and 10**400 in any scalar argument raise InvalidArgumentError:
+neither is a number of the float range.
 """
 
 import inspect
@@ -23,7 +26,11 @@ from bundleqm import (ClassicalState, DoubledSection, FockState, GridSection, Li
                       laplacian_consistency, levi_civita_transport, loop_from_spec, moment_map,
                       polarization_limit_check, symplectic_reduce, translate_operator,
                       winding_number)
+from bundleqm.bundles import hermitian_pairing
+from bundleqm.classical import closed_loop, complex_coordinate, loop_log, phase_coordinates
 from bundleqm.errors import InvalidArgumentError, NonFiniteError
+from bundleqm.orbifold import circle_loop, ellipse_loop, square_loop
+from bundleqm.oscillator import bargmann_function
 
 P = OscillatorParams()
 AXIS = np.linspace(-1.0, 1.0, 3)
@@ -80,6 +87,26 @@ SWEEP = {
         {"re": 1.0}),
 }
 
+# Module-level functions outside bundleqm's exports that take numbers, in the
+# same form.
+MODULE_SWEEP = {
+    "complex_coordinate": (lambda x, p: complex_coordinate(x, p, 1, P), {"x": 1.0, "p": 0.5}),
+    "complex_coordinate [arrays]": (lambda x, p: complex_coordinate(x, p, -1, P),
+                                    {"x": [1.0, 0.0], "p": [0.5, 2.0]}),
+    "phase_coordinates": (lambda z: phase_coordinates(z, 1, P), {"z": 1 + 1j}),
+    "phase_coordinates [array]": (lambda z: phase_coordinates(z, -1, P), {"z": [1 + 1j, 0.5j]}),
+    "closed_loop": (lambda samples: closed_loop(samples, 3), {"samples": LOOP}),
+    "loop_log": (lambda samples: loop_log(samples, 3), {"samples": LOOP}),
+    "hermitian_pairing": (hermitian_pairing, {"psi": 1 + 1j, "phi": [0.5j, 1 + 0j]}),
+    "bargmann_function": (lambda z: bargmann_function(eigenstate(2), z), {"z": [1 + 1j, 0.5j]}),
+    "circle_loop": (lambda center, radius: circle_loop(center, radius, 8),
+                    {"center": 0.5j, "radius": 1.0}),
+    "ellipse_loop": (lambda center, rx, ry: ellipse_loop(center, rx, ry, 8),
+                     {"center": 0.5j, "rx": 2.0, "ry": 0.7}),
+    "square_loop": (lambda center, half_side: square_loop(center, half_side, 8),
+                    {"center": 0.5j, "half_side": 1.0}),
+}
+
 # Exports that take no number: their arguments are counts, signs, option names,
 # callables or package objects whose own constructors are swept above.
 NO_NUMBER = (
@@ -97,6 +124,11 @@ NO_NUMBER = (
 # InvalidArgumentError, as for 0 or -1.
 POSITIVE = {"m", "omega", "w", "half_width", "h"}
 HOSTILE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "nan+0j": complex(np.nan, 0.0)}
+# Scalars that are not numbers of the float range: 10**400 goes into every
+# scalar argument, True into every real one (as a complex scalar it reads
+# 1+0j, which the argument rule allows).
+NOT_FLOAT = {"True": True, "10**400": 10 ** 400}
+CALLS = {**SWEEP, **MODULE_SWEEP}
 
 
 def _public_names():
@@ -117,9 +149,9 @@ def _strict(call, **numbers):
         return call(**numbers)
 
 
-@pytest.mark.parametrize("key", sorted(SWEEP))
+@pytest.mark.parametrize("key", sorted(CALLS))
 def test_base_call_is_valid(key):
-    call, base = SWEEP[key]
+    call, base = CALLS[key]
     _strict(call, **base)
 
 
@@ -138,18 +170,31 @@ def _expected(name, base, bad):
     return NonFiniteError
 
 
-CASES = [(key, name, label) for key in sorted(SWEEP) for name in SWEEP[key][1]
+CASES = [(key, name, label) for key in sorted(CALLS) for name in CALLS[key][1]
          for label in HOSTILE]
 
 
 @pytest.mark.parametrize("key, name, label", CASES,
                          ids=[f"{key}-{name}-{label}" for key, name, label in CASES])
 def test_non_finite_number_is_refused(key, name, label):
-    call, base = SWEEP[key]
+    call, base = CALLS[key]
     bad = HOSTILE[label]
     error = _expected(name, base[name], bad)
     with pytest.raises(error):
         _strict(call, **{**base, name: _hostile(base[name], bad)})
+
+
+SCALAR_CASES = [(key, name, label) for key in sorted(CALLS)
+                for name, base in CALLS[key][1].items() if np.ndim(base) == 0
+                for label in NOT_FLOAT if not (label == "True" and np.iscomplexobj(base))]
+
+
+@pytest.mark.parametrize("key, name, label", SCALAR_CASES,
+                         ids=[f"{key}-{name}-{label}" for key, name, label in SCALAR_CASES])
+def test_non_float_scalar_is_refused(key, name, label):
+    call, base = CALLS[key]
+    with pytest.raises(InvalidArgumentError):
+        _strict(call, **{**base, name: NOT_FLOAT[label]})
 
 
 @pytest.mark.parametrize("call", [

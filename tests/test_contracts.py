@@ -12,16 +12,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bundleqm.bundles import (GaugeConnection, canonical_operators, covariant_derivative,
                               curvature_numeric, decompose, hermitian_pairing, recompose,
                               translate_operator, vacuum_connection)
 from bundleqm.classical import (ClassicalState, ComplexStructure, OscillatorParams,
-                                PhasePoint, closed_loop_ratios, complex_coordinate,
-                                evolve_classical, hamiltonian_energy, hamiltonian_vector_field,
-                                moment_map, phase_coordinates, rotation_generator,
-                                symplectic_reduce, trajectory_times, winding_number)
+                                PhasePoint, complex_coordinate, evolve_classical,
+                                hamiltonian_energy, hamiltonian_vector_field, moment_map,
+                                phase_coordinates, rotation_generator, symplectic_reduce,
+                                trajectory_times, winding_number)
 from bundleqm.errors import (BundleqmError, GridFormatError, GridTooSmallError,
                              InvalidArgumentError, InvalidChargeError, NonFiniteError,
                              NonMonotoneError, OpenCurveError, ResolutionInsufficientError,
@@ -247,9 +247,10 @@ class TestGridFormat:
 
 
 # (samples, what winding_number returns or raises, the loop_winding that
-# levi_civita_transport returns or what it raises).  Both functions bound the
-# angular step with check_angular_steps, so an undersampled closed loop
-# raises UndersampledError from either, whichever way it rounds.
+# levi_civita_transport returns or what it raises).  Both functions take the
+# loop integral from classical.loop_log, which bounds the angular step, so an
+# undersampled closed loop raises UndersampledError from either, whichever way
+# it rounds.
 CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 65))
 LOOP_CASES = [
     ([1.0 + 0j], OpenCurveError, OpenCurveError),
@@ -280,11 +281,43 @@ def test_closed_loop_checks(samples, winding, transport):
                 run()
 
 
-def test_loop_ratios():
-    z = np.array([2.0, 2j, -2.0, -2j, 2.0])
-    assert np.array_equal(closed_loop_ratios(z, 2), z[1:] / z[:-1])
-    with pytest.raises(OpenCurveError):
-        closed_loop_ratios(z[:2], 3)
+@st.composite
+def _loops(draw):
+    """Circles of at least 3 samples turning -3..3 times, which may miss 0, be
+    undersampled, end open, or pass through or near 0 at one sample."""
+    samples = draw(st.integers(3, 24))
+    turns = draw(st.integers(-3, 3))
+    radius = draw(st.floats(0.1, 2.0))
+    center = radius * draw(st.complex_numbers(max_magnitude=1.5))
+    z = center + radius * np.exp(2j * np.pi * turns * np.linspace(0.0, 1.0, samples))
+    fault = draw(st.sampled_from(["none", "open", "zero", "near zero"]))
+    k = draw(st.integers(0, samples - 1))
+    if fault == "open":
+        z[-1] *= 1.0 + draw(st.floats(1e-12, 1e-6))
+    elif fault == "zero":
+        z[k] = 0.0
+    elif fault == "near zero":
+        z[k] = draw(st.floats(1e-11, 1e-7)) * np.max(np.abs(z))
+    return z
+
+
+@settings(deadline=None)
+@given(loop=_loops(), n=st.integers(1, 6))
+def test_one_loop_rule(loop, n):
+    # levi_civita_transport and winding_number read one loop integral: the
+    # transport fails where the winding does, and agrees with it elsewhere,
+    # unless the integral is off a whole turn, which only the winding refuses
+    try:
+        transport = levi_civita_transport(loop, n)
+    except BundleqmError as err:
+        with pytest.raises(BundleqmError) as winding_err:
+            winding_number(loop)
+        assert type(winding_err.value) is type(err)
+        return
+    try:
+        assert winding_number(loop) == transport.loop_winding
+    except OpenCurveError as err:
+        assert "not an integer" in str(err)
 
 
 def _load_file(suffix, data):
@@ -643,6 +676,15 @@ def _bad_calls():
         ("rotation_generator at m=omega=1e-3",
          lambda: rotation_generator(PhasePoint(0, 1e303), OscillatorParams(1e-3, 1e-3)),
          NonFiniteError),
+        # an overflow to a numpy scalar other than float64 was once returned as inf
+        ("hamiltonian_energy x=float32(3e38)",
+         lambda: hamiltonian_energy(PhasePoint(np.float32(3e38), 0.0), params), NonFiniteError),
+        ("hamiltonian_vector_field p=float32(3e38) at m=1e-3",
+         lambda: hamiltonian_vector_field(PhasePoint(0.0, np.float32(3e38)),
+                                          OscillatorParams(m=1e-3)), NonFiniteError),
+        ("rotation_generator p=float32(3e38) at m=1e-3",
+         lambda: rotation_generator(PhasePoint(0.0, np.float32(3e38)), OscillatorParams(m=1e-3)),
+         NonFiniteError),
         ("z_plus x=p=1e308 at m=omega=1e-3",
          lambda: PhasePoint(1e308, 1e308).z_plus(OscillatorParams(1e-3, 1e-3)),
          NonFiniteError),
@@ -666,6 +708,12 @@ def _bad_calls():
          NonFiniteError),
         ("complex_coordinate x=[nan]", lambda: complex_coordinate([np.nan], [0.0], 1, params),
          NonFiniteError),
+        # a real scalar once skipped its check: True read as 1, and an int
+        # beyond the float range raised NonFiniteError
+        *((f"complex_coordinate {name}={label}",
+           lambda args=args: complex_coordinate(*args, 1, params), InvalidArgumentError)
+          for label, v in (("True", True), ("10**400", 10 ** 400))
+          for name, args in (("x", (v, 0)), ("p", (0, v)))),
         ("phase_coordinates 'a'", lambda: phase_coordinates("a", 1, params),
          InvalidArgumentError),
         # the coordinate maps once took any charge, and leaked TypeError for text

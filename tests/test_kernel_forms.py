@@ -10,11 +10,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bundleqm.bundles import covariant_derivative
-from bundleqm.classical import OscillatorParams
+from bundleqm.classical import OscillatorParams, loop_log
 from bundleqm.cli import RunConfig, _gauge_family, suite_bargmann, suite_husimi
 from bundleqm.errors import (BundleqmError, GridTooSmallError, InvalidArgumentError,
                              NonFiniteError, QuadratureUnderResolvedError)
-from bundleqm.orbifold import _loop_log, circle_loop, ellipse_loop, square_loop
+from bundleqm.orbifold import circle_loop, ellipse_loop, square_loop
 from bundleqm.oscillator import (bargmann_function, coordinate_hamiltonian_matrix,
                                  eigenstate, evolve_schrodinger, hamiltonian_apply, husimi,
                                  husimi_levels)
@@ -493,7 +493,7 @@ def _assert_loop_log_agrees(loop):
     # the angles agree within a few ulp of 2pi; the reference's real part
     # sums N logs of ratios that are 1 within rounding, each off by about an
     # ulp, where the telescoped log|z_N/z_0| has one rounding
-    total, ref = _loop_log(loop), _loop_log_reference(loop)
+    total, ref = loop_log(loop, 3), _loop_log_reference(loop)
     assert abs(total.imag - ref.imag) <= 4 * np.spacing(2 * np.pi)
     assert abs(total.real - ref.real) <= (len(loop) - 1) * np.spacing(1.0)
 
