@@ -79,7 +79,8 @@ def covariant_derivative(sec: GridSection, direction: str,
     else:
         deriv = diff_axis(sec.values, sec.hp, axis=1)
         a = conn.a_p(x, p)
-    return sec.like(deriv + 1j * sec.charge * a * sec.values)
+    deriv += 1j * sec.charge * a * sec.values     # diff_axis returns a new array
+    return sec.like(deriv)
 
 
 def curvature_numeric(conn: GaugeConnection, probe: GridSection) -> complex:
@@ -91,13 +92,13 @@ def curvature_numeric(conn: GaugeConnection, probe: GridSection) -> complex:
     """
     if probe.nx < 5 or probe.np_ < 5:
         raise GridTooSmallError("probe grid needs at least 5 x 5 samples")
-    comm = (covariant_derivative(covariant_derivative(probe, "p", conn), "x", conn).values
-            - covariant_derivative(covariant_derivative(probe, "x", conn), "p", conn).values)
     sl = (slice(2, -2), slice(2, -2))
-    inner = probe.values[sl]
-    if np.min(np.abs(inner)) < 1e-12 * np.max(np.abs(probe.values)):
+    comm = (covariant_derivative(covariant_derivative(probe, "p", conn), "x", conn).values[sl]
+            - covariant_derivative(covariant_derivative(probe, "x", conn), "p", conn).values[sl])
+    modulus = np.abs(probe.values)
+    if np.min(modulus[sl]) < 1e-12 * np.max(modulus):
         raise DivisionNearZeroError("probe vanishes on the interior")
-    return complex(np.mean(comm[sl] / inner))
+    return complex(np.mean(comm / probe.values[sl]))
 
 
 def canonical_operators(rep: str, charge: int):

@@ -187,11 +187,11 @@ def _husimi_fields(r: np.ndarray, gauss: np.ndarray, n_max: int):
             if n:
                 radial *= 1.0 / n   # before r: R_n, not R_(n-1) r, is what must fit
                 radial *= r
-            q_n = radial * gauss
         # R_n >= 0 and exp(-r) is finite, so Q_n is finite exactly where R_n is
         if not np.isfinite(radial.max(initial=0.0)):
             raise NonFiniteError("Husimi field must be finite")
-        yield q_n
+        # no local holds the field: the caller's copy is the only one
+        yield radial * gauss
 
 
 def charge_density(state: Union[FockState, LineSection]):

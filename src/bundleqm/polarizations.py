@@ -379,7 +379,8 @@ def polarization_limit_check(params: OscillatorParams, w_sequence: Sequence[floa
     (w outside about 1e-81..1e77), raises InvalidArgumentError.
     """
     q = check_charge(charge)
-    # object dtype keeps each entry as given, so a bool meets check_positive's refusal
+    # object dtype keeps each entry as given, so a bool, also one among floats,
+    # meets check_positive's refusal
     ws = [check_positive(v, "w") for v in check_array(w_sequence, object, "w_sequence", ndim=1)]
     # OscillatorParams rejects a w whose omega = 1/m/w/w, w^2 or w^4 leaves the
     # float range, so every accepted entry has params.w == w up to rounding

@@ -89,16 +89,18 @@ def check_positive(value, name: str) -> float:
 
 def check_array(value, dtype, name: str, ndim: Optional[int] = None) -> np.ndarray:
     """`value` as an array of dtype, with ndim dimensions when ndim is given; else
-    InvalidArgumentError: for any text, None, an int beyond floats, ragged lists, a
-    2D loop or complex values where dtype is real.  A float or complex array that
-    holds NaN or inf raises NonFiniteError; object and integer arrays are not
-    scanned."""
+    InvalidArgumentError: for any text, None, a bool or an array of bools, an int
+    beyond floats, ragged lists, a 2D loop or complex values where dtype is real.
+    A float or complex array that holds NaN or inf raises NonFiniteError; object
+    and integer arrays are not scanned."""
     try:
-        arr = np.asarray(value)
-        # numpy's conversion parses text, reads None as NaN and drops an imaginary
-        # part with a warning; only an object array can hold text or None without
-        # being text itself
-        if (arr.dtype.kind in "SU"
+        # an object array keeps each entry as given: np.asarray alone would turn
+        # a mixed list such as [True, 0.5] into floats
+        arr = np.asarray(value, dtype=object) if dtype is object else np.asarray(value)
+        # numpy's conversion parses text, reads None as NaN, bools as 0 and 1,
+        # and drops an imaginary part with a warning; only an object array can
+        # hold text or None without being text itself
+        if (arr.dtype.kind in "SUb"
                 or arr.dtype.kind == "c" and np.dtype(dtype).kind == "f"
                 or arr.dtype.kind == "O" and any(item is None or isinstance(item, (str, bytes))
                                                  for item in arr.flat)):
@@ -202,16 +204,20 @@ def diff_axis(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """
     if values.shape[axis] < 3:
         raise GridTooSmallError("need at least 3 samples along the derivative axis")
-    f = np.moveaxis(values, axis, 0)
-    g = np.empty_like(f, dtype=np.result_type(f, 1.0))
-    np.subtract(f[2:], f[:-2], out=g[1:-1])
-    g[0] = -3.0 * f[0] + 4.0 * f[1] - f[2]
-    g[-1] = 3.0 * f[-1] - 4.0 * f[-2] + f[-3]
+    lead = (slice(None),) * (axis % values.ndim)     # the axes before `axis`
+
+    def f(i):   # the samples at index or slice i along `axis`
+        return values[lead + (i,)]
+
+    g = np.empty_like(values, dtype=np.result_type(values, 1.0))
+    np.subtract(f(slice(2, None)), f(slice(None, -2)), out=g[lead + (slice(1, -1),)])
+    g[lead + (0,)] = -3.0 * f(0) + 4.0 * f(1) - f(2)
+    g[lead + (-1,)] = 3.0 * f(-1) - 4.0 * f(-2) + f(-3)
     if g.dtype == np.complex128:
         g *= 1.0 / (2.0 * h)
     else:
         g /= 2.0 * h
-    return np.moveaxis(g, 0, axis)
+    return g
 
 
 def trapezoid_weights(coords: np.ndarray) -> np.ndarray:
@@ -219,7 +225,11 @@ def trapezoid_weights(coords: np.ndarray) -> np.ndarray:
     width, halved, goes to each of its two ends, so wt @ f is np.trapezoid(f,
     coords) written as a dot product."""
     dx = np.diff(coords)
-    return 0.5 * (np.pad(dx, (1, 0)) + np.pad(dx, (0, 1)))
+    wt = np.zeros(dx.size + 1, np.result_type(dx, 0.5))
+    wt[:-1] = dx
+    wt[1:] += dx
+    wt *= 0.5
+    return wt
 
 
 def _axis(lo, hi, n: int, name: str) -> np.ndarray:
@@ -261,12 +271,15 @@ class GridSection:
         self.values = check_array(self.values, complex, "section values")
         self.hx = _uniform_spacing(self.x, "x")
         self.hp = _uniform_spacing(self.p, "p")
+        self._check_shape()
+        self.charge = check_charge(self.charge)
+
+    def _check_shape(self):
         if self.values.shape != (self.x.size, self.p.size):
             raise GridFormatError(
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.x.size}, {self.p.size})"
             )
-        self.charge = check_charge(self.charge)
 
     @property
     def nx(self) -> int:
@@ -296,8 +309,8 @@ class GridSection:
         return cls(x=x, p=p, values=values, charge=charge)
 
     def like(self, values: np.ndarray) -> "GridSection":
-        """Same grid and charge, new values."""
-        return GridSection(x=self.x, p=self.p, values=values, charge=self.charge)
+        """Same grid and charge, new values; only the values are checked."""
+        return _like(self, values)
 
 
 @dataclass
@@ -314,9 +327,12 @@ class LineSection:
         self.coords = check_array(self.coords, float, f"{self.axis} axis")
         self.values = check_array(self.values, complex, "section values")
         self.h = _uniform_spacing(self.coords, self.axis)
+        self._check_shape()
+        self.charge = check_charge(self.charge)
+
+    def _check_shape(self):
         if self.values.shape != self.coords.shape:
             raise GridFormatError("values and coords must have the same length")
-        self.charge = check_charge(self.charge)
 
     @classmethod
     def from_function(cls, f, axis: str, lo: float, hi: float, n: int, charge: int = +1):
@@ -325,13 +341,24 @@ class LineSection:
                    charge=charge)
 
     def like(self, values: np.ndarray) -> "LineSection":
-        return LineSection(axis=self.axis, coords=self.coords, values=values,
-                           charge=self.charge)
+        """Same axis, coords and charge, new values; only the values are checked."""
+        return _like(self, values)
 
     @finite_result("norm squared")
     def norm_sq(self) -> float:
         """Continuum norm squared by trapezoid; NonFiniteError if it overflows."""
         return float(trapezoid_weights(self.coords) @ np.abs(self.values) ** 2)
+
+
+def _like(sec, values):
+    """A copy of the section sec with new values.  Its axes, spacings and charge
+    were checked when sec was built, so only the values are: the check and the
+    shape test that the constructor runs on them, with the same errors."""
+    new = object.__new__(type(sec))
+    new.__dict__.update(sec.__dict__)
+    new.values = check_array(values, complex, "section values")
+    new._check_shape()
+    return new
 
 
 def require_axis(sec: LineSection, axis: str) -> None:

@@ -163,6 +163,13 @@ def diff_axis_reference(values, h, axis):
     return np.moveaxis(g, 0, axis)
 
 
+def trapezoid_weights_reference(coords):
+    """The package's trapezoid weights as they once were: the interval widths
+    padded with a 0 at either end, summed and halved."""
+    dx = np.diff(coords)
+    return 0.5 * (np.pad(dx, (1, 0)) + np.pad(dx, (0, 1)))
+
+
 def first_difference_matrix(n, h):
     """The first-derivative stencil as an explicit sparse n x n matrix: central
     rows (-1, 0, 1)/2h, one-sided O(h^2) first and last rows."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from bundleqm.bundles import (DoubledSection, GridSection, LineSection,
                               curvature_numeric, decompose, gauge_transform,
                               hermitian_pairing, recompose, translate_operator,
                               vacuum_connection)
-from bundleqm.errors import (DivisionNearZeroError, GridTooSmallError,
-                             WrongPolarizationError)
+from bundleqm.errors import (DivisionNearZeroError, GridFormatError, GridTooSmallError,
+                             InvalidArgumentError, NonFiniteError, WrongPolarizationError)
 from bundleqm.sections import (V_MINUS, V_PLUS, load_grid, read_grid_csv, save_grid,
                                write_grid_csv)
 
@@ -317,6 +319,64 @@ class TestDoubledSection:
         psi = np.array([1.0 + 0.5j, -0.2j])
         assert DoubledSection(psi, psi.copy()).is_diagonal()
         assert not DoubledSection(psi, 2 * psi).is_diagonal()
+
+
+def _sections():
+    grid = GridSection.from_function(lambda X, P: X + 1j * P, (-1.0, 1.0), (-2.0, 2.0), 5, 4,
+                                     charge=-1)
+    line = LineSection.from_function(np.cos, "p", -1.0, 1.0, 6, charge=-1)
+    return {"grid": grid, "line": line}
+
+
+def _rebuilt(sec, values):
+    """The section's constructor on its own axes and charge, with new values."""
+    if isinstance(sec, GridSection):
+        return GridSection(sec.x, sec.p, values, sec.charge)
+    return LineSection(sec.axis, sec.coords, values, sec.charge)
+
+
+@pytest.mark.parametrize("kind", ["grid", "line"])
+class TestLike:
+    def test_shares_axes_spacings_and_charge(self, kind):
+        sec = _sections()[kind]
+        before = sec.values.copy()
+        new = sec.like(2.0 * sec.values)
+        assert type(new) is type(sec) and new is not sec
+        assert new.values.tobytes() == (2.0 * before).tobytes()
+        assert sec.values.tobytes() == before.tobytes()
+        kept = ("x", "p", "hx", "hp", "charge") if kind == "grid" else ("axis", "coords", "h",
+                                                                         "charge")
+        for name in kept:
+            assert getattr(new, name) is getattr(sec, name)
+        assert vars(new).keys() == vars(_rebuilt(sec, new.values)).keys()
+
+    @pytest.mark.parametrize("bad, error", [
+        ("NaN", NonFiniteError), ("inf", NonFiniteError), ("text", InvalidArgumentError),
+        ("None", InvalidArgumentError), ("bools", InvalidArgumentError),
+        ("short", GridFormatError), ("transposed", GridFormatError)])
+    def test_refuses_what_the_constructor_refuses(self, kind, bad, error):
+        sec = _sections()[kind]
+        values = {
+            "NaN": np.where(sec.values == sec.values.flat[-1], np.nan, sec.values),
+            "inf": np.full(sec.values.shape, complex(0.0, np.inf)),
+            "text": sec.values.astype(str),
+            "None": None,
+            "bools": np.ones(sec.values.shape, dtype=bool),
+            "short": sec.values[:-1],
+            "transposed": sec.values.T if kind == "grid" else sec.values[:, None],
+        }[bad]
+        with pytest.raises(error) as got:
+            sec.like(values)
+        with pytest.raises(error) as ref:
+            _rebuilt(sec, values)
+        assert str(got.value) == str(ref.value)
+
+    def test_shape_message(self, kind):
+        sec = _sections()[kind]
+        message = ("values shape (4, 4) does not match grid (5, 4)" if kind == "grid"
+                   else "values and coords must have the same length")
+        with pytest.raises(GridFormatError, match=re.escape(message)):
+            sec.like(sec.values[:-1])
 
 
 class TestGridIO:

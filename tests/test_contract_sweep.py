@@ -7,9 +7,10 @@ inf, -inf and complex(nan, 0) into each of them in turn, under warnings as
 errors: a finite-number argument raises NonFiniteError, a real one
 InvalidArgumentError for complex(nan, 0) (a complex number is not real), and
 a parameter that must be positive InvalidArgumentError for all four.  In an
-array argument the hostile value replaces the last element.  True in a real
-scalar argument and 10**400 in any scalar argument raise InvalidArgumentError:
-neither is a number of the float range.
+array argument the hostile value replaces the last element.  True, np.True_
+and 10**400 in any scalar argument, and an array of bools in place of any
+array argument, raise InvalidArgumentError: a bool is not a number, and
+10**400 is not one of the float range.
 """
 
 import inspect
@@ -124,10 +125,9 @@ NO_NUMBER = (
 # InvalidArgumentError, as for 0 or -1.
 POSITIVE = {"m", "omega", "w", "half_width", "h"}
 HOSTILE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "nan+0j": complex(np.nan, 0.0)}
-# Scalars that are not numbers of the float range: 10**400 goes into every
-# scalar argument, True into every real one (as a complex scalar it reads
-# 1+0j, which the argument rule allows).
-NOT_FLOAT = {"True": True, "10**400": 10 ** 400}
+# Scalars that are not numbers of the float range, each into every scalar
+# argument, real or complex.
+NOT_FLOAT = {"True": True, "np.True_": np.True_, "10**400": 10 ** 400}
 CALLS = {**SWEEP, **MODULE_SWEEP}
 
 
@@ -186,7 +186,7 @@ def test_non_finite_number_is_refused(key, name, label):
 
 SCALAR_CASES = [(key, name, label) for key in sorted(CALLS)
                 for name, base in CALLS[key][1].items() if np.ndim(base) == 0
-                for label in NOT_FLOAT if not (label == "True" and np.iscomplexobj(base))]
+                for label in NOT_FLOAT]
 
 
 @pytest.mark.parametrize("key, name, label", SCALAR_CASES,
@@ -195,6 +195,19 @@ def test_non_float_scalar_is_refused(key, name, label):
     call, base = CALLS[key]
     with pytest.raises(InvalidArgumentError):
         _strict(call, **{**base, name: NOT_FLOAT[label]})
+
+
+ARRAY_CASES = [(key, name) for key in sorted(CALLS)
+               for name, base in CALLS[key][1].items() if np.ndim(base) > 0]
+
+
+@pytest.mark.parametrize("key, name", ARRAY_CASES,
+                         ids=[f"{key}-{name}" for key, name in ARRAY_CASES])
+def test_bool_array_is_refused(key, name):
+    # numpy would read it as an array of 0s and 1s
+    call, base = CALLS[key]
+    with pytest.raises(InvalidArgumentError):
+        _strict(call, **{**base, name: np.ones(np.shape(base), dtype=bool)})
 
 
 @pytest.mark.parametrize("call", [

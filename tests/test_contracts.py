@@ -486,6 +486,11 @@ def _bad_calls():
          lambda: OscillatorParams(m=10 ** 200, omega=10 ** 200), InvalidArgumentError),
         ("limit check w='x'", lambda: polarization_limit_check(params, ["x", 1.0]),
          InvalidArgumentError),
+        # numpy turned these lists into floats, so True ran as w = 1.0
+        ("limit check w=[True, 0.5]", lambda: polarization_limit_check(params, [True, 0.5]),
+         InvalidArgumentError),
+        ("limit check w=[2.0, np.True_]",
+         lambda: polarization_limit_check(params, [2.0, np.True_]), InvalidArgumentError),
         # the two JSON documents README describes
         ("FockState JSON not JSON", lambda: FockState.from_json("{"), InvalidArgumentError),
         ("FockState JSON list", lambda: FockState.from_json("[]"), InvalidArgumentError),

@@ -8,6 +8,7 @@ used before they were sped up or simplified."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bundleqm.bundles import covariant_derivative
 from bundleqm.classical import OscillatorParams, loop_log
@@ -79,6 +80,16 @@ def test_trapezoid_weights_match_np_trapezoid(seed, n):
     ref = np.trapezoid(f, x)
     assert trapezoid_weights(x) @ f == pytest.approx(ref, rel=1e-12,
                                                      abs=1e-13 * np.sum(np.abs(f)) * np.ptp(x))
+
+
+@pytest.mark.parametrize("coords", [
+    np.linspace(-8.0, 8.0, 257), np.linspace(-12.0, 12.0, 4001), np.linspace(0.0, 1.0, 2),
+    np.cumsum(np.random.default_rng(5).uniform(0.01, 1.0, size=300)) - 3.0,
+    np.geomspace(1e-3, 1e3, 41), np.array([0.5])],
+    ids=["uniform-257", "uniform-4001", "two-points", "non-uniform", "geometric", "one-point"])
+def test_trapezoid_weights_bit_equal_to_padded_form(coords):
+    got = trapezoid_weights(coords)
+    assert got.tobytes() == oracles.trapezoid_weights_reference(coords).tobytes()
 
 
 class TestGaussHermiteRule:
@@ -451,16 +462,27 @@ _stencil_part = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
                           st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), nx=st.integers(3, 6), ny=st.integers(3, 6),
-       axis=st.sampled_from([0, 1]), h=st.floats(1e-6, 1e6),
-       real=st.booleans())
-def test_stencil_property(data, nx, ny, axis, h, real):
-    parts = np.array(data.draw(st.lists(_stencil_part, min_size=2 * nx * ny,
-                                        max_size=2 * nx * ny)))
+@pytest.mark.parametrize("shape", [(7,), (4, 5, 6)])
+@pytest.mark.parametrize("layout", ["C", "reversed axes"])
+def test_stencil_on_every_axis(shape, layout):
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if layout == "reversed axes":
+        values = np.ascontiguousarray(values.T).T
+    for axis in range(-len(shape), len(shape)):
+        _assert_stencil_matches(values, 0.25, axis)
+
+
+@settings(deadline=None)
+@given(data=st.data(), shape=st.lists(st.integers(3, 5), min_size=1, max_size=3),
+       h=st.floats(1e-6, 1e6), real=st.booleans())
+def test_stencil_property(data, shape, h, real):
+    size = int(np.prod(shape))
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1), label="axis")
+    parts = data.draw(arrays(np.float64, 2 * size, elements=_stencil_part), label="parts")
     # interleaved (re, im) pairs viewed as complex keep the sign of each zero
-    values = parts[:nx * ny] if real else parts.view(complex)
-    _assert_stencil_matches(values.reshape(nx, ny), h, axis)
+    values = parts[:size] if real else parts.view(complex)
+    _assert_stencil_matches(values.reshape(shape), h, axis)
 
 
 # The loop builders share one helper for their checks and parameters; each
