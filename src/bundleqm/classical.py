@@ -177,15 +177,20 @@ def trajectory_times(periods: float, samples: int, params: OscillatorParams) -> 
 
 
 def closed_loop(samples, min_points: int) -> np.ndarray:
-    """Validate a sampled closed loop about 0 and return it as a complex array.
+    """Validate a sampled closed loop about 0 and return it as a new complex
+    array, scaled by a power of two to a largest part in [1/2, 1).
 
     The loop is a 1D array of at least min_points finite complex samples,
     none within 1e-9 (relative to the largest modulus) of 0, with first ~
-    last sample.
+    last sample.  The scale is exact and leaves every ratio of two samples
+    as it was.  Scaled, no modulus overflows and the tolerance does not
+    underflow to 0, at any size of loop.
     """
     z = check_array(samples, complex, "loop samples", ndim=1)
     if z.size < min_points:
         raise OpenCurveError(f"need at least {min_points} samples")
+    parts = np.ascontiguousarray(z).view(np.float64)
+    z = np.ldexp(parts, -np.frexp(max(parts.max(), -parts.min()))[1]).view(np.complex128)
     r = np.abs(z)
     scale = np.max(r)
     tol = 1e-9 * scale
@@ -201,12 +206,16 @@ def loop_log(samples, min_points: int) -> complex:
     the log ratios z_(k+1)/z_k taken part by part from real ufuncs (numpy's
     complex log is a scalar loop): the angular steps, each of which must stay
     below pi, else UndersampledError, and log|z_N/z_0|, which the real parts
-    telescope to."""
+    telescope to.  The ratios are those of closed_loop's scaled loop, so no
+    denominator is subnormal, where numpy's complex division overflows."""
     z = closed_loop(samples, min_points)
-    steps = np.angle(z[1:] / z[:-1])
-    if np.any(np.abs(steps) >= np.pi * (1.0 - 1e-12)):
+    log_modulus = np.log(abs(z[-1] / z[0]))
+    # the ratios overwrite closed_loop's array, and the largest |step| is read
+    # without an array of its own: two loop-sized arrays in all
+    steps = np.angle(np.divide(z[1:], z[:-1], out=z[:-1]))
+    if max(steps.max(), -steps.min()) >= np.pi * (1.0 - 1e-12):
         raise UndersampledError("angular step reached pi; sample the curve more finely")
-    return complex(np.log(abs(z[-1] / z[0])), np.sum(steps))
+    return complex(log_modulus, np.sum(steps))
 
 
 def winding_number(samples) -> int:

@@ -173,7 +173,8 @@ def husimi_levels(n_max: int, u, v):
     """
     n_max = check_int(n_max, "n_max", 0)
     u, v = _husimi_axes(u, v)
-    r = u ** 2 + v ** 2
+    with np.errstate(over="ignore"):    # r = inf: Q_0 = 0, and R_1 = inf is reported
+        r = u ** 2 + v ** 2
     return _husimi_fields(r, np.exp(-r), n_max)
 
 

@@ -233,8 +233,13 @@ def trapezoid_weights(coords: np.ndarray) -> np.ndarray:
 
 
 def _axis(lo, hi, n: int, name: str) -> np.ndarray:
-    """n uniform points from lo to hi."""
-    return np.linspace(check_real(lo, name), check_real(hi, name), n)
+    """n uniform points from lo to hi; NonFiniteError if hi - lo overflows."""
+    lo, hi = check_real(lo, name), check_real(hi, name)
+    # Python floats overflow to inf without numpy's warning; a finite width
+    # keeps every point of np.linspace between lo and hi
+    if not cmath.isfinite(hi - lo):
+        raise NonFiniteError(f"{name} {lo!r} to {hi!r} must have a finite width")
+    return np.linspace(lo, hi, n)
 
 
 def _uniform_spacing(axis: np.ndarray, name: str) -> float:

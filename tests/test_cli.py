@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                           ConfigError, RunConfig, canonical_json, cmd_husimi,
                           cmd_simulate, cmd_spectrum, main)
-from bundleqm import bundles, cli
+from bundleqm import bundles, checks, cli
 from bundleqm.errors import (BundleqmError, DecayViolationError, InvalidChargeError,
                              NonFiniteError)
 
@@ -341,10 +341,15 @@ def test_husimi_ring_at_the_grid_corners_is_drawn(out_dir):
 
 
 class TestVerifyCommand:
-    def test_single_suite_passes(self, capsys):
-        assert main(["verify", "--suite", "holonomy"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
+    @pytest.mark.parametrize("suite", sorted(checks.SUITES))
+    def test_single_suite_passes(self, capsys, suite):
+        # a suite run alone prints the lines it prints in the `all` run
+        assert main(["verify", "--suite", suite]) == EXIT_OK
+        *alone, summary = capsys.readouterr().out.splitlines(keepends=True)
+        assert alone and all(line.startswith("[PASS] ") for line in alone)
+        assert summary == f"{len(alone)}/{len(alone)} checks passed\n"
+        assert main(["verify", "--suite", "all"]) == EXIT_OK
+        assert "\n" + "".join(alone) in "\n" + capsys.readouterr().out
 
     # omega = 0.2 puts the spectrum suite's n = 10 turning point beyond x = 10
     @pytest.mark.parametrize("doc", [{"omega": 0.5}, {"omega": 2}, {"m": 4},
@@ -372,22 +377,22 @@ class TestVerifyCommand:
     def test_gauge_curvature_is_extrapolated(self):
         # the raw curvature on the 51^2 probe reads 3.4e-4: only Richardson's
         # step with the 26^2 subgrid brings it below 2e-5
-        checks = cli.suite_gauge(RunConfig())
-        values = [c.measured for c in checks if c.name.endswith("|comm/psi + i|")]
+        results = checks.suite_gauge(RunConfig())
+        values = [c.measured for c in results if c.name.endswith("|comm/psi + i|")]
         assert len(values) == 4 and max(values) < 2e-5
 
     def test_gauge_probe_and_subgrid_show_second_order(self):
         # the premise of the extrapolation: curvature_numeric's error falls
         # as h^2 from the 26^2 subgrid to the 51^2 probe
-        fine = cli._symmetric_probe()
+        fine = checks._symmetric_probe()
         coarse = bundles.GridSection(fine.x[::2], fine.p[::2], fine.values[::2, ::2])
-        for _, conn in cli._gauge_family():
+        for _, conn in checks._gauge_family():
             err_coarse, err_fine = (abs(bundles.curvature_numeric(conn, g) + 1j)
                                     for g in (coarse, fine))
             assert np.log2(err_coarse / err_fine) >= 1.9
 
     def test_tolerances_key_exits_usage(self, tmp_path, out_dir, capsys):
-        # verify's bounds are pinned in cli.TOLERANCES: a config file once
+        # verify's bounds are pinned in checks.TOLERANCES: a config file once
         # could loosen them, even to Infinity, and turn a FAIL into exit 0
         config = tmp_path / "loose.json"
         config.write_text('{"tolerances": {}}')
@@ -397,8 +402,8 @@ class TestVerifyCommand:
         assert not out_dir.exists()
 
     def test_non_finite_measurement_writes_no_report(self, out_dir, monkeypatch, capsys):
-        monkeypatch.setitem(cli.SUITES, "ccr",
-                            lambda config: [cli.Check("ccr nan", float("nan"), 1e-3)])
+        monkeypatch.setitem(checks.SUITES, "ccr",
+                            lambda config: [checks.Check("ccr nan", float("nan"), 1e-3)])
         assert main(["verify", "--suite", "ccr"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -416,7 +421,7 @@ class TestVerifyCommand:
         assert main(["--config", str(config), "verify", "--suite", "ccr"]) == EXIT_USAGE
 
 
-class TestConcurrentVerify:
+class TestVerifyRunsInOrder:
     """verify runs its suites one after another on the calling thread, in
     sorted name order, with no thread of its own; the first suite that
     raises ends the run."""
@@ -443,8 +448,8 @@ class TestConcurrentVerify:
                 return []
             return suite
 
-        for name in cli.SUITES:
-            monkeypatch.setitem(cli.SUITES, name, record(name))
+        for name in checks.SUITES:
+            monkeypatch.setitem(checks.SUITES, name, record(name))
         return taken
 
     def test_output_bytes_do_not_depend_on_the_core_count(self, tmp_path, monkeypatch,
@@ -464,7 +469,7 @@ class TestConcurrentVerify:
         before = threading.active_count()
         code, out, _err, reports = self._verify(monkeypatch, tmp_path, capsys)
         assert code == EXIT_OK and len(reports) == 1 and out == "0/0 checks passed\n"
-        assert taken == [(name, threading.current_thread()) for name in sorted(cli.SUITES)]
+        assert taken == [(name, threading.current_thread()) for name in sorted(checks.SUITES)]
         assert threading.active_count() == before
 
     def test_raising_suite_gives_one_error_line(self, tmp_path, monkeypatch, capsys):
@@ -473,7 +478,7 @@ class TestConcurrentVerify:
         assert code == EXIT_USAGE and out == "" and reports == []
         assert err == "error: injected in gauge\n"
         # the suites after it in name order do not run
-        names = sorted(cli.SUITES)
+        names = sorted(checks.SUITES)
         assert [name for name, _ in taken] == names[:names.index("gauge") + 1]
 
     @pytest.mark.parametrize("first, second", [("gauge", "spectrum"), ("bargmann", "ccr")])

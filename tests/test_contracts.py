@@ -266,6 +266,17 @@ LOOP_CASES = [
     ([1.0, 1.0, 1.0], 0, 0),
     (CIRCLE, 1, 1),
     (np.conj(CIRCLE), -1, -1),
+    # the rule holds at any scale: subnormal samples, where numpy's complex
+    # division overflows, and samples near the float maximum
+    (5e-324 * CIRCLE, 1, 1),
+    (1e-310 * CIRCLE, 1, 1),
+    (1e300 * CIRCLE, 1, 1),
+    ([5e-324, 5e-324j, -5e-324, -5e-324j, 5e-324], 1, 1),
+    # a sample at 0 where 1e-9 of the largest modulus underflows to 0
+    ([5e-324, 0.0, 5e-324j, -5e-324, 5e-324], ZeroCrossingError, ZeroCrossingError),
+    ([1e-318, 1e-318j, 0.0, -1e-318j, 1e-318], ZeroCrossingError, ZeroCrossingError),
+    # parts of 1.5e308: the corners' moduli are beyond the float range
+    (1.5e308 * np.array([1, 1 + 1j, 1j, -1 + 1j, -1, -1 - 1j, -1j, 1 - 1j, 1]), 1, 1),
 ]
 
 
@@ -279,6 +290,15 @@ def test_closed_loop_checks(samples, winding, transport):
         else:
             with pytest.raises(expected):
                 run()
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e300, 1e308])
+def test_transport_at_any_scale(scale):
+    # the unit circle's holonomy and transported vector at every size
+    unit, scaled = (levi_civita_transport(z * CIRCLE, 3) for z in (1.0, scale))
+    assert scaled.loop_winding == 1
+    assert abs(scaled.holonomy_angle - unit.holonomy_angle) < 1e-12
+    assert abs(scaled.vector - unit.vector) < 1e-12
 
 
 @st.composite
@@ -362,6 +382,9 @@ def _bad_calls():
     line = LineSection(axis="x", coords=AXIS, values=np.ones(3))
     gauss = lambda x: np.exp(-x ** 2)
     ones = lambda x, p: 1.0 + 0.0 * x
+
+    def never(*coords):
+        pytest.fail(f"f called on {coords}")
     odd = GaugeConnection(a_x=lambda x, p: 0.0 * x, a_p=lambda x, p: 0.0 * p)
     return [
         ("laplacian n=9", lambda: laplacian_consistency(9, params), ResolutionInsufficientError),
@@ -749,6 +772,15 @@ def _bad_calls():
         ("GridSection.from_function x range 'a'",
          lambda: GridSection.from_function(ones, ("a", 1.0), (-1, 1), 5, 5),
          InvalidArgumentError),
+        # hi - lo beyond the float range: refused before f sees the samples
+        ("LineSection.from_function -1e308..1e308",
+         lambda: LineSection.from_function(never, "x", -1e308, 1e308, 5), NonFiniteError),
+        ("GridSection.from_function x range -1e308..1e308",
+         lambda: GridSection.from_function(never, (-1e308, 1e308), (-1, 1), 5, 5),
+         NonFiniteError),
+        ("GridSection.from_function p range 1.5e308..-1.5e308",
+         lambda: GridSection.from_function(never, (-1, 1), (1.5e308, -1.5e308), 5, 5),
+         NonFiniteError),
         ("GridSection.from_function p range inf",
          lambda: GridSection.from_function(ones, (-1, 1), (0.0, np.inf), 5, 5), NonFiniteError),
         ("trajectory_times periods='a'", lambda: trajectory_times("a", 5, params),

@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from bundleqm.bundles import covariant_derivative
 from bundleqm.classical import OscillatorParams, loop_log
-from bundleqm.cli import RunConfig, _gauge_family, suite_bargmann, suite_husimi
+from bundleqm.checks import _gauge_family, suite_bargmann, suite_husimi
+from bundleqm.cli import RunConfig
 from bundleqm.errors import (BundleqmError, GridTooSmallError, InvalidArgumentError,
                              NonFiniteError, QuadratureUnderResolvedError)
 from bundleqm.orbifold import circle_loop, ellipse_loop, square_loop
@@ -286,6 +287,20 @@ def test_husimi_levels_overflow_where_husimi_does():
     for n in (201, 220):
         with pytest.raises(NonFiniteError, match="Husimi"):
             husimi(eigenstate(n), u, u)
+    with pytest.raises(NonFiniteError, match="Husimi"):
+        next(levels)
+
+
+@pytest.mark.parametrize("u", [1e200, -1e200, 1.4e154], ids=["1e200", "-1e200", "1.4e154"])
+def test_husimi_levels_where_r_overflows(u):
+    # u^2 is inf: Q_0 = inf^0 exp(-inf) / pi is the 0 that husimi gives, and
+    # Q_1 holds inf * 0, which both refuse
+    q_0, = husimi_levels(0, [u], [0.0])
+    assert q_0.tobytes() == husimi(eigenstate(0), [u], [0.0]).tobytes() == bytes(8)
+    levels = husimi_levels(1, [0.0], [u])
+    assert next(levels).tobytes() == bytes(8)
+    with pytest.raises(NonFiniteError, match="Husimi"):
+        husimi(eigenstate(1), [0.0], [u])
     with pytest.raises(NonFiniteError, match="Husimi"):
         next(levels)
 
