@@ -425,12 +425,13 @@ class DoubledSection:
 # Every float in a text artifact is written with 17 significant digits, which
 # round-trips any float64 exactly.  The numpy kernel _float_records turns each
 # value into a record, FLOAT_FORMAT % v byte for byte and its separator ("," or
-# a newline), NUL-padded to _WIDTH bytes; a value it cannot decide gets its
-# record from `%` itself.  Records become text by dropping the NULs.
-# write_rows formats _KERNEL_VALUES values at a time, so the text in flight
-# stays small.  write_grid_csv formats the x axis, the p axis and the charge
-# once, and per block only the re/im pairs: a block of x-rows is assembled
-# from broadcast copies of the axis and charge records.
+# a newline), NUL-padded to the widest record of the call (at most _WIDTH
+# bytes); a value it cannot decide gets its record from `%` itself.  Records
+# become text by dropping the NULs.  write_rows formats _KERNEL_VALUES values
+# at a time, so the text in flight stays small.  write_grid_csv formats the x
+# axis, the p axis and the charge once, and per block only the re/im pairs: a
+# block of x-rows is assembled from broadcast copies of the axis and charge
+# records, each at its own width.
 # ---------------------------------------------------------------------------
 
 FLOAT_FORMAT = "%.17g"
@@ -488,7 +489,7 @@ def _text_tables():
     for each leading digit d at _LEAD, "," and a newline, and the exponent
     texts "e+dd" or "e-ddd" as word pairs at _EXPS; the trailing-zero
     counts of 4-digit groups; and the layouts, indexed by ((class * 17 +
-    sig - 1) * 2 + negative)."""
+    sig - 1) * 2 + negative), with the width of each before its NULs."""
     his, los = [], []
     for s in range(_S_MIN, _S_MAX + 1):
         num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
@@ -515,7 +516,7 @@ def _text_tables():
     layouts = np.empty((23 * 17 * 2, _WIDTH), np.uint8)
     for i, (cls, sig, neg) in enumerate(itertools.product(range(23), range(1, 18), (0, 1))):
         layouts[i] = _layout(cls, sig, neg)
-    return pow10, classes, words, ntz4, layouts
+    return pow10, classes, words, ntz4, layouts, (layouts != _NUL).sum(axis=1)
 
 
 def _round_scaled(a, k, pow10):
@@ -565,10 +566,11 @@ def _decimal_digits(v, pow10):
 
 def _float_records(v: np.ndarray, sep: bytes) -> np.ndarray:
     """FLOAT_FORMAT % x for each value x of the float64 array v, followed by
-    a separator, as a NUL-padded _WIDTH-byte record: an array of shape
-    v.shape + (_WIDTH,).  sep holds the separator ("," or a newline) of each
-    position along v's last axis, or one for every value."""
-    pow10, classes, words, ntz4, layouts = _text_tables()
+    a separator, as a NUL-padded record as wide as the widest: an array of
+    shape v.shape + (width,), width at most _WIDTH.  sep holds the separator
+    ("," or a newline) of each position along v's last axis, or one for
+    every value."""
+    pow10, classes, words, ntz4, layouts, widths = _text_tables()
     shape = v.shape
     v = v.ravel()
     d, k, undecided = _decimal_digits(v, pow10)
@@ -600,12 +602,15 @@ def _float_records(v: np.ndarray, sep: bytes) -> np.ndarray:
     cls[zero] = 22
     undecided[zero] = False
     key = (cls * 17 + 16 - ntz) * 2 + np.signbit(v)
-    idx = layouts.take(key, axis=0) + 32 * np.arange(n)[:, None]
+    undecided = np.flatnonzero(undecided).tolist()
+    texts = [(FLOAT_FORMAT % v[i]).encode() + src_bytes[32 * i + _SEP].tobytes()
+             for i in undecided]
+    width = max(widths.take(key).max(initial=0), max(map(len, texts), default=0))
+    idx = layouts[:, :width].take(key, axis=0) + 32 * np.arange(n)[:, None]
     rec = src_bytes.take(idx)
-    for i in np.flatnonzero(undecided).tolist():
-        text = (FLOAT_FORMAT % v[i]).encode() + src_bytes[32 * i + _SEP].tobytes()
-        rec[i] = np.frombuffer(text.ljust(_WIDTH, b"\0"), np.uint8)
-    return rec.reshape(shape + (_WIDTH,))
+    for i, text in zip(undecided, texts):
+        rec[i] = np.frombuffer(text.ljust(width, b"\0"), np.uint8)
+    return rec.reshape(shape + (width,))
 
 
 def write_rows(fh, header: str, rows) -> None:
@@ -626,6 +631,16 @@ def write_rows(fh, header: str, rows) -> None:
 # CSV: header "x,p,re,im,charge", one row per grid point, x-major order; the
 # charge column repeats the section's charge (1 or -1) on every row.  Files
 # with the earlier header "x,p,re,im" still load; they carry no charge.
+# read_grid_csv reads re and im as float64 and x, p and the charge as text
+# fields of 25, 25 and 3 bytes (a %.17g text takes at most 24), and parses
+# each distinct text once with np.loadtxt's own float conversion: the x text
+# of each x-row, the p texts of the first x-row and the charge text.  It
+# keeps that result only where it is what parsing every field gives: x-rows
+# of one x text each and of one length, the same p texts in every x-row, one
+# charge text, and x and p values that rise.  Any other file (a row that is
+# not numbers, a text that fills its field, a NUL, texts that differ or do
+# not rise) is read again with every field parsed as a float, which loads it
+# or reports its fault as before.
 # Binary: 16-byte header (magic "BQGS", u16 version, i16 charge, u32 nx,
 # u32 np), then x axis, p axis, and interleaved re/im values, all little-
 # endian float64, row-major.
@@ -633,6 +648,8 @@ def write_rows(fh, header: str, rows) -> None:
 
 _CSV_HEADER = "x,p,re,im,charge"
 _CSV_HEADER_NO_CHARGE = "x,p,re,im"
+# each text field one byte wider than the texts the writer gives it
+_CSV_TEXT_ROWS = [("x", "S25"), ("p", "S25"), ("pair", "f8", (2,)), ("charge", "S3")]
 
 
 def write_grid_csv(section: GridSection, path) -> None:
@@ -641,40 +658,104 @@ def write_grid_csv(section: GridSection, path) -> None:
     records and the records of its re/im pairs, at most _KERNEL_VALUES / 2
     pairs to a block (a row longer than that is split along p)."""
     nx, np_ = section.nx, section.np_
-    x_rec = _float_records(section.x, b",")
+    x_rec = _float_records(section.x, b",")[:, None]
     p_rec = _float_records(section.p, b",")
+    q_rec = _float_records(np.array([float(section.charge)]), b"\n")
     rows = max(1, _KERNEL_VALUES // (2 * np_))
     cols = min(np_, _KERNEL_VALUES // 2)
-    buf = np.empty((rows, cols, 5, _WIDTH), np.uint8)
-    buf[:, :, 4] = _float_records(np.array([float(section.charge)]), b"\n")
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER.encode() + b"\n")
         for i in range(0, nx, rows):
             for j in range(0, np_, cols):
                 values = np.ascontiguousarray(section.values[i:i + rows, j:j + cols])
-                block = buf[:values.shape[0], :values.shape[1]]
-                block[:, :, 0] = x_rec[i:i + rows, None]
-                block[:, :, 1] = p_rec[None, j:j + cols]
-                block[:, :, 2:4] = _float_records(
-                    values.view(np.float64).reshape(values.shape + (2,)), b",,")
+                pairs = _float_records(values.view(np.float64).reshape(values.shape + (2,)),
+                                       b",,").reshape(values.shape + (-1,))
+                parts = (x_rec[i:i + rows], p_rec[j:j + cols], pairs, q_rec)
+                block = np.concatenate([np.broadcast_to(r, values.shape + r.shape[-1:])
+                                        for r in parts], axis=-1)
                 fh.write(block.tobytes().translate(None, b"\0"))
+
+
+def _has_nul(path) -> bool:
+    """True if the file holds a NUL byte, which a text field would drop."""
+    with open(path, "rb") as fh:
+        return any(b"\0" in block for block in iter(lambda: fh.read(1 << 20), b""))
+
+
+def _parse_texts(texts: np.ndarray) -> np.ndarray:
+    """The float64 value of each text of a bytes array, as np.loadtxt converts
+    a field; ValueError if one is not a number."""
+    values = np.loadtxt([b",".join(texts.tolist()).decode("latin-1")],
+                        delimiter=",", ndmin=1)
+    if values.size != texts.size:      # an empty or blank text
+        raise ValueError("a text is not a number")
+    return values
+
+
+def _read_csv_texts(fh, ncols: int):
+    """(x, p, values, charge or None) of the rows after the header, with x, p
+    and the charge read as text and each distinct text parsed once;
+    ValueError where the rows are not a grid that the float read would take
+    with these texts (see the comment above)."""
+    rows = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=_CSV_TEXT_ROWS[:ncols - 1])
+    if rows.size == 0 or any((np.char.str_len(rows[name]) == rows.dtype[name].itemsize).any()
+                             for name in ("x", "p", "charge")[:ncols - 2]):
+        raise ValueError("no rows, or a text that fills its field")
+    x_texts, p_texts = rows["x"], rows["p"]
+    starts = np.flatnonzero(x_texts[1:] != x_texts[:-1]) + 1   # of the x-rows after the first
+    np_ = rows.size // (starts.size + 1)
+    if not (np.array_equal(starts, np.arange(np_, rows.size, np_))
+            and (p_texts.reshape(-1, np_) == p_texts[:np_]).all()):
+        raise ValueError("x-rows of unequal lengths or p texts")
+    # rising values are distinct, each from one text: the float read's np.unique
+    x, p = _parse_texts(x_texts[::np_]), _parse_texts(p_texts[:np_])
+    if not ((x[1:] > x[:-1]).all() and (p[1:] > p[:-1]).all()):
+        raise ValueError("axis values that do not rise")
+    charge = None
+    if ncols == 5:
+        q_texts = rows["charge"]
+        charge = _parse_texts(q_texts[:1])[0]
+        if (q_texts != q_texts[0]).any() or charge not in (1.0, -1.0):
+            raise ValueError("charge texts that differ, or a charge not 1 or -1")
+        charge = int(charge)
+    values = np.ascontiguousarray(rows["pair"]).view(complex).reshape(x.size, p.size)
+    return x, p, values, charge
 
 
 def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:
     """Load a CSV grid.  The charge comes from the file; a `charge` given here
     must agree with it (files without a charge column take `charge`, else +1)."""
+    grid = None
     with open(path) as fh:
         try:
             header = fh.readline().strip()
             if header not in (_CSV_HEADER, _CSV_HEADER_NO_CHARGE):
                 raise GridFormatError(f"{path}: unrecognised grid CSV header {header!r}")
+            ncols = len(header.split(","))
             with warnings.catch_warnings():
                 # a file without rows is reported below as a GridFormatError
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                # a pipe is read once, as floats
+                if fh.seekable() and not _has_nul(path):
+                    try:
+                        grid = _read_csv_texts(fh, ncols)
+                    except ValueError:
+                        fh.seek(0)
+                        fh.readline()
+                if grid is None:
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:   # UnicodeDecodeError included
             raise GridFormatError(f"{path}: malformed grid CSV: {exc}") from None
-    ncols = len(header.split(","))
+    if grid is None:
+        grid = _grid_from_floats(data, ncols, path)
+    x, p, values, file_charge = grid
+    return GridSection(x=x, p=p, values=values,
+                       charge=resolve_charge(file_charge, charge, f"{path}: file"))
+
+
+def _grid_from_floats(data: np.ndarray, ncols: int, path):
+    """(x, p, values, charge or None) of rows read as floats, or
+    GridFormatError."""
     if data.shape[0] == 0 or data.shape[1] != ncols:
         raise GridFormatError(f"{path}: expected rows of {ncols} columns, "
                               f"got an array of shape {data.shape}")
@@ -692,8 +773,7 @@ def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:
         raise GridFormatError(f"{path}: rows are not a full grid in x-major order")
     # the re/im pair viewed as complex keeps the sign of a zero imaginary part
     values = np.ascontiguousarray(data[:, 2:4]).view(complex).reshape(x.size, p.size)
-    return GridSection(x=x, p=p, values=values,
-                       charge=resolve_charge(file_charge, charge, f"{path}: file"))
+    return x, p, values, file_charge
 
 
 def write_grid_binary(section: GridSection, path) -> None:

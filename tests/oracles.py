@@ -6,6 +6,8 @@ coordinate representation; the remaining helpers provide quadratures that do
 not share code with the package implementations.
 """
 
+import warnings
+
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh_tridiagonal, solve_banded
@@ -13,6 +15,7 @@ from scipy.special import eval_hermite, factorial
 
 from bundleqm.bundles import GridSection, covariant_derivative, vacuum_connection
 from bundleqm.classical import hamiltonian_vector_field, PhasePoint
+from bundleqm.errors import GridFormatError
 from bundleqm.polarizations import hermite_basis
 from bundleqm.sections import diff_axis
 
@@ -116,6 +119,38 @@ def format_rows_reference(header, rows):
     """Text rows as the package once wrote them: one f-string per value."""
     lines = [header] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def read_grid_csv_reference(path):
+    """A grid CSV as the package once read it: every field parsed as a float
+    by np.loadtxt, np.unique of the x and p columns, then the charge and
+    x-major checks; charge +1 where the file has no charge column.  Every
+    fault of the file is a GridFormatError, or the section's own error."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if header not in ("x,p,re,im,charge", "x,p,re,im"):
+                raise GridFormatError(f"header {header!r}")
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise GridFormatError(str(exc)) from None
+    ncols = len(header.split(","))
+    if data.shape[0] == 0 or data.shape[1] != ncols:
+        raise GridFormatError(f"shape {data.shape}")
+    charge = 1
+    if ncols == 5:
+        q = data[:, 4]
+        if not (np.all(q == q[0]) and q[0] in (1.0, -1.0)):
+            raise GridFormatError("charge")
+        charge = int(q[0])
+    x, p = np.unique(data[:, 0]), np.unique(data[:, 1])
+    if not (np.array_equal(data[:, 0], np.repeat(x, p.size))
+            and np.array_equal(data[:, 1], np.tile(p, x.size))):
+        raise GridFormatError("not x-major")
+    values = np.ascontiguousarray(data[:, 2:4]).view(complex).reshape(x.size, p.size)
+    return GridSection(x=x, p=p, values=values, charge=charge)
 
 
 def pgm_p2_reference(pixels):

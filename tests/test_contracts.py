@@ -907,6 +907,50 @@ def test_invalid_arguments_raise_typed_errors(call, error, tmp_path, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+# The hostile numbers, as JSON text, that each number field of the two JSON
+# documents README describes is given.
+JSON_NUMBERS = ["NaN", "Infinity", "1e400", "true", str(2 ** 62), "5e-324", "-0.0", "1e308"]
+# field: (its document, with "#" where the number goes; the numbers it loads)
+JSON_NUMBER_FIELDS = {
+    "FockState coeff re": ('{"coeffs": [[#, 0.0]], "charge": 1, "w": 1.0}',
+                           {str(2 ** 62), "5e-324", "-0.0", "1e308"}),
+    "FockState coeff im": ('{"coeffs": [[1.0, #]], "charge": 1, "w": 1.0}',
+                           {str(2 ** 62), "5e-324", "-0.0", "1e308"}),
+    "FockState charge": ('{"coeffs": [[1.0, 0.0]], "charge": #, "w": 1.0}', set()),
+    "FockState w": ('{"coeffs": [[1.0, 0.0]], "charge": 1, "w": #}',
+                    {str(2 ** 62), "5e-324", "1e308"}),
+    "RunConfig m": ('{"m": #}', {str(2 ** 62)}),
+    "RunConfig omega": ('{"omega": #}', {str(2 ** 62)}),
+    "RunConfig grid_half_width": ('{"grid_half_width": #}', {str(2 ** 62), "5e-324", "1e308"}),
+    "RunConfig frequency_sign": ('{"frequency_sign": #}', set()),
+}
+
+
+@pytest.mark.parametrize("number", JSON_NUMBERS)
+@pytest.mark.parametrize("field", sorted(JSON_NUMBER_FIELDS))
+def test_json_number_fields(field, number, tmp_path):
+    # each number loads as a finite value or raises a BundleqmError, with
+    # numpy's warnings as errors
+    template, loads = JSON_NUMBER_FIELDS[field]
+    text = template.replace("#", number)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    load = FockState.from_json if field.startswith("FockState") else lambda _: RunConfig.load(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if number not in loads:
+            with pytest.raises(BundleqmError):
+                load(text)
+            return
+        result = load(text)
+    if field.startswith("FockState"):
+        state, w = result
+        assert np.isfinite(state.coeffs).all() and np.isfinite(w)
+    else:
+        assert all(np.isfinite(getattr(result, name))
+                   for name in ("m", "omega", "grid_half_width", "frequency_sign"))
+
+
 # Every option name of the package, as the call that takes it.
 _PARAMS = OscillatorParams()
 _OPTION_CALLS = {

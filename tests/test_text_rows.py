@@ -2,8 +2,11 @@
 
 import io
 import math
+import os
 import struct
 import tempfile
+import threading
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from bundleqm.cli import RunConfig, cmd_simulate, write_pgm
-from bundleqm.errors import ChargeMismatchError, GridFormatError
+from bundleqm.errors import BundleqmError, ChargeMismatchError, GridFormatError
 from bundleqm.sections import (_KERNEL_VALUES, FLOAT_FORMAT, GridSection,
                                _decimal_digits, _text_tables, load_grid, read_grid_binary,
                                read_grid_csv, save_grid, write_grid_binary,
@@ -148,16 +151,100 @@ def _axes(draw, n):
 
 
 @st.composite
-def _grids(draw):
-    """Grid sections of 3 to 40 samples a side at either charge, with re and
-    im parts drawn as raw float64 bit patterns (those of NaN and inf moved
-    to finite values by clearing one exponent bit)."""
-    nx, np_ = draw(st.integers(3, 40)), draw(st.integers(3, 40))
+def _grids(draw, max_side=40):
+    """Grid sections of 3 to max_side samples a side at either charge, with
+    re and im parts drawn as raw float64 bit patterns (those of NaN and inf
+    moved to finite values by clearing one exponent bit)."""
+    nx, np_ = draw(st.integers(3, max_side)), draw(st.integers(3, max_side))
     bits = draw(hnp.arrays(np.uint64, (nx, np_, 2)))
     bits[~np.isfinite(bits.view(np.float64))] ^= np.uint64(1 << 62)
     return GridSection(x=draw(_axes(nx)), p=draw(_axes(np_)),
                        values=bits.view(np.complex128).reshape(nx, np_),
                        charge=draw(st.sampled_from([1, -1])))
+
+
+# Texts a grid CSV field may be changed to: numbers of other spellings, the
+# 57-byte exact decimal of 0.1, texts over 24 bytes whose first 25 or 3
+# bytes read as another number, non-finite values, charges, a NUL, a blank,
+# and a text that is not a number.
+FIELD_TEXTS = ["0", "-0", "+0", "1", "-1", "+1", "1.0", "1e0", " 1", "1 ", "-1.0",
+               "0.1000000000000000055511151231257827021181583404541015625",
+               "1" + "0" * 24 + "e-24", "-1.5", "nan", "-nan", "inf", "-inf", "1\0", "",
+               " ", "x"]
+NOT_ASCII_DIGITS = ["\u0661", "\uff15", "\u00b2"]     # Arabic-Indic 1, fullwidth 5, superscript 2
+
+
+def _respellings(text):
+    """Texts of the same number as a %.17g text: a trailing zero, an
+    exponent, a sign, a blank on either side, the sign of a zero flipped
+    (none for a text that is not a number)."""
+    try:
+        zero = float(text) == 0
+    except ValueError:
+        return []
+    mant, e, exp = text.partition("e")
+    out = [mant + ("0" if "." in mant else ".0") + e + exp, " " + text, text + " ",
+           text + "e0" if not e else f"{mant}E{exp}"]
+    if not text.startswith("-"):
+        out.append("+" + text)
+    if zero:
+        out.append(text[1:] if text.startswith("-") else "-" + text)
+    return out
+
+
+@st.composite
+def _mutations(draw, rows):
+    """One change to the rows of a grid CSV (a header and lists of fields)."""
+    body = rows[1:]
+    r = draw(st.integers(0, len(body) - 1))
+    kind = draw(st.sampled_from(["field", "run", "digit", "neighbour", "swap", "repeat",
+                                 "drop", "ragged", "legacy", "shape"]))
+    if kind in ("field", "run", "digit", "neighbour"):
+        c = draw(st.integers(0, len(rows[0]) - 1))
+        old = body[r][c]
+        if kind == "neighbour":     # moves the edge of an x-row where c is x
+            new = body[max(r - 1, 0) if draw(st.booleans()) else min(r + 1, len(body) - 1)][c]
+        elif kind == "digit":
+            digits = [i for i, ch in enumerate(old) if ch.isdigit()] or [0]
+            i = draw(st.sampled_from(digits))
+            new = old[:i] + draw(st.sampled_from(NOT_ASCII_DIGITS)) + old[i + 1:]
+        else:
+            new = draw(st.sampled_from(FIELD_TEXTS + _respellings(old)))
+        # one field, or every field of the column that holds the same text
+        for row in (body if kind == "run" else [body[r]]):
+            if row[c] == old:
+                row[c] = new
+    elif kind == "swap":
+        s = draw(st.integers(0, len(body) - 1))
+        body[r], body[s] = body[s], body[r]
+    elif kind == "repeat":
+        body.insert(r, list(body[r]))
+    elif kind == "drop" and len(body) > 1:
+        del body[r]
+    elif kind == "ragged":
+        body[r] = body[r][:-1] if draw(st.booleans()) else body[r] + ["0"]
+    elif kind == "legacy" and rows[0][-1] == "charge":
+        for row in rows:
+            del row[4:]
+    elif kind == "shape":
+        # a 1 x N, N x 1 or 1 x 1 grid: the first x-row, the first row of each
+        # x-row, or the first row
+        first_x = [row for row in body if row[0] == body[0][0]]
+        n = len(first_x)
+        body[:] = draw(st.sampled_from([first_x, body[::n], body[:1]]))
+    return rows
+
+
+def _read_outcome(read, path):
+    """What a grid reader loads, as bits (x, p, values, charge), or the class
+    of the BundleqmError it raises; numpy's warnings are errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sec = read(path)
+        except BundleqmError as err:
+            return type(err)
+    return sec.x.tobytes(), sec.p.tobytes(), sec.values.tobytes(), sec.charge
 
 
 def _assert_round_trip_bit_exact(sec, path):
@@ -402,6 +489,85 @@ class TestGridCsv:
         path = tmp_path / "g.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(GridFormatError):
+            read_grid_csv(path)
+
+    @settings(deadline=None)
+    @given(_grids(max_side=6), st.data())
+    def test_changed_files_read_as_every_field_parsed_as_float(self, sec, data):
+        # the reader parses each distinct x, p and charge text once; on any
+        # file it loads the bits, or raises the error class, of the reader
+        # that parses every field
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.csv"
+            save_grid(sec, path)
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            for _ in range(data.draw(st.integers(1, 3))):
+                rows = data.draw(_mutations(rows))
+            path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+            assert (_read_outcome(read_grid_csv, path)
+                    == _read_outcome(oracles.read_grid_csv_reference, path))
+
+    @pytest.mark.parametrize("x_text", ["-1.0", "-1e0", "-1" + "0" * 30 + "e-30"])
+    def test_respelled_x_row_loads_as_parsed(self, tmp_path, x_text):
+        # the texts of the first x-row respelled, one of them 35 bytes long:
+        # its first 25 bytes, all the reader keeps of a text, read -1e24
+        sec = _grid(charge=-1)
+        path = tmp_path / "g.csv"
+        save_grid(sec, path)
+        text = path.read_text().replace("\n-1,", f"\n{x_text},")
+        path.write_text(text)
+        back = read_grid_csv(path)
+        assert back.x[0] == float(x_text) and back.x[1:].tobytes() == sec.x[1:].tobytes()
+        assert _read_outcome(read_grid_csv, path) == _read_outcome(
+            oracles.read_grid_csv_reference, path)
+
+    @pytest.mark.parametrize("column", [0, 1, 4])
+    def test_blank_column_is_refused(self, tmp_path, column):
+        path = tmp_path / "g.csv"
+        save_grid(_grid(), path)
+        lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            row[column] = ""
+        path.write_text("\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n")
+        with pytest.raises(GridFormatError, match="could not convert"):
+            read_grid_csv(path)
+
+    def test_two_texts_of_one_x_are_one_x_row(self, tmp_path):
+        # "1" and "1.0" read as one x, so the float read finds the rows of
+        # two x-rows under one x and refuses them
+        path = tmp_path / "g.csv"
+        path.write_text("x,p,re,im,charge\n" + "".join(f"{x},{p},0,0,1\n" for x in ("1", "1.0")
+                                                      for p in (0, 1, 2)))
+        with pytest.raises(GridFormatError, match="x-major"):
+            read_grid_csv(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_pipe_is_read_once(self, tmp_path):
+        # a pipe cannot be read again, so the reader takes it as floats at once
+        sec = _grid(charge=-1)
+        save_grid(sec, tmp_path / "g.csv")
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        loaded = []
+        threads = [threading.Thread(target=pipe.write_bytes, daemon=True,
+                                    args=((tmp_path / "g.csv").read_bytes(),)),
+                   threading.Thread(target=lambda: loaded.append(read_grid_csv(pipe)),
+                                    daemon=True)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)    # a second open would block
+        back, = loaded
+        assert back.values.tobytes() == sec.values.tobytes() and back.charge == -1
+
+    def test_nul_in_an_axis_text_is_refused(self, tmp_path):
+        # a text field would drop the NUL and read "1"; the float read refuses it
+        path = tmp_path / "g.csv"
+        save_grid(_grid(), path)
+        path.write_text(path.read_text().replace("\n1,", "\n1\0,"))
+        with pytest.raises(GridFormatError, match="could not convert"):
             read_grid_csv(path)
 
 
