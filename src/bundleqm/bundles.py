@@ -19,9 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DivisionNearZeroError, GridFormatError, GridTooSmallError
-from .sections import (DoubledSection, GridSection, LineSection, check_array, check_charge,
-                       check_choice, check_real, diff_axis, finite_result, load_grid,
-                       require_axis, save_grid)
+from .sections import (DoubledSection, GridSection, LineSection, check_array, check_broadcast,
+                       check_charge, check_choice, check_real, diff_axis, finite_result,
+                       load_grid, require_axis, save_grid)
 
 __all__ = [
     "GaugeConnection", "vacuum_connection", "gauge_transform",
@@ -166,6 +166,9 @@ def recompose(doubled: DoubledSection):
 @finite_result("Hermitian pairing")
 def hermitian_pairing(psi, phi):
     """Fiberwise Hermitian product <psi, phi> = psi* phi; a product that is
-    NaN or inf, or overflows, raises NonFiniteError."""
-    return np.conj(check_array(psi, complex, "psi")) * check_array(phi, complex, "phi")
+    NaN or inf, or overflows, raises NonFiniteError; psi and phi that do not
+    broadcast raise GridFormatError."""
+    psi, phi = check_array(psi, complex, "psi"), check_array(phi, complex, "phi")
+    check_broadcast(psi, phi, "psi and phi")
+    return np.conj(psi) * phi
 

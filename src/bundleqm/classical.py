@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (InvalidArgumentError, OpenCurveError, UndersampledError, ZeroCrossingError,
                      ZeroPointError)
-from .sections import (check_array, check_charge, check_finite, check_int, check_positive,
-                       check_real, check_samples, check_sign, finite_result)
+from .sections import (check_array, check_broadcast, check_charge, check_finite, check_int,
+                       check_positive, check_real, check_samples, check_sign, finite_result)
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,12 +58,14 @@ class OscillatorParams:
 @finite_result("complex coordinate")
 def complex_coordinate(x, p, charge: int, params: OscillatorParams):
     """The charge-q coordinate z_q = (x - i q w^2 p)/sqrt(2), scalar or array;
-    NonFiniteError where it overflows."""
+    NonFiniteError where it overflows, GridFormatError if x and p do not
+    broadcast."""
     charge = check_charge(charge)
     # a real number is checked but used as given: Python's complex quotient
     # rounds some values apart from numpy's
     x, p = ((check_real(v, name), v)[1] if isinstance(v, numbers.Real)
             else check_array(v, float, name) for v, name in ((x, "x"), (p, "p")))
+    check_broadcast(x, p, "x and p")
     return (x - 1j * charge * params.w2 * p) / np.sqrt(2.0)
 
 

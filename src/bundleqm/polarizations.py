@@ -21,8 +21,8 @@ import numpy as np
 
 from .bundles import GaugeConnection
 from .classical import OscillatorParams, complex_coordinate
-from .errors import (ChargeMismatchError, DecayViolationError, InvalidArgumentError,
-                     NonMonotoneError, QuadratureUnderResolvedError)
+from .errors import (ChargeMismatchError, DecayViolationError, GridFormatError,
+                     InvalidArgumentError, NonMonotoneError, QuadratureUnderResolvedError)
 from .sections import (GridSection, LineSection, check_array, check_charge, check_choice,
                        check_int, check_pair, check_positive, check_samples, diff_axis,
                        finite_result, require_axis, resolve_charge, trapezoid_weights)
@@ -49,18 +49,14 @@ class Polarization:
         return True
 
 
-@dataclass
 class FockState:
     """Coefficients along the orthonormal basis z'^n / sqrt(n!), n = 0..N."""
 
-    coeffs: np.ndarray
-    charge: int = +1
-
-    def __post_init__(self):
-        self.coeffs = np.atleast_1d(check_array(self.coeffs, complex, "coeffs"))
+    def __init__(self, coeffs, charge: int = +1):
+        self.coeffs = np.atleast_1d(check_array(coeffs, complex, "coeffs"))
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise InvalidArgumentError("coeffs must be a nonempty 1D array")
-        self.charge = check_charge(self.charge)
+        self.charge = check_charge(charge)
 
     @property
     def truncation(self) -> int:
@@ -289,7 +285,8 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
     (DecayViolationError otherwise).  quad_order is checked alike for both
     kinds (at least 2N+2, and a valid gauss_hermite order), so a call valid
     for a callable stays valid for its samples; only a callable builds the
-    rule.  A sec that is neither raises InvalidArgumentError.
+    rule.  A sec that is neither raises InvalidArgumentError; a callable's
+    result must broadcast to the nodes, else GridFormatError.
 
     The state takes the section's charge, or +1 for a callable; a `charge`
     given here must be +1 or -1 (InvalidChargeError) and agree with the
@@ -315,7 +312,12 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
     if not callable(sec):
         raise InvalidArgumentError(f"sec must be a LineSection or a callable, got {sec!r}")
     nodes, _, scaled = gauss_hermite(quad_order)
-    psi_nodes = np.asarray(sec(params.w * nodes), dtype=complex)
+    psi = check_array(sec(params.w * nodes), complex, "sec values")
+    try:
+        psi_nodes = np.broadcast_to(psi, nodes.shape)
+    except ValueError:
+        raise GridFormatError(f"sec returned shape {psi.shape}, which does not "
+                              f"broadcast to the {nodes.size} nodes") from None
     # e_n(t_k), n <= n_max: the recurrence's rows do not depend on how many follow
     basis = _gauss_hermite_rule(quad_order)[3][:n_max + 1]
     # c_n = sqrt(w) * sum_k [w_k e^{t_k^2}] e_n(t_k) psi(w t_k)

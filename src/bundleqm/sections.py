@@ -6,7 +6,7 @@ A quantum state lives here in one of three sampled forms: a 2D complex grid
 over phase space (GridSection), a 1D complex line in x or p (LineSection),
 or a particle/antiparticle pair of components (DoubledSection).  All carry
 the quantum charge q_v as a plain validated integer, +1 for particles and
--1 for antiparticles.
+-1 for antiparticles, and compare by identity.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import itertools
 import numbers
 import struct
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -113,6 +112,15 @@ def check_array(value, dtype, name: str, ndim: Optional[int] = None) -> np.ndarr
     if arr.dtype.kind in "fc":
         check_finite(arr, name)
     return arr
+
+
+def check_broadcast(a, b, names: str) -> None:
+    """GridFormatError, naming both shapes, unless the arrays a and b broadcast."""
+    try:
+        np.broadcast_shapes(np.shape(a), np.shape(b))
+    except ValueError:
+        raise GridFormatError(f"{names} of shapes {np.shape(a)} and {np.shape(b)} "
+                              f"do not broadcast") from None
 
 
 def check_choice(value, name: str, choices: tuple) -> str:
@@ -258,26 +266,30 @@ def _uniform_spacing(axis: np.ndarray, name: str) -> float:
     return float(h0)
 
 
-@dataclass
+def _like(self, values: np.ndarray):
+    """A copy of this section with new values, checked as the constructor checks
+    them; its axes, spacings and charge were checked when it was built."""
+    new = object.__new__(type(self))
+    new.__dict__.update(self.__dict__)
+    new.values = check_array(values, complex, "section values")
+    new._check_shape()
+    return new
+
+
 class GridSection:
     """Complex amplitudes sampled on a uniform (x, p) grid.
 
     values[i, j] is the amplitude at (x[i], p[j]).
     """
 
-    x: np.ndarray
-    p: np.ndarray
-    values: np.ndarray
-    charge: int = +1
-
-    def __post_init__(self):
-        self.x = check_array(self.x, float, "x axis")
-        self.p = check_array(self.p, float, "p axis")
-        self.values = check_array(self.values, complex, "section values")
+    def __init__(self, x, p, values, charge: int = +1):
+        self.x = check_array(x, float, "x axis")
+        self.p = check_array(p, float, "p axis")
+        self.values = check_array(values, complex, "section values")
         self.hx = _uniform_spacing(self.x, "x")
         self.hp = _uniform_spacing(self.p, "p")
         self._check_shape()
-        self.charge = check_charge(self.charge)
+        self.charge = check_charge(charge)
 
     def _check_shape(self):
         if self.values.shape != (self.x.size, self.p.size):
@@ -304,7 +316,7 @@ class GridSection:
         check_samples(max(nx * np_, nx, np_), f"grid {nx}x{np_}")
         x = _axis(x_range[0], x_range[1], nx, "x range")
         p = _axis(p_range[0], p_range[1], np_, "p range")
-        values = np.asarray(f(x[:, None], p[None, :]), dtype=complex)
+        values = check_array(f(x[:, None], p[None, :]), complex, "section values")
         if values.shape != (nx, np_):
             try:
                 values = np.broadcast_to(values, (nx, np_)).copy()
@@ -313,27 +325,20 @@ class GridSection:
                                       f"not broadcast to the grid ({nx}, {np_})") from None
         return cls(x=x, p=p, values=values, charge=charge)
 
-    def like(self, values: np.ndarray) -> "GridSection":
-        """Same grid and charge, new values; only the values are checked."""
-        return _like(self, values)
+    like = _like
 
 
-@dataclass
 class LineSection:
-    """Complex amplitudes sampled on a uniform 1D grid in x or p."""
+    """Complex amplitudes sampled on a uniform 1D grid in x or p: axis "x" is
+    the coordinate representation, "p" the momentum one."""
 
-    axis: str  # "x" (coordinate representation) or "p" (momentum representation)
-    coords: np.ndarray
-    values: np.ndarray
-    charge: int = +1
-
-    def __post_init__(self):
-        check_choice(self.axis, "axis", ("x", "p"))
-        self.coords = check_array(self.coords, float, f"{self.axis} axis")
-        self.values = check_array(self.values, complex, "section values")
-        self.h = _uniform_spacing(self.coords, self.axis)
+    def __init__(self, axis: str, coords, values, charge: int = +1):
+        self.axis = check_choice(axis, "axis", ("x", "p"))
+        self.coords = check_array(coords, float, f"{axis} axis")
+        self.values = check_array(values, complex, "section values")
+        self.h = _uniform_spacing(self.coords, axis)
         self._check_shape()
-        self.charge = check_charge(self.charge)
+        self.charge = check_charge(charge)
 
     def _check_shape(self):
         if self.values.shape != self.coords.shape:
@@ -342,28 +347,14 @@ class LineSection:
     @classmethod
     def from_function(cls, f, axis: str, lo: float, hi: float, n: int, charge: int = +1):
         coords = _axis(lo, hi, check_samples(check_int(n, "n", 0), "line section"), "range")
-        return cls(axis=axis, coords=coords, values=np.asarray(f(coords), dtype=complex),
-                   charge=charge)
+        return cls(axis=axis, coords=coords, values=f(coords), charge=charge)
 
-    def like(self, values: np.ndarray) -> "LineSection":
-        """Same axis, coords and charge, new values; only the values are checked."""
-        return _like(self, values)
+    like = _like
 
     @finite_result("norm squared")
     def norm_sq(self) -> float:
         """Continuum norm squared by trapezoid; NonFiniteError if it overflows."""
         return float(trapezoid_weights(self.coords) @ np.abs(self.values) ** 2)
-
-
-def _like(sec, values):
-    """A copy of the section sec with new values.  Its axes, spacings and charge
-    were checked when sec was built, so only the values are: the check and the
-    shape test that the constructor runs on them, with the same errors."""
-    new = object.__new__(type(sec))
-    new.__dict__.update(sec.__dict__)
-    new.values = check_array(values, complex, "section values")
-    new._check_shape()
-    return new
 
 
 def require_axis(sec: LineSection, axis: str) -> None:
@@ -379,7 +370,6 @@ V_PLUS = np.array([1.0, -1.0j]) / np.sqrt(2.0)
 V_MINUS = np.array([1.0, +1.0j]) / np.sqrt(2.0)
 
 
-@dataclass
 class DoubledSection:
     """Coordinates of a C^2 = L+ (+) L- section along the v_pm fiber basis.
 
@@ -388,12 +378,9 @@ class DoubledSection:
     amplitudes.
     """
 
-    psi_plus: np.ndarray
-    psi_minus: np.ndarray
-
-    def __post_init__(self):
-        self.psi_plus = check_array(self.psi_plus, complex, "psi_plus")
-        self.psi_minus = check_array(self.psi_minus, complex, "psi_minus")
+    def __init__(self, psi_plus, psi_minus):
+        self.psi_plus = check_array(psi_plus, complex, "psi_plus")
+        self.psi_minus = check_array(psi_minus, complex, "psi_minus")
         if self.psi_plus.shape != self.psi_minus.shape:
             raise GridFormatError("component shapes differ")
 
@@ -632,7 +619,7 @@ def write_rows(fh, header: str, rows) -> None:
 # charge column repeats the section's charge (1 or -1) on every row.  Files
 # with the earlier header "x,p,re,im" still load; they carry no charge.
 # read_grid_csv reads re and im as float64 and x, p and the charge as text
-# fields of 25, 25 and 3 bytes (a %.17g text takes at most 24), and parses
+# fields a byte wider than the writer's (_WIDTH, _WIDTH and 3), and parses
 # each distinct text once with np.loadtxt's own float conversion: the x text
 # of each x-row, the p texts of the first x-row and the charge text.  It
 # keeps that result only where it is what parsing every field gives: x-rows
@@ -648,8 +635,8 @@ def write_rows(fh, header: str, rows) -> None:
 
 _CSV_HEADER = "x,p,re,im,charge"
 _CSV_HEADER_NO_CHARGE = "x,p,re,im"
-# each text field one byte wider than the texts the writer gives it
-_CSV_TEXT_ROWS = [("x", "S25"), ("p", "S25"), ("pair", "f8", (2,)), ("charge", "S3")]
+_CSV_TEXT_ROWS = [("x", f"S{_WIDTH}"), ("p", f"S{_WIDTH}"), ("pair", "f8", (2,)),
+                  ("charge", "S3")]
 
 
 def write_grid_csv(section: GridSection, path) -> None:
@@ -744,7 +731,9 @@ def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:
                         fh.readline()
                 if grid is None:
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:   # UnicodeDecodeError included
+        except GridFormatError:     # the header's, which names the path itself
+            raise
+        except ValueError as exc:   # UnicodeDecodeError included, also from the header line
             raise GridFormatError(f"{path}: malformed grid CSV: {exc}") from None
     if grid is None:
         grid = _grid_from_floats(data, ncols, path)

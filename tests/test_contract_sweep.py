@@ -10,7 +10,10 @@ a parameter that must be positive InvalidArgumentError for all four.  In an
 array argument the hostile value replaces the last element.  True, np.True_
 and 10**400 in any scalar argument, and an array of bools in place of any
 array argument, raise InvalidArgumentError: a bool is not a number, and
-10**400 is not one of the float range.
+10**400 is not one of the float range.  The other hostile values, 0, -1,
+1e308, -1e308, 5e-324, 2**62 and 2.5 in any scalar argument and an empty
+list or array in any array argument, give a finite result or a
+BundleqmError.
 """
 
 import inspect
@@ -29,7 +32,7 @@ from bundleqm import (ClassicalState, DoubledSection, FockState, GridSection, Li
                       winding_number)
 from bundleqm.bundles import hermitian_pairing
 from bundleqm.classical import closed_loop, complex_coordinate, loop_log, phase_coordinates
-from bundleqm.errors import InvalidArgumentError, NonFiniteError
+from bundleqm.errors import BundleqmError, InvalidArgumentError, NonFiniteError
 from bundleqm.orbifold import circle_loop, ellipse_loop, square_loop
 from bundleqm.oscillator import bargmann_function
 
@@ -218,3 +221,40 @@ def test_bool_array_is_refused(key, name):
 def test_husimi_axes_must_be_finite(call):
     with pytest.raises(NonFiniteError, match="u must be finite"):
         _strict(call)
+
+
+# Numbers of the float range at its edges, zero, negative and not integral,
+# each into every scalar argument; an empty list and an empty array into
+# every array argument.
+EDGE = {"0": 0, "-1": -1, "1e308": 1e308, "-1e308": -1e308, "5e-324": 5e-324,
+        "2**62": 2 ** 62, "2.5": 2.5}
+EMPTY = {"[]": [], "np.array([])": np.array([])}
+
+
+def _assert_finite(value):
+    """Every number that value holds is finite: in arrays, tuples and lists,
+    and in the attributes of a package object."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            _assert_finite(item)
+    elif isinstance(value, (np.ndarray, np.generic, int, float, complex)):
+        assert np.isfinite(value).all()
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            _assert_finite(item)
+
+
+EDGE_CASES = [(key, name, label) for key in sorted(CALLS)
+              for name, base in CALLS[key][1].items()
+              for label in (EDGE if np.ndim(base) == 0 else EMPTY)]
+
+
+@pytest.mark.parametrize("key, name, label", EDGE_CASES,
+                         ids=[f"{key}-{name}-{label}" for key, name, label in EDGE_CASES])
+def test_edge_value_is_finite_or_refused(key, name, label):
+    call, base = CALLS[key]
+    try:
+        value = _strict(call, **{**base, name: {**EDGE, **EMPTY}[label]})
+    except BundleqmError:
+        return
+    _assert_finite(value)

@@ -878,6 +878,31 @@ def _bad_calls():
          InvalidArgumentError),
         ("bargmann_transform sec=1.0", lambda: bargmann_transform(1.0, 2, 8, params),
          InvalidArgumentError),
+        # a callable's samples follow the argument rule; numpy once parsed its
+        # text (or leaked ValueError), read None as NaN, or leaked its broadcast error
+        ("GridSection.from_function f -> text",
+         lambda: GridSection.from_function(lambda x, p: "abc", (-1, 1), (-1, 1), 3, 3),
+         InvalidArgumentError),
+        ("GridSection.from_function f -> None",
+         lambda: GridSection.from_function(lambda x, p: None, (-1, 1), (-1, 1), 3, 3),
+         InvalidArgumentError),
+        ("LineSection.from_function f -> text",
+         lambda: LineSection.from_function(lambda x: "abc", "x", -1.0, 1.0, 3),
+         InvalidArgumentError),
+        ("LineSection.from_function f -> None",
+         lambda: LineSection.from_function(lambda x: None, "x", -1.0, 1.0, 3),
+         InvalidArgumentError),
+        ("bargmann_transform sec -> text",
+         lambda: bargmann_transform(lambda x: "abc", 2, 8, params), InvalidArgumentError),
+        ("bargmann_transform sec -> None",
+         lambda: bargmann_transform(lambda x: None, 2, 8, params), InvalidArgumentError),
+        ("bargmann_transform sec -> 3 samples",
+         lambda: bargmann_transform(lambda x: np.ones(3), 2, 8, params), GridFormatError),
+        # arrays that do not broadcast once leaked numpy's ValueError
+        ("complex_coordinate shapes (2,) and (3,)",
+         lambda: complex_coordinate([1.0, 2.0], [1.0, 2.0, 3.0], 1, params), GridFormatError),
+        ("hermitian_pairing shapes (2,) and (3,)",
+         lambda: hermitian_pairing([1j, 2], [1, 2, 3]), GridFormatError),
         # a Laplacian interior that is empty, or holds only the origin or values
         # that underflow, once gave a NaN report (n = 0 at 5 samples: the 5% error)
         ("laplacian 3 samples", lambda: laplacian_consistency(0, params, 1.0, 1.0),
@@ -1068,6 +1093,30 @@ def test_pairings_and_norms_are_finite_or_refused(a, b):
                 continue
             for v in value if isinstance(value, tuple) else (value,):
                 assert np.all(np.isfinite(v))
+
+
+def test_bargmann_transform_takes_a_scalar_callable_result():
+    # a constant broadcasts to the nodes: its only coefficients are the even ones
+    state = bargmann_transform(lambda x: 1.0, 3, 8, OscillatorParams())
+    assert np.abs(state.coeffs[1::2]).max() < 1e-12 < np.abs(state.coeffs[0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GridSection(AXIS, AXIS, np.ones((3, 3))),
+    lambda: LineSection("x", AXIS, np.ones(3)),
+    lambda: DoubledSection(AXIS, AXIS),
+    lambda: DoubledSection(1.0, 1.0),
+    lambda: FockState([1.0, 0.5]),
+    lambda: FockState([1.0]),
+], ids=["grid", "line", "doubled", "doubled 0-d", "fock", "fock 1 coefficient"])
+def test_containers_compare_by_identity(make):
+    # equal samples are not equal containers; no array truth value is asked
+    a, b = make(), make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) != hash(b)
 
 
 def test_nan_dt_is_named():

@@ -488,8 +488,9 @@ class TestGridCsv:
     def test_unknown_header(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(GridFormatError):
+        with pytest.raises(GridFormatError) as err:
             read_grid_csv(path)
+        assert str(err.value) == f"{path}: unrecognised grid CSV header 'a,b'"
 
     @settings(deadline=None)
     @given(_grids(max_side=6), st.data())
