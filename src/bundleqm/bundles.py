@@ -13,8 +13,7 @@ cells only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -31,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaugeConnection:
+class GaugeConnection(NamedTuple):
     """Connection components as vectorized functions of (x, p).
 
     On a grid they receive the column x[:, None] and the row p[None, :] and

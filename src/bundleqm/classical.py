@@ -10,37 +10,35 @@ conjugate-structure solutions winding clockwise (charge -1).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (InvalidArgumentError, OpenCurveError, UndersampledError, ZeroCrossingError,
                      ZeroPointError)
 from .sections import (check_array, check_broadcast, check_charge, check_finite, check_int,
-                       check_positive, check_real, check_samples, check_sign, finite_result)
+                       check_positive, check_real, check_samples, check_sign, finite_result,
+                       value_tuple)
 
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(value_tuple("OscillatorParams", "m omega")):
     """Mass and frequency; the derived length scale is w^2 = 1/(m omega).
     m and omega are real numbers, stored as floats; they and the derived
     m*omega, w^2 and w^4 must be finite and nonzero."""
 
-    m: float = 1.0
-    omega: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, m: float = 1.0, omega: float = 1.0):
         # stored as floats: an int product m*omega beyond the float range would
         # pass the range check below, then fail to convert in w2
-        object.__setattr__(self, "m", check_positive(self.m, "m"))
-        object.__setattr__(self, "omega", check_positive(self.omega, "omega"))
+        self = super().__new__(cls, check_positive(m, "m"), check_positive(omega, "omega"))
         # w^4 = w^2 * w^2 in range implies w^2 = 1/(m omega) in range
         if not (0 < self.m * self.omega < np.inf and 0 < self.w4 < np.inf):
             raise InvalidArgumentError(
                 f"m*omega, w^2 = 1/(m*omega) and w^4 must be finite and nonzero, "
                 f"got m={self.m!r}, omega={self.omega!r}")
+        return self
 
     @property
     def w2(self) -> float:
@@ -78,21 +76,19 @@ def phase_coordinates(z, charge: int, params: OscillatorParams):
     return np.sqrt(2.0) * z.real, -charge * np.sqrt(2.0) * z.imag / params.w2
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (x, p) of phase space with complex views z_pm.
+class PhasePoint(value_tuple("PhasePoint", "x p")):
+    """A point (x, p) of phase space with complex views z_pm; x and p are real
+    numbers, stored as floats.
 
     z_plus = (x - i w^2 p)/sqrt(2) is the particle coordinate; z_minus is its
     conjugate, the antiparticle coordinate.  A view or a point function
     whose value overflows raises NonFiniteError.
     """
 
-    x: float
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("x", "p"):
-            check_real(getattr(self, name), name)
+    def __new__(cls, x: float, p: float):
+        return super().__new__(cls, check_real(x, "x"), check_real(p, "p"))
 
     def z_plus(self, params: OscillatorParams) -> complex:
         return complex_coordinate(self.x, self.p, +1, params)
@@ -107,26 +103,23 @@ class PhasePoint:
         return cls(x=x, p=p)
 
 
-@dataclass(frozen=True)
-class ClassicalState:
+class ClassicalState(value_tuple("ClassicalState", "z0 charge")):
     """Initial datum z0, one complex number, and winding charge: charges never mix."""
 
-    z0: complex
-    charge: int = +1
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "z0", complex(check_array(self.z0, complex, "z0", ndim=0)))
-        check_charge(self.charge)
+    def __new__(cls, z0: complex, charge: int = +1):
+        return super().__new__(cls, complex(check_array(z0, complex, "z0", ndim=0)),
+                               check_charge(charge))
 
 
-@dataclass(frozen=True)
-class ComplexStructure:
+class ComplexStructure(value_tuple("ComplexStructure", "sign")):
     """J (sign +1) or -J (sign -1) acting on (x^1, x^2) = (x, -w^2 p)."""
 
-    sign: int = +1
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_sign(self.sign, "sign")
+    def __new__(cls, sign: int = +1):
+        return super().__new__(cls, check_sign(sign, "sign"))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -162,7 +155,7 @@ def evolve_classical(state: ClassicalState, t, params: OscillatorParams,
     phase convention.  Accepts scalar or array t; a phase omega t that
     overflows raises NonFiniteError.
     """
-    check_sign(frequency_sign, "frequency_sign")
+    frequency_sign = check_sign(frequency_sign, "frequency_sign")
     times = check_array(t, float, "t")
     out = np.exp(1j * frequency_sign * state.charge * params.omega * times) * state.z0
     return complex(out) if np.isscalar(t) else out

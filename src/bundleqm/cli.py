@@ -48,7 +48,7 @@ class RunConfig:
         try:
             OscillatorParams(m=self.m, omega=self.omega)
             check_positive(self.grid_half_width, "grid_half_width")
-            check_sign(self.frequency_sign, "frequency_sign")
+            self.frequency_sign = check_sign(self.frequency_sign, "frequency_sign")
         except InvalidArgumentError as exc:
             raise ConfigError(str(exc)) from None
         if not isinstance(self.output_dir, str):

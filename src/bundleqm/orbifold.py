@@ -9,24 +9,23 @@ operational form of the delta-concentrated curvature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .classical import TWO_PI, loop_log
 from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
 from .sections import (check_array, check_choice, check_finite, check_int, check_pair,
-                       check_real, check_samples, finite_result)
+                       check_real, check_samples, finite_result, value_tuple)
 
 
-@dataclass(frozen=True)
-class ConeGeometry:
+class ConeGeometry(value_tuple("ConeGeometry", "n")):
     """Covering degree with its cone and defect angles (summing to 2pi)."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_int(self.n, "covering degree", 1)
+    def __new__(cls, n: int):
+        return super().__new__(cls, check_int(n, "covering degree", 1))
 
     @property
     def cone_angle(self) -> float:
@@ -61,8 +60,7 @@ def cover_inverse(psi: complex, n: int, branch: int) -> complex:
     return abs(psi) ** (1.0 / n) * np.exp(1j * (theta / n + TWO_PI * branch / n))
 
 
-@dataclass(frozen=True)
-class ConeMetric:
+class ConeMetric(NamedTuple):
     """Induced metric at a point of C/Z_n, in complex and polar components.
 
     ds^2 = conformal_factor * dpsi dpsibar = drho^2 + (rho^2/n^2) dphi_n^2,
@@ -95,8 +93,7 @@ def cone_metric(psi: complex, n: int) -> ConeMetric:
     return ConeMetric(conformal_factor=factor, rho=rho, g_rho_rho=1.0, g_phi_phi=g_phi_phi)
 
 
-@dataclass(frozen=True)
-class TransportResult:
+class TransportResult(NamedTuple):
     vector: complex            # 1 parallel-transported around the loop
     holonomy_angle: float      # in [0, 2pi)
     loop_winding: int          # turns of the loop about the tip
@@ -115,12 +112,13 @@ def levi_civita_transport(loop, n: int | tuple[int, ...]
     the tip return holonomy 0.  The angle lies in [0, 2pi): one that rounds
     to 2pi reads 0.  By linearity a vector v arrives as v * vector.
 
-    n may also be a tuple of degrees: the loop integral, which does not
-    depend on n, is taken once, and a tuple of results is returned, each
-    equal to the call with that degree alone.
+    n may also be a plain tuple of degrees (a value type such as ConeGeometry
+    is not one): the loop integral, which does not depend on n, is taken
+    once, and a tuple of results is returned, each equal to the call with
+    that degree alone.
     """
-    degrees = tuple(check_int(d, "covering degree", 1)
-                    for d in (n if isinstance(n, tuple) else (n,)))
+    many = type(n) is tuple
+    degrees = tuple(check_int(d, "covering degree", 1) for d in (n if many else (n,)))
     total = loop_log(loop, 3)
     winding = int(np.rint(total.imag / TWO_PI))
     results = []
@@ -131,7 +129,7 @@ def levi_civita_transport(loop, n: int | tuple[int, ...]
         results.append(TransportResult(vector=complex(np.exp(factor * total)),
                                        holonomy_angle=angle if angle < TWO_PI else 0.0,
                                        loop_winding=winding))
-    return tuple(results) if isinstance(n, tuple) else results[0]
+    return tuple(results) if many else results[0]
 
 
 # ---------------------------------------------------------------------------

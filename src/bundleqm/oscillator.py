@@ -10,8 +10,7 @@ doubles as the quantum charge density in the holomorphic representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -25,8 +24,7 @@ from .sections import (_KERNEL_VALUES, MAX_SAMPLES, GridSection, LineSection, ch
                        check_sign, diff_axis, finite_result, trapezoid_weights)
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     """One spectrum entry: E = omega(q_l + q_v/2) with q_l = n q_v."""
 
     n: int
@@ -83,7 +81,7 @@ def evolve_schrodinger(state: FockState, dt: float, params: OscillatorParams,
     frequency_sign = -1 flips to the physics convention.  Norm is preserved
     exactly.  A phase E_n dt beyond the float range raises NonFiniteError.
     """
-    check_sign(frequency_sign, "frequency_sign")
+    frequency_sign = check_sign(frequency_sign, "frequency_sign")
     dt = check_real(dt, "dt")
     n = np.arange(state.coeffs.size)
     phases = np.exp(1j * frequency_sign * state.charge * energy(n, params) * dt)
@@ -214,8 +212,7 @@ def charge_density(state: Union[FockState, LineSection]):
 # Consistency of the grid covariant Laplacian with the Fock spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LaplacianReport:
+class LaplacianReport(NamedTuple):
     n: int
     measured: complex
     expected: float

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,19 +24,18 @@ from .errors import (ChargeMismatchError, DecayViolationError, GridFormatError,
                      InvalidArgumentError, NonMonotoneError, QuadratureUnderResolvedError)
 from .sections import (GridSection, LineSection, check_array, check_charge, check_choice,
                        check_int, check_pair, check_positive, check_samples, diff_axis,
-                       finite_result, require_axis, resolve_charge, trapezoid_weights)
+                       finite_result, require_axis, resolve_charge, trapezoid_weights,
+                       value_tuple)
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(value_tuple("Polarization", "kind")):
     """One of: coordinate, momentum, holomorphic, antiholomorphic."""
 
-    kind: str
-
+    __slots__ = ()
     _KINDS = ("coordinate", "momentum", "holomorphic", "antiholomorphic")
 
-    def __post_init__(self):
-        check_choice(self.kind, "kind", self._KINDS)
+    def __new__(cls, kind: str):
+        return super().__new__(cls, check_choice(kind, "kind", cls._KINDS))
 
     def admits_charge(self, charge: int) -> bool:
         """Holomorphic pairs with +1, antiholomorphic with -1; real ones with both."""
@@ -209,8 +207,7 @@ def dolbeault_residual(sec: GridSection, params: OscillatorParams) -> GridSectio
     return sec.like(dzbar + z_q / (2.0 * w2) * sec.values)
 
 
-@dataclass(frozen=True)
-class ComplexGaugeConnection:
+class ComplexGaugeConnection(NamedTuple):
     """Connection in complex components (a_z, a_zbar), functions of z."""
 
     a_z: Callable
@@ -351,13 +348,12 @@ def bargmann_pairing(a: FockState, b: FockState) -> complex:
 # Limits of the complex polarization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LimitCheckReport:
+class LimitCheckReport(NamedTuple):
     """Residual norms of the rescaled Dolbeault operator along a w-sequence."""
 
     direction: str                  # "w->0" or "w->inf"
-    w_values: list = field(default_factory=list)
-    residual_norms: list = field(default_factory=list)
+    w_values: list
+    residual_norms: list
 
     @property
     def strictly_decreasing(self) -> bool:
@@ -400,8 +396,8 @@ def polarization_limit_check(params: OscillatorParams, w_sequence: Sequence[floa
         raise NonMonotoneError(f"w_sequence must be strictly monotone, got {ws}")
 
     sec = GridSection.from_function(family, (-4.0, 4.0), (-4.0, 4.0), 161, 161, charge=q)
-    report = LimitCheckReport(direction=direction, w_values=ws)
+    norms = []
     for wp in scales:
         resid = dolbeault_residual(sec, wp).values[1:-1, 1:-1]
-        report.residual_norms.append(float(wp.w2 ** power * np.max(np.abs(resid))))
-    return report
+        norms.append(float(wp.w2 ** power * np.max(np.abs(resid))))
+    return LimitCheckReport(direction=direction, w_values=ws, residual_norms=norms)

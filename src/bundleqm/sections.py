@@ -12,6 +12,7 @@ the quantum charge q_v as a plain validated integer, +1 for particles and
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import itertools
 import numbers
@@ -159,11 +160,22 @@ def resolve_charge(held, charge, holder: str) -> int:
     return charge
 
 
-def check_sign(sign: int, name: str) -> None:
+def check_sign(sign: int, name: str) -> int:
     """Validate an orientation sign (a frequency or complex-structure sign):
-    the integer +1 or -1, else InvalidArgumentError."""
+    the integer +1 or -1, returned as a plain int, else InvalidArgumentError."""
     if not (_is_int(sign) and sign in (+1, -1)):
         raise InvalidArgumentError(f"{name} must be the integer +1 or -1, got {sign!r}")
+    return int(sign)
+
+
+def value_tuple(name: str, fields: str):
+    """The namedtuple base of a validated value type, whose own __new__ runs
+    the checks and stores what they return.  _make, and so _replace, build
+    through that __new__: a plain namedtuple's skip it.  The subclass sets
+    __slots__ = (), so that no attribute can be assigned."""
+    base = collections.namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 def check_finite(values: np.ndarray, what: str) -> None:

@@ -41,6 +41,16 @@ class TestRunConfig:
             assert main(["--config", str(path), "spectrum", "--n-max", "1"]) == EXIT_USAGE
             assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, command, args, name", [
+        (RunConfig(), "verify", {"suite": "all"}, "verify-e59147a8aa"),
+        (RunConfig(), "spectrum", {"n_max": 10}, "spectrum-2d72896738"),
+        # a numpy sign is stored as the int it stands for
+        (RunConfig(frequency_sign=np.int8(1)), "verify", {"suite": "all"}, "verify-e59147a8aa"),
+    ], ids=["verify", "spectrum", "numpy sign"])
+    def test_run_stamps_are_pinned(self, out_dir, config, command, args, name):
+        # the stamp names the output directory: a changed stamp renames them all
+        assert cli.run_directory(config, command, args) == out_dir / name
+
     def test_positivity(self):
         with pytest.raises(ConfigError):
             RunConfig(m=0.0)

@@ -232,9 +232,12 @@ EMPTY = {"[]": [], "np.array([])": np.array([])}
 
 
 def _assert_finite(value):
-    """Every number that value holds is finite: in arrays, tuples and lists,
-    and in the attributes of a package object."""
-    if isinstance(value, (tuple, list)):
+    """Every number that value holds is finite: in arrays, tuples (the value
+    types among them), lists and generators (husimi_levels' fields), and in
+    the attributes of a package object.  A str or a callable holds no number;
+    any other value fails the test, so that no result escapes the sweep
+    unwalked."""
+    if isinstance(value, (tuple, list)) or inspect.isgenerator(value):
         for item in value:
             _assert_finite(item)
     elif isinstance(value, (np.ndarray, np.generic, int, float, complex)):
@@ -242,6 +245,8 @@ def _assert_finite(value):
     elif hasattr(value, "__dict__"):
         for item in vars(value).values():
             _assert_finite(item)
+    elif not (isinstance(value, str) or callable(value)):
+        pytest.fail(f"cannot walk a {type(value).__name__}: {value!r}")
 
 
 EDGE_CASES = [(key, name, label) for key in sorted(CALLS)

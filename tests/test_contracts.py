@@ -41,7 +41,8 @@ from bundleqm.polarizations import (FockState, Polarization, bargmann_inverse,
                                     holomorphic_gauge, ladder_apply, ladder_coordinate,
                                     polarization_limit_check)
 from bundleqm.sections import (MAX_SAMPLES, DoubledSection, GridSection, LineSection,
-                               check_charge, check_int, check_real, check_samples, load_grid,
+                               check_charge, check_int, check_real, check_samples,
+                               finite_result, load_grid,
                                read_grid_binary, read_grid_csv, write_grid_binary,
                                write_grid_csv)
 
@@ -704,15 +705,6 @@ def _bad_calls():
         ("rotation_generator at m=omega=1e-3",
          lambda: rotation_generator(PhasePoint(0, 1e303), OscillatorParams(1e-3, 1e-3)),
          NonFiniteError),
-        # an overflow to a numpy scalar other than float64 was once returned as inf
-        ("hamiltonian_energy x=float32(3e38)",
-         lambda: hamiltonian_energy(PhasePoint(np.float32(3e38), 0.0), params), NonFiniteError),
-        ("hamiltonian_vector_field p=float32(3e38) at m=1e-3",
-         lambda: hamiltonian_vector_field(PhasePoint(0.0, np.float32(3e38)),
-                                          OscillatorParams(m=1e-3)), NonFiniteError),
-        ("rotation_generator p=float32(3e38) at m=1e-3",
-         lambda: rotation_generator(PhasePoint(0.0, np.float32(3e38)), OscillatorParams(m=1e-3)),
-         NonFiniteError),
         ("z_plus x=p=1e308 at m=omega=1e-3",
          lambda: PhasePoint(1e308, 1e308).z_plus(OscillatorParams(1e-3, 1e-3)),
          NonFiniteError),
@@ -1117,6 +1109,37 @@ def test_containers_compare_by_identity(make):
         assert a == a and not a != a
         assert a != b and not a == b
         assert hash(a) == hash(a) != hash(b)
+
+
+# a point stores its coordinates as floats: a float32 coordinate was once kept,
+# so these overflowed float32 to NonFiniteError where float64 is finite, or
+# returned a float32
+POINT_CALLS = [
+    ("hamiltonian_energy x=float32(3e38)", np.float32(3e38),
+     lambda c: hamiltonian_energy(PhasePoint(c, 0.0), OscillatorParams())),
+    ("hamiltonian_vector_field p=float32(3e38) at m=1e-3", np.float32(3e38),
+     lambda c: hamiltonian_vector_field(PhasePoint(0.0, c), OscillatorParams(m=1e-3))),
+    ("rotation_generator p=float32(3e38) at m=1e-3", np.float32(3e38),
+     lambda c: rotation_generator(PhasePoint(0.0, c), OscillatorParams(m=1e-3))),
+    ("hamiltonian_energy x=float32(0.1)", np.float32(0.1),
+     lambda c: hamiltonian_energy(PhasePoint(c, 0.0), OscillatorParams())),
+]
+
+
+@pytest.mark.parametrize("coordinate, call", [c[1:] for c in POINT_CALLS],
+                         ids=[c[0] for c in POINT_CALLS])
+def test_a_float32_point_gives_the_float64_value(coordinate, call):
+    value = call(coordinate)
+    assert value == call(float(coordinate))
+    assert all(type(v) is float for v in (value if type(value) is tuple else (value,)))
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.complex64])
+def test_an_overflow_to_any_numpy_precision_is_refused(dtype):
+    # finite_result's rule covers numpy scalars of every precision, not float64 alone
+    overflow = finite_result("product")(lambda: dtype(np.finfo(dtype).max) * dtype(2))
+    with pytest.raises(NonFiniteError, match="product must be finite"):
+        overflow()
 
 
 def test_nan_dt_is_named():

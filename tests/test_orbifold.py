@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bundleqm.classical import winding_number
 from bundleqm.errors import (BranchOutOfRangeError, InvalidArgumentError, OpenCurveError,
                              OriginSingularError, ZeroCrossingError)
-from bundleqm.orbifold import (ConeGeometry, branched_cover, circle_loop,
+from bundleqm.orbifold import (ConeGeometry, TransportResult, branched_cover, circle_loop,
                                cone_metric, cover_inverse, ellipse_loop,
                                levi_civita_transport, loop_from_spec, square_loop)
 
@@ -188,13 +188,16 @@ class TestParallelTransport:
     def test_degrees_at_once_equal_each_degree_alone(self, loop):
         degrees = (1, 2, 3, 5, np.int64(7), 3)
         results = levi_civita_transport(loop, degrees)
-        assert isinstance(results, tuple) and len(results) == len(degrees)
+        # a TransportResult is itself a tuple: the container must be a plain one
+        assert type(results) is tuple and len(results) == len(degrees)
         for n, res in zip(degrees, results):
+            alone = levi_civita_transport(loop, n)
+            assert type(res) is type(alone) is TransportResult
             # repr prints each float to its last bit, and the sign of a zero
-            assert repr(res) == repr(levi_civita_transport(loop, n))
+            assert repr(res) == repr(alone)
         assert levi_civita_transport(loop, ()) == ()
 
-    @pytest.mark.parametrize("degrees", [(2, 0), (3, 2.5), (True,), [2, 3]])
+    @pytest.mark.parametrize("degrees", [(2, 0), (3, 2.5), (True,), [2, 3], ConeGeometry(3)])
     def test_degrees_at_once_are_checked(self, degrees):
         with pytest.raises(InvalidArgumentError):
             levi_civita_transport(circle_loop(), degrees)
