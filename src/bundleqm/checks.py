@@ -7,7 +7,7 @@ function is the one that runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ TOLERANCES = {
 }
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     measured: float
     tolerance: float

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -29,30 +28,33 @@ from . import checks, classical, oscillator
 from .classical import OscillatorParams
 from .errors import (BundleqmError, ConfigError, InvalidArgumentError, NonFiniteError,
                      ResolutionInsufficientError)
-from .sections import FLOAT_FORMAT, check_positive, check_samples, check_sign, write_rows
+from .sections import (FLOAT_FORMAT, check_positive, check_samples, check_sign, value_tuple,
+                       write_rows)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    m: float = 1.0
-    omega: float = 1.0
-    grid_half_width: float = 8.0
-    output_dir: str = "out"
-    frequency_sign: int = +1
+class RunConfig(value_tuple("RunConfig", "m omega grid_half_width output_dir frequency_sign")):
+    """A command's configuration.  Each field is checked when it is built, a
+    refused one raising ConfigError, and stored as its check returns it:
+    floats for m, omega and grid_half_width, a plain int frequency_sign."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, m: float = 1.0, omega: float = 1.0, grid_half_width: float = 8.0,
+                output_dir: str = "out", frequency_sign: int = +1):
         try:
-            OscillatorParams(m=self.m, omega=self.omega)
-            check_positive(self.grid_half_width, "grid_half_width")
-            self.frequency_sign = check_sign(self.frequency_sign, "frequency_sign")
+            params = OscillatorParams(m=m, omega=omega)
+            grid_half_width = check_positive(grid_half_width, "grid_half_width")
+            frequency_sign = check_sign(frequency_sign, "frequency_sign")
         except InvalidArgumentError as exc:
             raise ConfigError(str(exc)) from None
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+        return super().__new__(cls, params.m, params.omega, grid_half_width, output_dir,
+                               frequency_sign)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -63,8 +65,7 @@ class RunConfig:
                 raise ConfigError(f"{path} is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
@@ -102,7 +103,7 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 def run_directory(config: RunConfig, command: str, args_doc: dict) -> Path:
     root = os.environ.get("BUNDLEQM_OUT", config.output_dir)
-    payload = canonical_json({"command": command, "config": asdict(config),
+    payload = canonical_json({"command": command, "config": config._asdict(),
                               "args": args_doc})
     stamp = hashlib.sha256(payload.encode()).hexdigest()[:10]
     out = Path(root) / f"{command}-{stamp}"

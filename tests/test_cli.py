@@ -46,10 +46,21 @@ class TestRunConfig:
         (RunConfig(), "spectrum", {"n_max": 10}, "spectrum-2d72896738"),
         # a numpy sign is stored as the int it stands for
         (RunConfig(frequency_sign=np.int8(1)), "verify", {"suite": "all"}, "verify-e59147a8aa"),
-    ], ids=["verify", "spectrum", "numpy sign"])
+        # numpy numbers are stored as the floats they stand for
+        (RunConfig(m=np.float32(1.0)), "verify", {"suite": "all"}, "verify-e59147a8aa"),
+        (RunConfig(grid_half_width=np.int64(8)), "verify", {"suite": "all"}, "verify-e59147a8aa"),
+    ], ids=["verify", "spectrum", "numpy sign", "numpy m", "numpy grid_half_width"])
     def test_run_stamps_are_pinned(self, out_dir, config, command, args, name):
         # the stamp names the output directory: a changed stamp renames them all
         assert cli.run_directory(config, command, args) == out_dir / name
+
+    def test_int_beyond_2_53_stamps_as_its_float(self, out_dir):
+        # an int field is stored as a float: 2**62 stamps as 4.6116860184273879e+18,
+        # and 2**62 + 1, which a float cannot hold, as the float it rounds to
+        configs = [RunConfig(m=m) for m in (2 ** 62, 2 ** 62 + 1, float(2 ** 62))]
+        assert configs[0] == configs[1] == configs[2] and type(configs[0].m) is float
+        assert {cli.run_directory(c, "verify", {"suite": "all"}) for c in configs} == {
+            out_dir / "verify-de8043339f"}
 
     def test_positivity(self):
         with pytest.raises(ConfigError):

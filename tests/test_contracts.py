@@ -41,8 +41,8 @@ from bundleqm.polarizations import (FockState, Polarization, bargmann_inverse,
                                     holomorphic_gauge, ladder_apply, ladder_coordinate,
                                     polarization_limit_check)
 from bundleqm.sections import (MAX_SAMPLES, DoubledSection, GridSection, LineSection,
-                               check_charge, check_int, check_real, check_samples,
-                               finite_result, load_grid,
+                               check_array, check_charge, check_int, check_pair, check_real,
+                               check_samples, finite_result, load_grid,
                                read_grid_binary, read_grid_csv, write_grid_binary,
                                write_grid_csv)
 
@@ -121,6 +121,13 @@ class TestArgumentRules:
         assert check_real(10 ** 300, "m") == 1e300
         with pytest.raises(InvalidArgumentError, match="m is outside the float range"):
             check_real(10 ** 400, "m")
+
+    def test_value_types_pass_as_sequences(self):
+        # a value type is a tuple, so it is read wherever a pair or an array is
+        point = PhasePoint(1.0, 2.0)
+        assert check_pair(point, "center") == 1 + 2j
+        arr = check_array(point, float, "x")
+        assert arr.dtype == float and arr.tolist() == [1.0, 2.0]
 
 
 class TestNonFinite:
@@ -924,15 +931,14 @@ def test_invalid_arguments_raise_typed_errors(call, error, tmp_path, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
-# The hostile numbers, as JSON text, that each number field of the two JSON
+# The hostile numbers, as JSON text, that each number field of the three JSON
 # documents README describes is given.
 JSON_NUMBERS = ["NaN", "Infinity", "1e400", "true", str(2 ** 62), "5e-324", "-0.0", "1e308"]
+_LOADS_FLOATS = {str(2 ** 62), "5e-324", "-0.0", "1e308"}
 # field: (its document, with "#" where the number goes; the numbers it loads)
 JSON_NUMBER_FIELDS = {
-    "FockState coeff re": ('{"coeffs": [[#, 0.0]], "charge": 1, "w": 1.0}',
-                           {str(2 ** 62), "5e-324", "-0.0", "1e308"}),
-    "FockState coeff im": ('{"coeffs": [[1.0, #]], "charge": 1, "w": 1.0}',
-                           {str(2 ** 62), "5e-324", "-0.0", "1e308"}),
+    "FockState coeff re": ('{"coeffs": [[#, 0.0]], "charge": 1, "w": 1.0}', _LOADS_FLOATS),
+    "FockState coeff im": ('{"coeffs": [[1.0, #]], "charge": 1, "w": 1.0}', _LOADS_FLOATS),
     "FockState charge": ('{"coeffs": [[1.0, 0.0]], "charge": #, "w": 1.0}', set()),
     "FockState w": ('{"coeffs": [[1.0, 0.0]], "charge": 1, "w": #}',
                     {str(2 ** 62), "5e-324", "1e308"}),
@@ -940,7 +946,25 @@ JSON_NUMBER_FIELDS = {
     "RunConfig omega": ('{"omega": #}', {str(2 ** 62)}),
     "RunConfig grid_half_width": ('{"grid_half_width": #}', {str(2 ** 62), "5e-324", "1e308"}),
     "RunConfig frequency_sign": ('{"frequency_sign": #}', set()),
+    # a radius of 0 or -0.0 loads as an all-zero loop, refused where it is used
+    "loop radius": ('{"radius": #, "samples": 8}', _LOADS_FLOATS),
+    "loop ellipse [rx, ry]": ('{"shape": "ellipse", "radius": [#, #], "samples": 8}',
+                              _LOADS_FLOATS),
+    "loop samples": ('{"samples": #}', set()),
+    "loop center": ('{"center": [#, 0.0], "samples": 8}', _LOADS_FLOATS),
+    "loop pair": ('[[#, 0.0], [0.0, 1.0], [-1.0, 0.0]]', _LOADS_FLOATS),
 }
+
+
+def _load_json(field, text, path):
+    if field.startswith("FockState"):
+        state, w = FockState.from_json(text)
+        return [state.coeffs, w]
+    if field.startswith("loop"):
+        return [loop_from_spec(json.loads(text))]
+    path.write_text(text)
+    config = RunConfig.load(path)
+    return [config.m, config.omega, config.grid_half_width, config.frequency_sign]
 
 
 @pytest.mark.parametrize("number", JSON_NUMBERS)
@@ -950,22 +974,37 @@ def test_json_number_fields(field, number, tmp_path):
     # numpy's warnings as errors
     template, loads = JSON_NUMBER_FIELDS[field]
     text = template.replace("#", number)
-    path = tmp_path / "config.json"
-    path.write_text(text)
-    load = FockState.from_json if field.startswith("FockState") else lambda _: RunConfig.load(path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if number not in loads:
             with pytest.raises(BundleqmError):
-                load(text)
+                _load_json(field, text, tmp_path / "config.json")
             return
-        result = load(text)
-    if field.startswith("FockState"):
-        state, w = result
-        assert np.isfinite(state.coeffs).all() and np.isfinite(w)
-    else:
-        assert all(np.isfinite(getattr(result, name))
-                   for name in ("m", "omega", "grid_half_width", "frequency_sign"))
+        result = _load_json(field, text, tmp_path / "config.json")
+    assert all(np.isfinite(value).all() for value in result)
+
+
+@pytest.mark.parametrize("shape, radius, winding", [
+    ("circle", -1, 1), ("square", -1, 1), ("ellipse", [-2, -0.5], 1), ("ellipse", [-2, 0.5], -1)])
+def test_negative_loop_radius(shape, radius, winding):
+    # a negative radius traces the same loop from the antipodal point, so it
+    # winds as the positive one does; one negative semi-axis mirrors an ellipse
+    loop = loop_from_spec({"shape": shape, "radius": radius, "samples": 8})
+    assert winding_number(loop) == winding == levi_civita_transport(loop, 2).loop_winding
+    if winding == 1:
+        positive = loop_from_spec({"shape": shape, "radius": (-np.array(radius)).tolist(),
+                                   "samples": 8})
+        assert np.array_equal(loop, -positive)
+
+
+@pytest.mark.parametrize("shape", ["circle", "square", "ellipse"])
+@pytest.mark.parametrize("radius", [0, -0.0])
+def test_zero_loop_radius_is_refused_where_used(shape, radius):
+    zero = loop_from_spec({"shape": shape, "radius": radius, "samples": 8})
+    assert not zero.any()
+    for use in (winding_number, lambda z: levi_civita_transport(z, 2)):
+        with pytest.raises(ZeroCrossingError):
+            use(zero)
 
 
 # Every option name of the package, as the call that takes it.

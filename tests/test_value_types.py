@@ -1,7 +1,8 @@
 """The package's value types are tuples.  The validated values
 (OscillatorParams, PhasePoint, ClassicalState, ComplexStructure, ConeGeometry,
-Polarization) store what their checks return, and _replace builds through
-their constructors; the records the library returns are typing.NamedTuples.
+Polarization, RunConfig) store what their checks return, and _replace builds
+through their constructors; the records the library and verify return are
+typing.NamedTuples.
 Each is immutable, equal and hashed by value, and printed as
 Name(field=value, ...)."""
 
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bundleqm import bundles, classical, orbifold, oscillator, polarizations
+from bundleqm import bundles, checks, classical, cli, orbifold, oscillator, polarizations
 from bundleqm.bundles import GaugeConnection
+from bundleqm.checks import Check
 from bundleqm.classical import ClassicalState, ComplexStructure, OscillatorParams, PhasePoint
+from bundleqm.cli import RunConfig
 from bundleqm.errors import BundleqmError
 from bundleqm.orbifold import ConeGeometry, ConeMetric, TransportResult
 from bundleqm.oscillator import EnergyLevel, LaplacianReport
@@ -31,6 +34,7 @@ VALIDATED = {
     ComplexStructure: (ComplexStructure(-1), {"sign": 0}),
     ConeGeometry: (ConeGeometry(3), {"n": 0}),
     Polarization: (Polarization("momentum"), {"kind": "up"}),
+    RunConfig: (RunConfig(2.0, 0.5, 6.0, "runs", -1), {"m": -1.0}),
 }
 
 
@@ -55,6 +59,7 @@ RECORDS = {
                                                  residual_norms=(s,)),
     GaugeConnection: lambda s: GaugeConnection(a_x=_a_x, a_p=_a_p),
     ComplexGaugeConnection: lambda s: ComplexGaugeConnection(a_z=np.conj, a_zbar=np.negative),
+    Check: lambda s: Check(name="check", measured=s, tolerance=s),
 }
 
 _INTS = ((np.int8, 8), (np.int16, 16), (np.int32, 32), (np.int64, 64))
@@ -65,7 +70,7 @@ SCALARS = st.one_of(
     *(st.integers(-2 ** (bits - 1), 2 ** (bits - 1) - 1).map(t) for t, bits in _INTS),
     *(st.floats(width=bits).map(t) for t, bits in _FLOATS))
 
-MODULES = (classical, bundles, polarizations, oscillator, orbifold)
+MODULES = (classical, bundles, polarizations, oscillator, orbifold, cli, checks)
 
 
 def _outcome(build):
@@ -107,7 +112,7 @@ def test_value_type(cls, s):
 
 
 def test_library_modules_define_no_dataclass():
-    # every tuple type the five modules define is one of the value types above
+    # every tuple type the seven modules define is one of the value types above
     defined = {obj for module in MODULES for obj in vars(module).values()
                if isinstance(obj, type) and obj.__module__ == module.__name__}
     assert not any(dataclasses.is_dataclass(obj) for obj in defined)
@@ -117,6 +122,7 @@ def test_library_modules_define_no_dataclass():
 def test_package_import_leaves_dataclasses_out():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", "import bundleqm, sys; assert 'dataclasses' not in sys.modules"],
+        [sys.executable, "-c",
+         "import bundleqm, bundleqm.cli, sys; assert 'dataclasses' not in sys.modules"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
