@@ -186,8 +186,10 @@ def suite_husimi(config):
         return float(wt @ q @ wt), np.unravel_index(int(np.argmax(q)), q.shape)
 
     worst_norm, worst_loc = 0.0, 0.0
-    # map drops each field before the next is formed, so at most four 257^2
-    # arrays are alive at once, and fewer heap pages are faulted in per call
+    # map drops each field before the next is formed, and the levels' own
+    # arrays are 129^2 (the axis is folded), so one 257^2 field is alive at a
+    # time, and the heap stays under glibc's trim threshold: no page is
+    # faulted in per call
     levels = map(mass_and_peak, oscillator.husimi_levels(10, u, u))
     for n, (total, (i, j)) in enumerate(levels):
         worst_norm = max(worst_norm, abs(total - 1.0))

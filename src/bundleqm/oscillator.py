@@ -165,18 +165,29 @@ def husimi_levels(n_max: int, u, v):
     R_n = R_(n-1) r / n: the fields do not depend on the charge, and exp(-r)
     is evaluated once.  Each field is a new array equal to husimi(eigenstate(n,
     q), u, v) at either charge q within 4(n + 1) units of the last place
-    wherever that is at least 1e-290.  The arguments are checked, and the grid
-    capped, as by husimi when this is called; a field that is not finite (R_n
-    overflows) raises NonFiniteError when it is reached.
+    wherever that is at least 1e-290.  An axis that equals its own reversed
+    negation is folded: the recurrence runs on its second half only, and each
+    field is unfolded from it with the same bits.  The arguments are checked,
+    and the grid capped, as by husimi when this is called; a field that is not
+    finite (R_n overflows) raises NonFiniteError when it is reached.
     """
     n_max = check_int(n_max, "n_max", 0)
     u, v = _husimi_axes(u, v)
+    hu, hv = _fold(u), _fold(v)
     with np.errstate(over="ignore"):    # r = inf: Q_0 = 0, and R_1 = inf is reported
-        r = u ** 2 + v ** 2
-    return _husimi_fields(r, np.exp(-r), n_max)
+        r = u[hu:] ** 2 + v[:, hv:] ** 2
+    return _husimi_fields(r, np.exp(-r), n_max, hu, hv)
 
 
-def _husimi_fields(r: np.ndarray, gauss: np.ndarray, n_max: int):
+def _fold(w: np.ndarray) -> int:
+    """The index from which the axis w holds each of its w^2: w.size // 2
+    where w equals its own reversed negation bit for bit (so w[k]^2 is
+    w[-1-k]^2), else 0."""
+    w = w.ravel()
+    return w.size // 2 if np.array_equal(w[::-1], -w) else 0
+
+
+def _husimi_fields(r: np.ndarray, gauss: np.ndarray, n_max: int, hu: int, hv: int):
     # 1/pi rides in R, not in exp(-r): where exp(-r) is subnormal, dividing it
     # by pi would round it again
     radial = np.full_like(r, 1 / np.pi)
@@ -189,8 +200,24 @@ def _husimi_fields(r: np.ndarray, gauss: np.ndarray, n_max: int):
         # R_n >= 0 and exp(-r) is finite, so Q_n is finite exactly where R_n is
         if not np.isfinite(radial.max(initial=0.0)):
             raise NonFiniteError("Husimi field must be finite")
-        # no local holds the field: the caller's copy is the only one
-        yield radial * gauss
+        # no local holds the field: the caller's copy is the only one, so a
+        # caller that drops each field keeps one alive and faults no heap pages in
+        yield _whole_field(radial, gauss, hu, hv)
+
+
+def _whole_field(radial: np.ndarray, gauss: np.ndarray, hu: int, hv: int) -> np.ndarray:
+    """R exp(-r) over the whole grid, from R and exp(-r) on its folded part.
+
+    The first hu rows and hv columns are filled from their mirror images by
+    slice copies: the columns in the last rows first, then the rows whole,
+    which copy faster than reversed columns.
+    """
+    q_field = np.empty((radial.shape[0] + hu, radial.shape[1] + hv))
+    np.multiply(radial, gauss, out=q_field[hu:, hv:])
+    rows, columns = q_field.shape
+    q_field[hu:, :hv] = q_field[hu:, columns - hv:][:, ::-1]
+    q_field[:hu] = q_field[rows - hu:][::-1]
+    return q_field
 
 
 def charge_density(state: Union[FockState, LineSection]):

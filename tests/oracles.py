@@ -259,6 +259,23 @@ def husimi_reference(coeffs, charge, u, v):
     return np.abs(amp) ** 2 * np.exp(-(U ** 2 + V ** 2)) / np.pi
 
 
+def husimi_levels_reference(n_max, u, v):
+    """The fields Q_n = R_n exp(-r), n = 0..n_max, as the package once
+    evaluated them: the recurrence R_0 = 1/pi, R_n = R_(n-1) (1/n) r on every
+    cell of the whole grid, with no fold."""
+    u = np.ravel(np.asarray(u, float))[:, None]
+    v = np.ravel(np.asarray(v, float))[None, :]
+    r = u ** 2 + v ** 2
+    gauss = np.exp(-r)
+    radial = np.full_like(r, 1 / np.pi)
+    fields = []
+    for n in range(n_max + 1):
+        if n:
+            radial = radial * (1.0 / n) * r
+        fields.append(radial * gauss)
+    return fields
+
+
 def evolve_schrodinger_reference(coeffs, charge, params, dt, frequency_sign=+1):
     """The Fock phases with omega(n + 1/2) written out in the exponent."""
     n = np.arange(len(coeffs))

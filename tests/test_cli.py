@@ -16,6 +16,7 @@ from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
 from bundleqm import bundles, checks, cli
 from bundleqm.errors import (BundleqmError, DecayViolationError, InvalidChargeError,
                              NonFiniteError)
+from bundleqm.oscillator import husimi_levels
 
 
 @pytest.fixture(autouse=True)
@@ -292,6 +293,30 @@ class TestHusimiCommand:
         sidecar = json.loads((path.parent / "husimi.json").read_text())
         cell = sidecar["cell"]
         assert abs(np.sqrt(sidecar["max_radius_sq"]) - 2.0) <= np.sqrt(2) * cell
+
+    @pytest.mark.parametrize("charge", [+1, -1])
+    @pytest.mark.parametrize("resolution", [256, 257])
+    @pytest.mark.parametrize("n", [0, 4, 30, 128])
+    def test_field_matches_the_radial_form(self, monkeypatch, n, resolution, charge):
+        # the field the command writes is Q_n of the eigenstate n: within
+        # 4(n + 1) units of the last place of husimi_levels' radial form
+        # wherever it is at least 1e-290, and the sidecar states its values
+        fields = []
+        write_pgm = cli.write_pgm
+        monkeypatch.setattr(cli, "write_pgm", lambda path, field2d, ascii_mode=False:
+                            fields.append(field2d) or write_pgm(path, field2d, ascii_mode))
+        path = cmd_husimi(RunConfig(), n, charge, resolution)
+        q, = fields
+        u = np.linspace(-8.0, 8.0, resolution)
+        *_, radial = husimi_levels(n, u, u)
+        held = q >= 1e-290
+        assert np.all(np.abs(radial - q)[held] <= 4 * (n + 1) * 2.0 ** -52 * q[held])
+        assert np.all(radial[~held] <= 2e-290)
+        sidecar = json.loads((path.parent / "husimi.json").read_text())
+        i, j = np.unravel_index(int(np.argmax(q)), q.shape)
+        assert [sidecar["min_value"], sidecar["max_value"]] == [q.min(), q.max()]
+        assert sidecar["max_location"] == [u[i], u[j]] and sidecar["cell"] == u[1] - u[0]
+        assert abs(np.sqrt(sidecar["max_radius_sq"]) - np.sqrt(n)) <= np.sqrt(2) * sidecar["cell"]
 
     def test_pgm_headers(self, out_dir):
         p5 = cmd_husimi(RunConfig(), 1, +1, 32)

@@ -5,6 +5,8 @@ phases, the first-derivative stencil, the grid kernels on broadcast axes, the
 loop builders and the holonomy's loop integral against the forms the package
 used before they were sped up or simplified."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -275,6 +277,45 @@ def test_husimi_levels_match_husimi_property(u, v, n_max, charge, data):
     for n, q in enumerate(husimi_levels(n_max, u, v)):
         if n in (k, n_max):
             _assert_husimi_level_matches(q, n, charge, u, v)
+
+
+# An axis that equals its reversed negation: any half, its entries in any
+# order, with a middle 0.0 or -0.0 at odd lengths; so also a lone 0.0, and
+# pairs of +/-0.0
+_mirrored_axis = st.tuples(
+    st.lists(st.floats(-12.0, 12.0) | st.sampled_from([0.0, -0.0]), max_size=6),
+    st.sampled_from([[], [0.0], [-0.0]]),
+).map(lambda parts: np.concatenate([-np.array(parts[0][::-1], float), parts[1], parts[0]]))
+
+
+@pytest.mark.parametrize("u_axis, v_axis", [(_mirrored_axis, _mirrored_axis), (_axis, _axis),
+                                            (_mirrored_axis, _axis), (_axis, _mirrored_axis)],
+                         ids=["mirrored", "unmirrored", "mirrored-u", "mirrored-v"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n_max=st.integers(0, 100))
+def test_husimi_fold_bit_identical(u_axis, v_axis, data, n_max):
+    # the fold takes each field from a quarter, a half or all of the grid;
+    # every byte is the whole grid's recurrence
+    u, v = data.draw(u_axis, label="u"), data.draw(v_axis, label="v")
+    expected = [q.tobytes() for q in oracles.husimi_levels_reference(n_max, u, v)]
+    assert [q.tobytes() for q in husimi_levels(n_max, u, v)] == expected
+
+
+def test_husimi_levels_keep_quarter_grid_arrays():
+    # on two mirrored axes r, exp(-r) and R_n hold 129^2 cells, not 257^2:
+    # with the yielded field and one reversed block the peak is about two
+    # fields, where the whole grid's four arrays reach four
+    def peak_fields(u, v):
+        tracemalloc.start()
+        try:
+            for q in husimi_levels(10, u, v):
+                del q
+            return tracemalloc.get_traced_memory()[1] / (8 * u.size * v.size)
+        finally:
+            tracemalloc.stop()
+
+    assert peak_fields(np.linspace(-8.0, 8.0, 257), np.linspace(-8.0, 8.0, 257)) < 2.25
+    assert peak_fields(np.linspace(-8.0, 8.5, 257), np.linspace(-8.0, 8.5, 257)) > 3.75
 
 
 def test_husimi_levels_overflow_where_husimi_does():

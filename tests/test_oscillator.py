@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundleqm.classical import OscillatorParams
 from bundleqm.errors import NotNormalizedError, ResolutionInsufficientError
@@ -180,6 +181,18 @@ class TestHusimi:
         qp = husimi(FockState(c, +1), u, u)
         qm = husimi(FockState(c, -1), u, u)
         assert np.max(np.abs(qm - qp[:, ::-1])) < 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.lists(st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                              allow_infinity=False), min_size=1, max_size=21),
+           u=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=9).map(np.array),
+           v=st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=9).map(np.array))
+    def test_charge_conjugation_is_exact(self, coeffs, u, v):
+        # the antiparticle sees conj(z') = u - iv, so its field at v is the
+        # particle's at -v bit for bit; v is negated, not reversed, since
+        # np.linspace(-3, 3, 31)[::-1] is not bit-equal to its negation
+        c = np.array(coeffs)
+        assert husimi(FockState(c, -1), u, v).tobytes() == husimi(FockState(c, +1), u, -v).tobytes()
 
 
 class TestChargeDensity:
