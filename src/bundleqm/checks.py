@@ -113,8 +113,10 @@ def suite_spectrum(config):
     params = config.params
     levels = oscillator.spectrum(10, params)
     fock_err = max(abs(lv.E - params.omega * (lv.n + 0.5)) for lv in levels)
-    # a grid and an error in the units w and omega keep the check at every (m, omega)
-    mat = oscillator.coordinate_hamiltonian_matrix(10, params, half_width=10.0 * params.w,
+    # a grid and an error in the units w and omega keep the check at every (m, omega);
+    # level 10 turns at 4.6 w, and cutting the grid at 8 w, not 10 w, moves the
+    # error by 2e-12 of the 1.6e-7 that h leaves
+    mat = oscillator.coordinate_hamiltonian_matrix(10, params, half_width=8.0 * params.w,
                                                    h=5e-3 * params.w)
     evals = np.sort(np.linalg.eigvalsh(mat)) / params.omega
     expect = np.arange(11) + 0.5
@@ -158,9 +160,10 @@ def suite_bargmann(config):
         worst_diag = max(worst_diag, float(err[m]))
         err[m] = 0.0    # every other error is >= 0, so the max is theirs
         worst_off = max(worst_off, float(np.max(err)))
-    # round trip on a band-limited state
+    # round trip on a band-limited state; the trapezoid rule converges
+    # exponentially for a decaying analytic state, so h = 0.1 w suffices
     sec = polarizations.bargmann_inverse(polarizations.FockState(_fixed_state(13)),
-                                         params.w * np.linspace(-12, 12, 4001), params)
+                                         params.w * np.linspace(-12, 12, 241), params)
     back = polarizations.bargmann_transform(sec, 12, 128, params)
     rt = float(abs(np.sqrt(back.norm_sq()) - 1.0))
     return [
@@ -209,9 +212,11 @@ def _angle_distance(a: float, b: float) -> float:
 
 def suite_holonomy(config):
     degrees = (2, 3, 5)
-    loops = [("circle", orbifold.circle_loop()),
-             ("square", orbifold.square_loop()),
-             ("ellipse", orbifold.ellipse_loop())]
+    # a closed loop's angle sum is 2pi per turn at any sampling whose steps stay
+    # below pi, so 256 samples suffice: no step here exceeds 0.07 rad
+    loops = [("circle", orbifold.circle_loop(samples=256)),
+             ("square", orbifold.square_loop(samples=256)),
+             ("ellipse", orbifold.ellipse_loop(samples=256))]
     # each loop integrated once for all degrees
     transported = [orbifold.levi_civita_transport(loop, degrees) for _, loop in loops]
     checks = []
@@ -221,7 +226,7 @@ def suite_holonomy(config):
             checks.append(Check(f"holonomy n={n} {name}: |angle - defect|",
                                 _angle_distance(results[k].holonomy_angle, defect),
                                 TOLERANCES["holonomy"]))
-    far = orbifold.circle_loop(center=5.0 + 0j, radius=1.0)
+    far = orbifold.circle_loop(center=5.0 + 0j, radius=1.0, samples=256)
     res = orbifold.levi_civita_transport(far, 3)
     checks.append(Check("holonomy non-enclosing loop", _angle_distance(res.holonomy_angle, 0.0),
                         TOLERANCES["holonomy_zero"]))

@@ -118,8 +118,11 @@ _P2_TEXT = np.array([[b"%d " % i, b"%d\n" % i] for i in range(256)], dtype="S4")
 def write_pgm(path, field2d: np.ndarray, ascii_mode: bool = False) -> None:
     """Grayscale PGM scaled to [0, max]; P5 by default, P2 with ascii_mode."""
     vmax = float(np.max(field2d))
-    scaled = np.zeros_like(field2d) if vmax == 0 else field2d / vmax
-    pixels = np.rint(255 * np.clip(scaled, 0.0, 1.0)).astype(np.uint8)
+    # one scaled array, clipped, stretched and rounded in place
+    scaled = np.zeros(field2d.shape) if vmax == 0 else field2d / vmax
+    np.clip(scaled, 0.0, 1.0, out=scaled)
+    scaled *= 255
+    pixels = np.rint(scaled, out=scaled).astype(np.uint8)
     ny, nx = pixels.shape
     with open(path, "wb") as fh:
         fh.write(b"P%d\n%d %d\n255\n" % (2 if ascii_mode else 5, nx, ny))

@@ -153,6 +153,13 @@ def read_grid_csv_reference(path):
     return GridSection(x=x, p=p, values=values, charge=charge)
 
 
+def pgm_pixels_reference(field2d):
+    """write_pgm's pixels as it once scaled them, one new array per step."""
+    vmax = float(np.max(field2d))
+    scaled = np.zeros_like(field2d) if vmax == 0 else field2d / vmax
+    return np.rint(255 * np.clip(scaled, 0.0, 1.0)).astype(np.uint8)
+
+
 def pgm_p2_reference(pixels):
     """ASCII PGM text as the package once wrote it: one str() per pixel."""
     ny, nx = pixels.shape

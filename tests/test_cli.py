@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bundleqm.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
                           ConfigError, RunConfig, canonical_json, cmd_husimi,
                           cmd_simulate, cmd_spectrum, main)
-from bundleqm import bundles, checks, cli
+from bundleqm import bundles, checks, cli, orbifold, oscillator, polarizations
 from bundleqm.errors import (BundleqmError, DecayViolationError, InvalidChargeError,
                              NonFiniteError)
 from bundleqm.oscillator import husimi_levels
@@ -407,6 +407,25 @@ class TestVerifyCommand:
         assert main(["--config", str(path), "verify"]) == EXIT_OK
         assert "[FAIL]" not in capsys.readouterr().out
 
+    @settings(deadline=None)
+    @given(decades=st.sampled_from([3.0, 60.0]), data=st.data())
+    def test_resized_grids_keep_their_margins(self, decades, data):
+        # the round trip, the cone loops and the coordinate matrix run on grids
+        # sized in units of w, well inside their bounds at (m, omega)
+        # log-uniform over [1e-3, 1e3] and [1e-60, 1e60]; pytest's settings
+        # make any warning an error
+        exponent = st.floats(-decades, decades)
+        m, omega = (10.0 ** data.draw(exponent, label=label) for label in ("m", "omega"))
+        config = RunConfig(m=m, omega=omega)
+        round_trip = checks.suite_bargmann(config)[2]
+        assert round_trip.name == "bargmann round-trip norm error"
+        assert round_trip.measured <= 1e-14
+        holonomy = checks.suite_holonomy(config)
+        assert len(holonomy) == 10 and max(c.measured for c in holonomy) <= 1e-14
+        matrix = checks.suite_spectrum(config)[1]
+        assert matrix.name == "spectrum coordinate matrix: max eigenvalue error"
+        assert matrix.measured <= 0.2 * checks.TOLERANCES["spectrum_matrix"]
+
     def test_unknown_suite(self, out_dir, capsys):
         assert main(["verify", "--suite", "nope"]) == EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
@@ -546,6 +565,54 @@ class TestVerifyRunsInOrder:
         assert code == EXIT_CHECK_FAILED and len(reports) == 1
         assert "[FAIL] curvature vacuum" in out
         assert "[FAIL] ccr coordinate charge +1" in out
+
+    @staticmethod
+    def _drop_last_bargmann_term(monkeypatch):
+        inverse = polarizations.bargmann_inverse
+
+        def dropped(state, x, params):
+            coeffs = state.coeffs.copy()
+            coeffs[-1] = 0.0
+            return inverse(polarizations.FockState(coeffs, state.charge), x, params)
+        monkeypatch.setattr(polarizations, "bargmann_inverse", dropped)
+
+    @staticmethod
+    def _holonomy_off_by_one_degree(monkeypatch):
+        transport = orbifold.levi_civita_transport
+
+        def moved(result):
+            angle = (result.holonomy_angle + np.deg2rad(1.0)) % (2 * np.pi)
+            return result._replace(holonomy_angle=angle)
+
+        def shifted(loop, n):
+            results = transport(loop, n)
+            return tuple(map(moved, results)) if type(n) is tuple else moved(results)
+        monkeypatch.setattr(orbifold, "levi_civita_transport", shifted)
+
+    @staticmethod
+    def _scaled_coordinate_matrix(monkeypatch):
+        matrix = oscillator.coordinate_hamiltonian_matrix
+        monkeypatch.setattr(oscillator, "coordinate_hamiltonian_matrix",
+                            lambda *args, **kwargs: matrix(*args, **kwargs) * (1 + 1e-6))
+
+    @pytest.mark.parametrize("fault, failing", [
+        (_drop_last_bargmann_term, ["bargmann round-trip norm error"]),
+        (_holonomy_off_by_one_degree,
+         [f"holonomy n={n} {loop}: |angle - defect|"
+          for n in (2, 3, 5) for loop in ("circle", "square", "ellipse")]),
+        (_scaled_coordinate_matrix, ["spectrum coordinate matrix: max eigenvalue error"]),
+    ], ids=["bargmann term dropped", "holonomy off by a degree", "matrix scaled by 1+1e-6"])
+    def test_resized_grid_checks_see_their_faults(self, tmp_path, monkeypatch, capsys,
+                                                  fault, failing):
+        # the round trip, the cone loops and the coordinate matrix run on grids
+        # sized to their bounds; each still fails on a fault in what it measures
+        fault(monkeypatch)
+        code, out, _err, reports = self._verify(monkeypatch, tmp_path, capsys)
+        assert code == EXIT_CHECK_FAILED and len(reports) == 1
+        failed = {row["name"] for row in json.loads(reports[0]) if not row["passed"]}
+        assert failed >= set(failing)
+        for name in failing:
+            assert f"[FAIL] {name}: " in out
 
 
 class TestOutputLayout:

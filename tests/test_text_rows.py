@@ -374,6 +374,25 @@ class TestCommandBytes:
         assert path.read_bytes() == oracles.pgm_p2_reference(np.zeros((3, 5), np.uint8)).encode()
         assert path.read_bytes() == b"P2\n5 3\n255\n" + b"0 0 0 0 0\n" * 3
 
+    @pytest.mark.parametrize("field", [
+        np.random.default_rng(3).normal(size=(37, 53)),
+        np.random.default_rng(4).random((64, 48)).astype(np.float32),
+        np.arange(-64.0, 1024.0).reshape(34, 32) / 3.0,
+        np.zeros((5, 7)),
+    ], ids=["random", "random-float32", "ramp", "all-zero"])
+    @pytest.mark.parametrize("ascii_mode", [False, True], ids=["P5", "P2"])
+    def test_pgm_bytes_match_out_of_place_scaling(self, tmp_path, field, ascii_mode):
+        # the in-place clip, stretch and rounding give the pixels the
+        # allocating form gave: the same steps in the same order
+        pixels = oracles.pgm_pixels_reference(field)
+        ny, nx = pixels.shape
+        path = tmp_path / "q.pgm"
+        write_pgm(path, field, ascii_mode=ascii_mode)
+        if ascii_mode:
+            assert path.read_bytes() == oracles.pgm_p2_reference(pixels).encode()
+        else:
+            assert path.read_bytes() == b"P5\n%d %d\n255\n" % (nx, ny) + pixels.tobytes()
+
     def test_pgm_p2_one_column(self, tmp_path):
         field = np.array([[0.0], [0.5], [1.0]])
         path = tmp_path / "column.pgm"
