@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DivisionNearZeroError, GridFormatError, GridTooSmallError
 from .sections import (DoubledSection, GridSection, LineSection, check_array, check_broadcast,
-                       check_charge, check_choice, check_real, diff_axis, finite_result,
-                       load_grid, require_axis, save_grid)
+                       check_choice, check_real, diff_axis, finite_result, load_grid,
+                       require_axis, save_grid)
 
 __all__ = [
     "GaugeConnection", "vacuum_connection", "gauge_transform",
@@ -99,24 +99,24 @@ def curvature_numeric(conn: GaugeConnection, probe: GridSection) -> complex:
     return complex(np.mean(comm / probe.values[sl]))
 
 
-def canonical_operators(rep: str, charge: int):
+def canonical_operators(rep: str):
     """Operators (x_hat, p_hat) on polarized 1D sections.
 
     Coordinate representation (both charges): x_hat = x*, p_hat = -i d/dx,
-    the unshifted translate_operator(0.0).  Momentum representation: charge
-    +1 gives (i d/dp, p*), charge -1 the antiparticle mirror (-i d/dp, -p*).
+    the unshifted translate_operator(0.0).  Momentum representation: on a
+    charge +1 section (i d/dp, p*), on a charge -1 section the antiparticle
+    mirror (-i d/dp, -p*); the charge is the section's.
     """
-    check_charge(charge)
     if check_choice(rep, "rep", ("coordinate", "momentum")) == "coordinate":
         return translate_operator(0.0)
 
     def x_hat(sec: LineSection) -> LineSection:
         require_axis(sec, "p")
-        return sec.like(1j * charge * diff_axis(sec.values, sec.h, axis=0))
+        return sec.like(1j * sec.charge * diff_axis(sec.values, sec.h, axis=0))
 
     def p_hat(sec: LineSection) -> LineSection:
         require_axis(sec, "p")
-        return sec.like(charge * sec.coords * sec.values)
+        return sec.like(sec.charge * sec.coords * sec.values)
 
     return x_hat, p_hat
 

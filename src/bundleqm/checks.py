@@ -48,7 +48,7 @@ def _ccr_error(rep: str, charge: int, h: float) -> float:
     sec = bundles.LineSection.from_function(
         lambda s: np.exp(-0.5 * s ** 2) * (1.0 + 0.3 * s), axis, -4.0, 4.0,
         int(round(8.0 / h)) + 1, charge=charge)
-    x_hat, p_hat = bundles.canonical_operators(rep, charge)
+    x_hat, p_hat = bundles.canonical_operators(rep)
     comm = p_hat(x_hat(sec)).values - x_hat(p_hat(sec)).values
     resid = comm + 1j * sec.values
     return float(np.max(np.abs(resid[2:-2])) / np.max(np.abs(sec.values)))

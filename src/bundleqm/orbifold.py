@@ -15,8 +15,8 @@ import numpy as np
 
 from .classical import TWO_PI, loop_log
 from .errors import BranchOutOfRangeError, InvalidArgumentError, OriginSingularError
-from .sections import (check_array, check_choice, check_finite, check_int, check_pair,
-                       check_real, check_samples, finite_result, value_tuple)
+from .sections import (check_array, check_choice, check_int, check_pair, check_real,
+                       check_samples, finite_result, value_tuple)
 
 
 class ConeGeometry(value_tuple("ConeGeometry", "n")):
@@ -88,9 +88,8 @@ def cone_metric(psi: complex, n: int) -> ConeMetric:
         raise OriginSingularError("cone metric is singular at psi = 0 for n >= 2")
     factor = (2.0 / n ** 2) * r ** (2.0 * (1.0 - n) / n)
     rho = np.sqrt(2.0) * r ** (1.0 / n)
-    g_phi_phi = rho ** 2 / n ** 2
-    check_finite(np.array([factor, rho, g_phi_phi]), "cone metric")
-    return ConeMetric(conformal_factor=factor, rho=rho, g_rho_rho=1.0, g_phi_phi=g_phi_phi)
+    return ConeMetric(conformal_factor=factor, rho=rho, g_rho_rho=1.0,
+                      g_phi_phi=rho ** 2 / n ** 2)
 
 
 class TransportResult(NamedTuple):

@@ -24,8 +24,7 @@ from .errors import (ChargeMismatchError, DecayViolationError, GridFormatError,
                      InvalidArgumentError, NonMonotoneError, QuadratureUnderResolvedError)
 from .sections import (GridSection, LineSection, check_array, check_charge, check_choice,
                        check_int, check_pair, check_positive, check_samples, diff_axis,
-                       finite_result, require_axis, resolve_charge, trapezoid_weights,
-                       value_tuple)
+                       finite_result, require_axis, trapezoid_weights, value_tuple)
 
 
 class Polarization(value_tuple("Polarization", "kind")):
@@ -289,8 +288,14 @@ def bargmann_transform(sec: Union[LineSection, Callable], n_max: int, quad_order
     given here must be +1 or -1 (InvalidChargeError) and agree with the
     section's (ChargeMismatchError).
     """
-    charge = resolve_charge(sec.charge if isinstance(sec, LineSection) else None, charge,
-                            "bargmann_transform: the section")
+    held = sec.charge if isinstance(sec, LineSection) else None
+    if charge is None:
+        charge = +1 if held is None else held
+    else:
+        charge = check_charge(charge)
+        if held is not None and charge != held:
+            raise ChargeMismatchError(f"bargmann_transform: the section holds charge "
+                                      f"{held:+d}, caller expected {charge:+d}")
     n_max = check_int(n_max, "n_max", 0)
     quad_order = _check_order(quad_order)
     if quad_order < 2 * n_max + 2:

@@ -22,9 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ChargeMismatchError, GridFormatError, GridTooSmallError,
-                     InvalidArgumentError, InvalidChargeError, NonFiniteError,
-                     WrongPolarizationError)
+from .errors import (GridFormatError, GridTooSmallError, InvalidArgumentError,
+                     InvalidChargeError, NonFiniteError, WrongPolarizationError)
 
 _BINARY_MAGIC = b"BQGS"
 _BINARY_VERSION = 1
@@ -138,34 +137,19 @@ def check_pair(value, name: str) -> complex:
     return complex(check_real(value[0], name), check_real(value[1], name))
 
 
+def check_sign(sign: int, name: str, error=InvalidArgumentError) -> int:
+    """Validate a unit sign (a frequency or complex-structure sign, or a
+    quantum charge): the integer +1 or -1, returned as a plain int, else
+    `error`."""
+    if not (_is_int(sign) and sign in (+1, -1)):
+        raise error(f"{name} must be the integer +1 or -1, got {sign!r}")
+    return int(sign)
+
+
 def check_charge(charge: int) -> int:
     """Validate a quantum charge; bundle operations admit only the integers
-    +1 and -1 (a bool or a float is not a charge)."""
-    if not (_is_int(charge) and charge in (+1, -1)):
-        raise InvalidChargeError(f"quantum charge must be the integer +1 or -1, "
-                                 f"got {charge!r}")
-    return int(charge)
-
-
-def resolve_charge(held, charge, holder: str) -> int:
-    """The charge of a loaded grid or of a transformed section: the one the
-    source holds (None when it holds none, which gives +1), which a `charge`
-    given by the caller must agree with."""
-    if charge is None:
-        return +1 if held is None else held
-    charge = check_charge(charge)
-    if held is not None and charge != held:
-        raise ChargeMismatchError(
-            f"{holder} holds charge {held:+d}, caller expected {charge:+d}")
-    return charge
-
-
-def check_sign(sign: int, name: str) -> int:
-    """Validate an orientation sign (a frequency or complex-structure sign):
-    the integer +1 or -1, returned as a plain int, else InvalidArgumentError."""
-    if not (_is_int(sign) and sign in (+1, -1)):
-        raise InvalidArgumentError(f"{name} must be the integer +1 or -1, got {sign!r}")
-    return int(sign)
+    +1 and -1 (a bool or a float is not a charge), else InvalidChargeError."""
+    return check_sign(charge, "quantum charge", InvalidChargeError)
 
 
 def value_tuple(name: str, fields: str):
@@ -190,10 +174,10 @@ def finite_result(what: str):
     rule for such results.  The call runs without numpy's overflow and
     invalid-value warnings.  A returned float or complex number (a numpy
     scalar of any precision included) or array, or each one in a returned
-    tuple, that is NaN or inf raises NonFiniteError, and so does Python's
-    OverflowError, which Python floats raise where numpy gives inf.
-    Integers are finite; a returned section or FockState is left to its own
-    constructor's check."""
+    tuple (a NamedTuple record included), that is NaN or inf raises
+    NonFiniteError, and so does Python's OverflowError, which Python floats
+    raise where numpy gives inf.  Integers are finite; a returned section or
+    FockState is left to its own constructor's check."""
     def decorate(fn):
         @functools.wraps(fn)
         def checked(*args, **kwargs):
@@ -202,7 +186,7 @@ def finite_result(what: str):
                     value = fn(*args, **kwargs)
             except OverflowError:
                 raise NonFiniteError(f"{what} must be finite") from None
-            for v in value if type(value) is tuple else (value,):
+            for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, np.ndarray):
                     if v.dtype.kind in "fc":
                         check_finite(v, what)
@@ -629,7 +613,8 @@ def write_rows(fh, header: str, rows) -> None:
 #
 # CSV: header "x,p,re,im,charge", one row per grid point, x-major order; the
 # charge column repeats the section's charge (1 or -1) on every row.  Files
-# with the earlier header "x,p,re,im" still load; they carry no charge.
+# with the earlier header "x,p,re,im", which cannot say their charge, are
+# refused like any other header.
 # read_grid_csv reads re and im as float64 and x, p and the charge as text
 # fields a byte wider than the writer's (_WIDTH, _WIDTH and 3), and parses
 # each distinct text once with np.loadtxt's own float conversion: the x text
@@ -646,7 +631,6 @@ def write_rows(fh, header: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = "x,p,re,im,charge"
-_CSV_HEADER_NO_CHARGE = "x,p,re,im"
 _CSV_TEXT_ROWS = [("x", f"S{_WIDTH}"), ("p", f"S{_WIDTH}"), ("pair", "f8", (2,)),
                   ("charge", "S3")]
 
@@ -691,14 +675,14 @@ def _parse_texts(texts: np.ndarray) -> np.ndarray:
     return values
 
 
-def _read_csv_texts(fh, ncols: int):
-    """(x, p, values, charge or None) of the rows after the header, with x, p
-    and the charge read as text and each distinct text parsed once;
-    ValueError where the rows are not a grid that the float read would take
-    with these texts (see the comment above)."""
-    rows = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=_CSV_TEXT_ROWS[:ncols - 1])
+def _read_csv_texts(fh):
+    """(x, p, values, charge) of the rows after the header, with x, p and the
+    charge read as text and each distinct text parsed once; ValueError where
+    the rows are not a grid that the float read would take with these texts
+    (see the comment above)."""
+    rows = np.loadtxt(fh, delimiter=",", ndmin=1, dtype=_CSV_TEXT_ROWS)
     if rows.size == 0 or any((np.char.str_len(rows[name]) == rows.dtype[name].itemsize).any()
-                             for name in ("x", "p", "charge")[:ncols - 2]):
+                             for name in ("x", "p", "charge")):
         raise ValueError("no rows, or a text that fills its field")
     x_texts, p_texts = rows["x"], rows["p"]
     starts = np.flatnonzero(x_texts[1:] != x_texts[:-1]) + 1   # of the x-rows after the first
@@ -710,34 +694,29 @@ def _read_csv_texts(fh, ncols: int):
     x, p = _parse_texts(x_texts[::np_]), _parse_texts(p_texts[:np_])
     if not ((x[1:] > x[:-1]).all() and (p[1:] > p[:-1]).all()):
         raise ValueError("axis values that do not rise")
-    charge = None
-    if ncols == 5:
-        q_texts = rows["charge"]
-        charge = _parse_texts(q_texts[:1])[0]
-        if (q_texts != q_texts[0]).any() or charge not in (1.0, -1.0):
-            raise ValueError("charge texts that differ, or a charge not 1 or -1")
-        charge = int(charge)
+    q_texts = rows["charge"]
+    charge = _parse_texts(q_texts[:1])[0]
+    if (q_texts != q_texts[0]).any() or charge not in (1.0, -1.0):
+        raise ValueError("charge texts that differ, or a charge not 1 or -1")
     values = np.ascontiguousarray(rows["pair"]).view(complex).reshape(x.size, p.size)
-    return x, p, values, charge
+    return x, p, values, int(charge)
 
 
-def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:
-    """Load a CSV grid.  The charge comes from the file; a `charge` given here
-    must agree with it (files without a charge column take `charge`, else +1)."""
+def read_grid_csv(path) -> GridSection:
+    """Load a CSV grid; the section takes the file's charge."""
     grid = None
     with open(path) as fh:
         try:
             header = fh.readline().strip()
-            if header not in (_CSV_HEADER, _CSV_HEADER_NO_CHARGE):
+            if header != _CSV_HEADER:
                 raise GridFormatError(f"{path}: unrecognised grid CSV header {header!r}")
-            ncols = len(header.split(","))
             with warnings.catch_warnings():
                 # a file without rows is reported below as a GridFormatError
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 # a pipe is read once, as floats
                 if fh.seekable() and not _has_nul(path):
                     try:
-                        grid = _read_csv_texts(fh, ncols)
+                        grid = _read_csv_texts(fh)
                     except ValueError:
                         fh.seek(0)
                         fh.readline()
@@ -747,26 +726,19 @@ def read_grid_csv(path, charge: Optional[int] = None) -> GridSection:
             raise
         except ValueError as exc:   # UnicodeDecodeError included, also from the header line
             raise GridFormatError(f"{path}: malformed grid CSV: {exc}") from None
-    if grid is None:
-        grid = _grid_from_floats(data, ncols, path)
-    x, p, values, file_charge = grid
-    return GridSection(x=x, p=p, values=values,
-                       charge=resolve_charge(file_charge, charge, f"{path}: file"))
+    x, p, values, charge = _grid_from_floats(data, path) if grid is None else grid
+    return GridSection(x=x, p=p, values=values, charge=charge)
 
 
-def _grid_from_floats(data: np.ndarray, ncols: int, path):
-    """(x, p, values, charge or None) of rows read as floats, or
-    GridFormatError."""
-    if data.shape[0] == 0 or data.shape[1] != ncols:
-        raise GridFormatError(f"{path}: expected rows of {ncols} columns, "
+def _grid_from_floats(data: np.ndarray, path):
+    """(x, p, values, charge) of rows read as floats, or GridFormatError."""
+    if data.shape[0] == 0 or data.shape[1] != 5:
+        raise GridFormatError(f"{path}: expected rows of 5 columns, "
                               f"got an array of shape {data.shape}")
-    file_charge = None
-    if ncols == 5:
-        q = data[:, 4]
-        if not (np.all(q == q[0]) and q[0] in (1.0, -1.0)):
-            raise GridFormatError(f"{path}: charge column must hold one value, "
-                                  f"1 or -1, on every row")
-        file_charge = int(q[0])
+    q = data[:, 4]
+    if not (np.all(q == q[0]) and q[0] in (1.0, -1.0)):
+        raise GridFormatError(f"{path}: charge column must hold one value, "
+                              f"1 or -1, on every row")
     x = np.unique(data[:, 0])
     p = np.unique(data[:, 1])
     if not (np.array_equal(data[:, 0], np.repeat(x, p.size))
@@ -774,7 +746,7 @@ def _grid_from_floats(data: np.ndarray, ncols: int, path):
         raise GridFormatError(f"{path}: rows are not a full grid in x-major order")
     # the re/im pair viewed as complex keeps the sign of a zero imaginary part
     values = np.ascontiguousarray(data[:, 2:4]).view(complex).reshape(x.size, p.size)
-    return x, p, values, file_charge
+    return x, p, values, int(q[0])
 
 
 def write_grid_binary(section: GridSection, path) -> None:
@@ -787,19 +759,19 @@ def write_grid_binary(section: GridSection, path) -> None:
         fh.write(section.values.astype("<c16").tobytes())
 
 
-def read_grid_binary(path, charge: Optional[int] = None) -> GridSection:
-    """Load a binary grid; a `charge` given here must agree with the file's."""
+def read_grid_binary(path) -> GridSection:
+    """Load a binary grid; the section takes the file's charge."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < 16:
         raise GridFormatError(f"{path}: {len(buf)} bytes is shorter than the grid header")
-    magic, version, file_charge, nx, np_ = struct.unpack_from("<4sHhII", buf)
+    magic, version, charge, nx, np_ = struct.unpack_from("<4sHhII", buf)
     if magic != _BINARY_MAGIC:
         raise GridFormatError(f"{path}: not a bundleqm grid file: bad magic {magic!r}")
     if version != _BINARY_VERSION:
         raise GridFormatError(f"{path}: unsupported grid file version {version}")
-    if file_charge not in (1, -1):
-        raise GridFormatError(f"{path}: header charge {file_charge} is not 1 or -1")
+    if charge not in (1, -1):
+        raise GridFormatError(f"{path}: header charge {charge} is not 1 or -1")
     size = 16 + 8 * (nx + np_) + 16 * nx * np_
     if len(buf) != size:
         raise GridFormatError(f"{path}: {len(buf)} bytes, but a {nx} x {np_} grid "
@@ -807,8 +779,7 @@ def read_grid_binary(path, charge: Optional[int] = None) -> GridSection:
     axes = np.frombuffer(buf, dtype="<f8", count=nx + np_, offset=16)
     values = np.frombuffer(buf, dtype="<c16", offset=16 + 8 * (nx + np_))
     return GridSection(x=axes[:nx].copy(), p=axes[nx:].copy(),
-                       values=values.reshape(nx, np_).copy(),
-                       charge=resolve_charge(file_charge, charge, f"{path}: file"))
+                       values=values.reshape(nx, np_).copy(), charge=charge)
 
 
 def save_grid(section: GridSection, path) -> None:
@@ -819,8 +790,8 @@ def save_grid(section: GridSection, path) -> None:
         write_grid_binary(section, path)
 
 
-def load_grid(path, charge: Optional[int] = None) -> GridSection:
-    """Read CSV or binary by extension; see read_grid_csv for `charge`."""
+def load_grid(path) -> GridSection:
+    """Read CSV or binary by extension; the section takes the file's charge."""
     if str(path).lower().endswith(".csv"):
-        return read_grid_csv(path, charge=charge)
-    return read_grid_binary(path, charge=charge)
+        return read_grid_csv(path)
+    return read_grid_binary(path)

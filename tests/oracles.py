@@ -124,27 +124,25 @@ def format_rows_reference(header, rows):
 def read_grid_csv_reference(path):
     """A grid CSV as the package once read it: every field parsed as a float
     by np.loadtxt, np.unique of the x and p columns, then the charge and
-    x-major checks; charge +1 where the file has no charge column.  Every
-    fault of the file is a GridFormatError, or the section's own error."""
+    x-major checks.  Every fault of the file, the earlier "x,p,re,im" header
+    without a charge included, is a GridFormatError, or the section's own
+    error."""
     try:
         with open(path) as fh:
             header = fh.readline().strip()
-            if header not in ("x,p,re,im,charge", "x,p,re,im"):
+            if header != "x,p,re,im,charge":
                 raise GridFormatError(f"header {header!r}")
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise GridFormatError(str(exc)) from None
-    ncols = len(header.split(","))
-    if data.shape[0] == 0 or data.shape[1] != ncols:
+    if data.shape[0] == 0 or data.shape[1] != 5:
         raise GridFormatError(f"shape {data.shape}")
-    charge = 1
-    if ncols == 5:
-        q = data[:, 4]
-        if not (np.all(q == q[0]) and q[0] in (1.0, -1.0)):
-            raise GridFormatError("charge")
-        charge = int(q[0])
+    q = data[:, 4]
+    if not (np.all(q == q[0]) and q[0] in (1.0, -1.0)):
+        raise GridFormatError("charge")
+    charge = int(q[0])
     x, p = np.unique(data[:, 0]), np.unique(data[:, 1])
     if not (np.array_equal(data[:, 0], np.repeat(x, p.size))
             and np.array_equal(data[:, 1], np.tile(p, x.size))):

@@ -10,8 +10,8 @@ from bundleqm.bundles import (DoubledSection, GridSection, LineSection,
                               vacuum_connection)
 from bundleqm.errors import (DivisionNearZeroError, GridFormatError, GridTooSmallError,
                              InvalidArgumentError, NonFiniteError, WrongPolarizationError)
-from bundleqm.sections import (V_MINUS, V_PLUS, load_grid, read_grid_csv, save_grid,
-                               write_grid_csv)
+from bundleqm.sections import (V_MINUS, V_PLUS, diff_axis, load_grid, read_grid_csv,
+                               save_grid, write_grid_csv)
 
 
 def gaussian_probe(h=1e-2, half_width=1.0, charge=+1):
@@ -190,7 +190,7 @@ def line_gaussian(axis="x", h=1e-2, half_width=4.0, charge=+1, bump=0.3):
 def ccr_residual(rep, charge, h):
     axis = "x" if rep == "coordinate" else "p"
     sec = line_gaussian(axis=axis, h=h, charge=charge)
-    x_hat, p_hat = canonical_operators(rep, charge)
+    x_hat, p_hat = canonical_operators(rep)
     comm = p_hat(x_hat(sec)).values - x_hat(p_hat(sec)).values
     return np.max(np.abs((comm + 1j * sec.values)[2:-2]))
 
@@ -198,7 +198,7 @@ def ccr_residual(rep, charge, h):
 class TestCanonicalOperators:
     def test_coordinate_multiplication(self):
         sec = LineSection.from_function(lambda x: np.exp(-0.5 * x ** 2), "x", -4, 4, 801)
-        x_hat, _ = canonical_operators("coordinate", +1)
+        x_hat, _ = canonical_operators("coordinate")
         i = np.searchsorted(sec.coords, 1.0)
         assert sec.coords[i] == pytest.approx(1.0)
         assert x_hat(sec).values[i] == pytest.approx(np.exp(-0.5), rel=1e-12)
@@ -212,20 +212,30 @@ class TestCanonicalOperators:
         rng = np.random.default_rng(5)
         values = rng.normal(size=9) + 1j * rng.normal(size=9)
         sec = LineSection(axis="x", coords=coords, values=values, charge=charge)
-        x_hat, p_hat = canonical_operators("coordinate", charge)
+        x_hat, p_hat = canonical_operators("coordinate")
         assert x_hat(sec).values.tobytes() == (coords * values).tobytes()
         h = coords[1] - coords[0]
         interior = -1j * ((values[2:] - values[:-2]) / (2.0 * h))
         assert p_hat(sec).values[1:-1].tobytes() == interior.tobytes()
 
+    @pytest.mark.parametrize("charge", [+1, -1])
+    def test_momentum_pair_reads_the_sections_charge(self, charge):
+        # bit for bit the formulas with the section's charge written in
+        sec = line_gaussian(axis="p", charge=charge)
+        x_hat, p_hat = canonical_operators("momentum")
+        d = diff_axis(sec.values, sec.h, axis=0)
+        assert x_hat(sec).values.tobytes() == (1j * charge * d).tobytes()
+        assert p_hat(sec).values.tobytes() == (charge * sec.coords * sec.values).tobytes()
+        assert x_hat(sec).charge == p_hat(sec).charge == charge
+
     def test_momentum_antiparticle_sign(self):
         sec = line_gaussian(axis="p", charge=-1)
-        _, p_hat = canonical_operators("momentum", -1)
+        _, p_hat = canonical_operators("momentum")
         assert np.allclose(p_hat(sec).values, -sec.coords * sec.values, atol=1e-14)
 
     def test_momentum_particle_is_standard(self):
         sec = line_gaussian(axis="p", charge=+1)
-        _, p_hat = canonical_operators("momentum", +1)
+        _, p_hat = canonical_operators("momentum")
         assert np.allclose(p_hat(sec).values, sec.coords * sec.values, atol=1e-14)
 
     @pytest.mark.parametrize("rep", ["coordinate", "momentum"])
@@ -240,10 +250,10 @@ class TestCanonicalOperators:
 
     def test_wrong_polarization(self):
         sec = line_gaussian(axis="p")
-        x_hat, _ = canonical_operators("coordinate", +1)
+        x_hat, _ = canonical_operators("coordinate")
         with pytest.raises(WrongPolarizationError):
             x_hat(sec)
-        x_hat_m, _ = canonical_operators("momentum", +1)
+        x_hat_m, _ = canonical_operators("momentum")
         with pytest.raises(WrongPolarizationError):
             x_hat_m(line_gaussian(axis="x"))
 
@@ -251,7 +261,7 @@ class TestCanonicalOperators:
 class TestTranslateOperator:
     def test_zero_shift_is_identity(self):
         sec = line_gaussian()
-        x_hat0, p_hat0 = canonical_operators("coordinate", +1)
+        x_hat0, p_hat0 = canonical_operators("coordinate")
         x_hat, p_hat = translate_operator(0.0)
         assert np.array_equal(x_hat(sec).values, x_hat0(sec).values)
         assert np.array_equal(p_hat(sec).values, p_hat0(sec).values)
@@ -388,7 +398,7 @@ class TestGridIO:
         sec = self._sample()
         path = tmp_path / "grid.csv"
         write_grid_csv(sec, path)
-        back = read_grid_csv(path, charge=-1)
+        back = read_grid_csv(path)
         assert np.array_equal(back.values, sec.values)
         assert np.array_equal(back.x, sec.x)
         assert back.charge == -1

@@ -559,8 +559,7 @@ class TestVerifyRunsInOrder:
         monkeypatch.setattr(bundles, "vacuum_connection", lambda: bundles.GaugeConnection(
             a_x=lambda x, p: -0.5 * p, a_p=lambda x, p: 0.5 * x))
         canonical = bundles.canonical_operators
-        monkeypatch.setattr(bundles, "canonical_operators",
-                            lambda rep, charge: canonical(rep, charge)[::-1])
+        monkeypatch.setattr(bundles, "canonical_operators", lambda rep: canonical(rep)[::-1])
         code, out, _err, reports = self._verify(monkeypatch, tmp_path, capsys)
         assert code == EXIT_CHECK_FAILED and len(reports) == 1
         assert "[FAIL] curvature vacuum" in out

@@ -29,7 +29,7 @@ from bundleqm.errors import (BundleqmError, GridFormatError, GridTooSmallError,
 from bundleqm.orbifold import (ConeGeometry, branched_cover, circle_loop, cone_metric,
                                cover_inverse, ellipse_loop, levi_civita_transport,
                                loop_from_spec, square_loop)
-from bundleqm import oscillator
+from bundleqm import orbifold, oscillator
 from bundleqm.cli import RunConfig, cmd_husimi
 from bundleqm.oscillator import (MAX_SPECTRUM_N, bargmann_function, charge_density,
                                  coordinate_hamiltonian_matrix, eigenstate, energy,
@@ -42,7 +42,7 @@ from bundleqm.polarizations import (FockState, Polarization, bargmann_inverse,
                                     polarization_limit_check)
 from bundleqm.sections import (MAX_SAMPLES, DoubledSection, GridSection, LineSection,
                                check_array, check_charge, check_int, check_pair, check_real,
-                               check_samples, finite_result, load_grid,
+                               check_samples, check_sign, finite_result, load_grid,
                                read_grid_binary, read_grid_csv, write_grid_binary,
                                write_grid_csv)
 
@@ -80,11 +80,15 @@ class TestCharge:
         with pytest.raises(InvalidChargeError):
             eigenstate(1, charge=bad)
 
-    def test_loader_caller_charge(self, tmp_path):
-        path = tmp_path / "g.csv"
-        write_grid_csv(_grid(), path)
-        with pytest.raises(InvalidChargeError):
-            read_grid_csv(path, charge=2)
+    @pytest.mark.parametrize("bad", [2, True, 1.0, "1"])
+    def test_one_sign_rule_with_its_own_error(self, bad):
+        # a charge is a sign named "quantum charge" that raises InvalidChargeError
+        with pytest.raises(InvalidChargeError) as charge_err:
+            check_charge(bad)
+        with pytest.raises(InvalidArgumentError) as sign_err:
+            check_sign(bad, "quantum charge")
+        assert (str(charge_err.value) == str(sign_err.value)
+                == f"quantum charge must be the integer +1 or -1, got {bad!r}")
 
     def test_is_a_bundleqm_error(self):
         assert issubclass(InvalidChargeError, BundleqmError)
@@ -400,7 +404,7 @@ def _bad_calls():
          InvalidArgumentError),
         ("covariant_derivative z", lambda: covariant_derivative(_grid(), "z", vacuum_connection()),
          InvalidArgumentError),
-        ("canonical_operators bad", lambda: canonical_operators("bad", 1), InvalidArgumentError),
+        ("canonical_operators bad", lambda: canonical_operators("bad"), InvalidArgumentError),
         ("ConeGeometry(0)", lambda: ConeGeometry(0), InvalidArgumentError),
         ("ladder_apply up", lambda: ladder_apply(eigenstate(1), "up"), InvalidArgumentError),
         ("OscillatorParams m=inf", lambda: OscillatorParams(m=np.inf), InvalidArgumentError),
@@ -761,6 +765,8 @@ def _bad_calls():
         # the float range raised Python's OverflowError
         ("cone_metric psi=1e308+1e308j", lambda: cone_metric(complex(1e308, 1e308), 2),
          NonFiniteError),
+        # g_phi_phi = rho^2 overflows at n = 1, where the factor and rho do not
+        ("cone_metric psi=1e308 n=1", lambda: cone_metric(1e308, 1), NonFiniteError),
         ("cone_metric |psi| beyond the float range",
          lambda: cone_metric(complex(1.5e308, 1.5e308), 3), NonFiniteError),
         ("cover_inverse |psi| beyond the float range",
@@ -821,10 +827,10 @@ def _bad_calls():
          NonFiniteError),
         # an option name that is not a str once leaked numpy's "truth value of
         # an empty array is ambiguous", or was accepted as a one-element array
-        ("canonical_operators rep=[]", lambda: canonical_operators(EMPTY, 1),
+        ("canonical_operators rep=[]", lambda: canonical_operators(EMPTY),
          InvalidArgumentError),
         ("canonical_operators rep=array(['momentum'])",
-         lambda: canonical_operators(np.array(["momentum"]), 1), InvalidArgumentError),
+         lambda: canonical_operators(np.array(["momentum"])), InvalidArgumentError),
         ("ladder_apply which=[]", lambda: ladder_apply(eigenstate(1), EMPTY),
          InvalidArgumentError),
         ("ladder_coordinate which=[]", lambda: ladder_coordinate(line, EMPTY, params),
@@ -1013,7 +1019,7 @@ _OPTION_CALLS = {
     "LineSection axis": lambda v: LineSection(v, AXIS, np.ones(3)),
     "covariant_derivative direction": lambda v: covariant_derivative(_grid(), v,
                                                                      vacuum_connection()),
-    "canonical_operators rep": lambda v: canonical_operators(v, 1),
+    "canonical_operators rep": lambda v: canonical_operators(v),
     "Polarization kind": lambda v: Polarization(v),
     "ladder_apply which": lambda v: ladder_apply(eigenstate(1), v),
     "ladder_coordinate which": lambda v: ladder_coordinate(
@@ -1179,6 +1185,17 @@ def test_an_overflow_to_any_numpy_precision_is_refused(dtype):
     overflow = finite_result("product")(lambda: dtype(np.finfo(dtype).max) * dtype(2))
     with pytest.raises(NonFiniteError, match="product must be finite"):
         overflow()
+
+
+@pytest.mark.parametrize("field", [np.inf, np.float64(np.nan), complex(0.0, np.inf),
+                                   np.array([1.0, np.inf])])
+def test_a_record_field_that_is_not_finite_is_refused(field):
+    # a NamedTuple record's fields are checked as a plain tuple's are
+    record = orbifold.TransportResult(field, 0.0, 1)
+    checked = finite_result("record")(lambda: record)
+    with pytest.raises(NonFiniteError, match="record must be finite"):
+        checked()
+    assert finite_result("record")(lambda: record._replace(vector=1j))() == (1j, 0.0, 1)
 
 
 def test_nan_dt_is_named():

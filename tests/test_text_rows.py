@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from bundleqm.cli import RunConfig, cmd_simulate, write_pgm
-from bundleqm.errors import BundleqmError, ChargeMismatchError, GridFormatError
+from bundleqm.errors import BundleqmError, GridFormatError
 from bundleqm.sections import (_KERNEL_VALUES, FLOAT_FORMAT, GridSection,
                                _decimal_digits, _text_tables, load_grid, read_grid_binary,
                                read_grid_csv, save_grid, write_grid_binary,
@@ -223,7 +223,9 @@ def _mutations(draw, rows):
         del body[r]
     elif kind == "ragged":
         body[r] = body[r][:-1] if draw(st.booleans()) else body[r] + ["0"]
-    elif kind == "legacy" and rows[0][-1] == "charge":
+    elif kind == "legacy":
+        # the earlier 4-column file, which cannot say its charge: both readers
+        # refuse its header
         for row in rows:
             del row[4:]
     elif kind == "shape":
@@ -457,24 +459,20 @@ class TestGridCsv:
         assert not sec.values.flags.c_contiguous
         assert path.read_text() == _grid_reference(sec)
 
-    def test_caller_charge_must_agree(self, tmp_path):
-        path = tmp_path / "g.csv"
-        write_grid_csv(_grid(charge=-1), path)
-        assert read_grid_csv(path, charge=-1).charge == -1
-        with pytest.raises(ChargeMismatchError):
-            load_grid(path, charge=+1)
-
     def test_legacy_four_column_file(self, tmp_path):
-        sec = _grid(charge=+1)
+        # the earlier header carries no charge, so an antiparticle grid would
+        # load as a particle: both readers refuse it
+        sec = _grid(charge=-1)
         X, P = np.meshgrid(sec.x, sec.p, indexing="ij")
         rows = np.column_stack([X.ravel(), P.ravel(), sec.values.real.ravel(),
                                 sec.values.imag.ravel()])
         path = tmp_path / "old.csv"
         path.write_text(oracles.format_rows_reference("x,p,re,im", rows))
-        assert read_grid_csv(path).charge == +1
-        back = read_grid_csv(path, charge=-1)
-        assert back.charge == -1
-        assert np.array_equal(back.values, sec.values)
+        for read in (read_grid_csv, load_grid, oracles.read_grid_csv_reference):
+            with pytest.raises(GridFormatError) as err:
+                read(path)
+            if read is not oracles.read_grid_csv_reference:
+                assert str(err.value) == f"{path}: unrecognised grid CSV header 'x,p,re,im'"
 
     def test_rows_not_x_major(self, tmp_path):
         sec = _grid()
@@ -600,12 +598,6 @@ class TestGridBinary:
     def test_round_trip_bit_exact_with_charge(self, tmp_path):
         _assert_round_trip_bit_exact(_grid(charge=-1), tmp_path / "g.bqgs")
         _assert_round_trip_bit_exact(_signed_zero_grid(+1), tmp_path / "z.bqgs")
-
-    def test_caller_charge_must_agree(self, tmp_path):
-        path = self._write(tmp_path)
-        assert load_grid(path, charge=-1).charge == -1
-        with pytest.raises(ChargeMismatchError):
-            load_grid(path, charge=+1)
 
     def test_bad_magic(self, tmp_path):
         path = self._write(tmp_path)
